@@ -75,25 +75,6 @@ std::vector<int> ThreadCounts(unsigned hw_cores, std::vector<int>* skipped) {
   return counts;
 }
 
-// MIND_BENCH_EXECUTOR=static|dynamic|stealing selects the window-executor
-// policy (digests are policy-independent; this sweeps load-balance behavior).
-ExecutorPolicy ExecutorPolicyFromEnv(std::string* name_out) {
-  const char* env = std::getenv("MIND_BENCH_EXECUTOR");
-  std::string name = env != nullptr && *env != '\0' ? env : "dynamic";
-  ExecutorPolicy policy = ExecutorPolicy::kDynamic;
-  if (name == "static") {
-    policy = ExecutorPolicy::kStatic;
-  } else if (name == "stealing") {
-    policy = ExecutorPolicy::kStealing;
-  } else if (name != "dynamic") {
-    std::fprintf(stderr, "unknown MIND_BENCH_EXECUTOR '%s' (want "
-                 "static|dynamic|stealing)\n", name.c_str());
-    std::abort();
-  }
-  *name_out = name;
-  return policy;
-}
-
 struct ConfigResult {
   int threads = 0;
   double wall_sec = 0;
@@ -125,12 +106,11 @@ double ShardImbalance(const EngineStats& s) {
 // One full fig18-shaped run: 1024 flat nodes, mixed insert/batch/query
 // workload over `drive_sec` of sim time, then settle. `threads == 0` runs the
 // sequential engine under the determinism discipline.
-ConfigResult RunConfig(int threads, double drive_sec, ExecutorPolicy policy) {
+ConfigResult RunConfig(int threads, double drive_sec) {
   const size_t kNodes = 1024;
   MindNetOptions mopts;
   mopts.sim.seed = 0x18181818;
   mopts.sim.threads = threads;
-  mopts.sim.executor_policy = policy;
   mopts.sim.deterministic_discipline = threads == 0;
   mopts.overlay.heartbeat_interval = 0;
   mopts.mind.replication = 1;
@@ -267,12 +247,9 @@ int main(int argc, char** argv) {
   const unsigned hw_cores = std::max(1u, std::thread::hardware_concurrency());
   std::vector<int> skipped;
   const std::vector<int> thread_counts = ThreadCounts(hw_cores, &skipped);
-  std::string executor_name;
-  const ExecutorPolicy policy = ExecutorPolicyFromEnv(&executor_name);
 
   std::printf("=== Figure 20: parallel engine scaling (1024 nodes, duty %d%%, "
-              "%.0f s driven, executor=%s) ===\n\n",
-              duty, drive_sec, executor_name.c_str());
+              "%.0f s driven) ===\n\n", duty, drive_sec);
   std::printf("hardware: %u core%s available\n", hw_cores,
               hw_cores == 1 ? "" : "s");
   if (hw_cores < 2) {
@@ -288,7 +265,7 @@ int main(int argc, char** argv) {
 
   std::vector<ConfigResult> results;
   for (int threads : thread_counts) {
-    ConfigResult r = RunConfig(threads, drive_sec, policy);
+    ConfigResult r = RunConfig(threads, drive_sec);
     std::printf("%-14s wall=%7.2fs  events=%10llu (%9.0f/s)  digest=%016llx\n",
                 threads == 0 ? "serial+disc" :
                     ("threads=" + std::to_string(threads)).c_str(),
@@ -400,7 +377,6 @@ int main(int argc, char** argv) {
   meta.extra["duty_percent"] = std::to_string(duty);
   meta.extra["drive_seconds"] = std::to_string(drive_sec);
   meta.extra["hardware_concurrency"] = std::to_string(hw_cores);
-  meta.extra["executor_policy"] = executor_name;
   {
     std::string list;
     for (int t : thread_counts) {

@@ -154,9 +154,7 @@ BENCHMARK(BM_TupleStoreQuery)
 // ------------------------------------------------------- scan kernels
 //
 // The cache-conscious primitives under both index backends, benchmarked at
-// the kernel layer where the prefetch knob is a template parameter (the
-// backends always compile with prefetch on; the off configurations quantify
-// what the hints buy at each working-set size).
+// the kernel layer with the same instantiation the backends use.
 
 scan::KeyColumn SortedKeys(size_t n, uint64_t seed) {
   Rng rng(seed);
@@ -172,10 +170,8 @@ scan::KeyColumn SortedKeys(size_t n, uint64_t seed) {
 
 // Branch-free cover probe (binary search with midpoint prefetch): the inner
 // loop of every range-scan bound and RoutingTable cover lookup.
-// args: {keys, prefetch}
 void BM_CoverProbe(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
-  const bool prefetch = state.range(1) != 0;
   scan::KeyColumn keys = SortedKeys(n, 21);
   const uint64_t span = keys.back() + 64;
   Rng rng(22);
@@ -184,70 +180,32 @@ void BM_CoverProbe(benchmark::State& state) {
   size_t i = 0;
   for (auto _ : state) {
     uint64_t probe = probes[i++ & 4095];
-    size_t pos = prefetch
-                     ? scan::LowerBound<true>(keys.data(), keys.size(), probe)
-                     : scan::LowerBound<false>(keys.data(), keys.size(), probe);
+    size_t pos = scan::LowerBound(keys.data(), keys.size(), probe);
     benchmark::DoNotOptimize(pos);
   }
 }
-BENCHMARK(BM_CoverProbe)
-    ->ArgNames({"keys", "prefetch"})
-    ->Args({1 << 12, 0})
-    ->Args({1 << 12, 1})
-    ->Args({1 << 20, 0})
-    ->Args({1 << 20, 1});
+BENCHMARK(BM_CoverProbe)->ArgName("keys")->Arg(1 << 12)->Arg(1 << 20);
 
 // Two-bound range scan over a sorted run: the sorted_runs_backend ScanRun
 // shape (branchless bounds on the key column, prefetch-ahead row sweep).
-// The simd arm replaces the callback sweep with the reduction-shaped
-// SweepFieldSum gather kernel (AVX2 when compiled in, scalar otherwise —
-// scan::kHaveAvx2Gather is exported via the simd_active counter so the
-// numbers are self-describing).
-// args: {rows, prefetch, simd}
 void BM_ScanRangeSorted(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
-  const bool prefetch = state.range(1) != 0;
-  const bool simd = state.range(2) != 0;
   scan::KeyColumn keys = SortedKeys(n, 23);
   std::vector<StoredRow> rows(n);
   for (size_t i = 0; i < n; ++i) rows[i].key = keys[i];
   const uint64_t span = keys.back();
-  const size_t seq_offset = static_cast<size_t>(
-      reinterpret_cast<const char*>(&rows[0].tuple.seq) -
-      reinterpret_cast<const char*>(&rows[0]));
   Rng rng(24);
   uint64_t sink = 0;
   for (auto _ : state) {
     uint64_t lo = rng.Uniform(span);
     uint64_t hi = lo + span / 64;  // ~1.5% selectivity
-    auto emit = [&sink](const StoredRow& row) { sink += row.tuple.seq; };
-    if (prefetch) {
-      auto [b, e] = scan::RangeBounds<true>(keys.data(), keys.size(), lo, hi);
-      if (simd) {
-        sink += scan::SweepFieldSum(rows.data(), b, e, seq_offset);
-      } else {
-        scan::SweepRows<true>(rows.data(), b, e, emit);
-      }
-    } else {
-      auto [b, e] = scan::RangeBounds<false>(keys.data(), keys.size(), lo, hi);
-      if (simd) {
-        sink += scan::SweepFieldSum(rows.data(), b, e, seq_offset);
-      } else {
-        scan::SweepRows<false>(rows.data(), b, e, emit);
-      }
-    }
+    auto [b, e] = scan::RangeBounds(keys.data(), keys.size(), lo, hi);
+    scan::SweepRows(rows.data(), b, e,
+                    [&sink](const StoredRow& row) { sink += row.tuple.seq; });
     benchmark::DoNotOptimize(sink);
   }
-  state.counters["simd_active"] = simd && scan::kHaveAvx2Gather ? 1 : 0;
 }
-BENCHMARK(BM_ScanRangeSorted)
-    ->ArgNames({"rows", "prefetch", "simd"})
-    ->Args({100000, 0, 0})
-    ->Args({100000, 1, 0})
-    ->Args({100000, 1, 1})
-    ->Args({1000000, 0, 0})
-    ->Args({1000000, 1, 0})
-    ->Args({1000000, 1, 1});
+BENCHMARK(BM_ScanRangeSorted)->ArgName("rows")->Arg(100000)->Arg(1000000);
 
 // RLE bitmap decode + software-pipelined row gather: the bitmap backend's
 // emission path (ids decode ahead of the rows they touch).

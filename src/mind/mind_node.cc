@@ -121,7 +121,7 @@ TupleStoreConfig MindNode::StoreConfig() {
   config.options.compaction = options_.store_compaction;
   config.options.backend = options_.store_backend;
   config.metrics = &sim_->metrics();
-  config.cover_cache = options_.cover_cache ? &cover_cache_ : nullptr;
+  config.cover_cache = &cover_cache_;
   return config;
 }
 

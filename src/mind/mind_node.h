@@ -56,9 +56,6 @@ struct MindOptions {
   /// trigger and at version freeze). Layout-only: results, timings and
   /// digests are identical on or off.
   bool store_compaction = true;
-  /// Per-node cover cache memoizing CutTree::Cover for store scans. Pure
-  /// memoization: results, timings and digests are identical on or off.
-  bool cover_cache = true;
   /// Index backend behind every store this node opens (DESIGN.md §13):
   /// kSortedRuns, kBitmap, or kAdaptive (per-store choice from the previous
   /// version's workload). Digest-transparent: results, timings and digests

@@ -59,14 +59,13 @@ int ParallelEngine::DefaultShardCount() {
 }
 
 ParallelEngine::ParallelEngine(EventQueue* control, Network* network,
-                               int threads, int shards, ExecutorPolicy policy)
-    : control_(control), network_(network), threads_(threads), policy_(policy) {
+                               int threads, int shards)
+    : control_(control), network_(network), threads_(threads) {
   MIND_CHECK_GE(threads, 1);
   int s = shards > 0 ? shards : DefaultShardCount();
   queues_.reserve(s);
   for (int i = 0; i < s; ++i) queues_.push_back(std::make_unique<EventQueue>());
   lanes_ = std::vector<ShardLane>(s);
-  steal_cursors_ = std::make_unique<StealCursor[]>(threads_);
   stats_.shard_events.resize(s, 0);
   active_.reserve(s);
 }
@@ -159,11 +158,11 @@ void ParallelEngine::EnsureWorkers() {
   if (threads_ <= 1 || !workers_.empty()) return;
   workers_.reserve(threads_ - 1);
   for (int i = 1; i < threads_; ++i) {
-    workers_.emplace_back([this, i]() { WorkerLoop(i); });
+    workers_.emplace_back([this]() { WorkerLoop(); });
   }
 }
 
-void ParallelEngine::WorkerLoop(int executor) {
+void ParallelEngine::WorkerLoop() {
   uint64_t seen = 0;
   for (;;) {
     // Await the next window (or shutdown): spin briefly, then sleep. The
@@ -188,7 +187,7 @@ void ParallelEngine::WorkerLoop(int executor) {
     // The orchestrator waits for all helpers before the next bump, so the
     // epoch moves by exactly one window at a time.
     seen = epoch_.load(std::memory_order_acquire);
-    RunShardsInWindow(executor);
+    RunShardsInWindow();
     int finished = done_.fetch_add(1, std::memory_order_seq_cst) + 1;
     if (finished >= threads_ - 1 &&
         orch_waiting_.load(std::memory_order_seq_cst)) {
@@ -209,38 +208,12 @@ void ParallelEngine::RunOneShard(int s) {
   tls_shard = -1;
 }
 
-void ParallelEngine::RunShardsInWindow(int executor) {
+void ParallelEngine::RunShardsInWindow() {
   const size_t n = active_.size();
-  switch (policy_) {
-    case ExecutorPolicy::kStatic:
-      for (size_t i = static_cast<size_t>(executor); i < n;
-           i += static_cast<size_t>(threads_)) {
-        RunOneShard(active_[i]);
-      }
-      break;
-    case ExecutorPolicy::kDynamic:
-      for (;;) {
-        size_t i = claim_.fetch_add(1, std::memory_order_relaxed);
-        if (i >= n) break;
-        RunOneShard(active_[i]);
-      }
-      break;
-    case ExecutorPolicy::kStealing:
-      // Drain our own contiguous slice, then steal from the others in ring
-      // order. A cursor may overshoot its slice end by up to one increment
-      // per thief; the bound check discards the overshoot.
-      for (int off = 0; off < threads_; ++off) {
-        int victim = (executor + off) % threads_;
-        const size_t lo = SliceBegin(victim, n);
-        const size_t hi = SliceBegin(victim + 1, n);
-        std::atomic<size_t>& cursor = steal_cursors_[victim].next;
-        for (;;) {
-          size_t i = lo + cursor.fetch_add(1, std::memory_order_relaxed);
-          if (i >= hi) break;
-          RunOneShard(active_[i]);
-        }
-      }
-      break;
+  for (;;) {
+    size_t i = claim_.fetch_add(1, std::memory_order_relaxed);
+    if (i >= n) break;
+    RunOneShard(active_[i]);
   }
 }
 
@@ -250,7 +223,7 @@ void ParallelEngine::RunWindowParallel() {
     epoch_.fetch_add(1, std::memory_order_release);
   }
   wake_cv_.notify_all();
-  RunShardsInWindow(0);
+  RunShardsInWindow();
 
   const int need = threads_ - 1;
   // mind-lint: allow(wall-clock): measures orchestrator barrier wait for diagnostics; never read by simulation logic
@@ -354,7 +327,7 @@ size_t ParallelEngine::RunWindows(SimTime target, bool bounded, size_t limit) {
     // term is >= t_min + 1), so a window always makes progress.
     MIND_CHECK(!active_.empty()) << "window computed with no runnable shard";
 
-    if (policy_ == ExecutorPolicy::kDynamic && active_.size() > 1) {
+    if (active_.size() > 1) {
       // Longest-processing-time order for the shared claim cursor. pending()
       // counts events beyond the horizon too — an estimate, but claim order
       // is pure wall-clock policy, so any order is correct.
@@ -379,13 +352,10 @@ size_t ParallelEngine::RunWindows(SimTime target, bool bounded, size_t limit) {
       in_parallel_phase_ = false;
     } else {
       claim_.store(0, std::memory_order_relaxed);
-      for (int e = 0; e < threads_; ++e) {
-        steal_cursors_[e].next.store(0, std::memory_order_relaxed);
-      }
       done_.store(0, std::memory_order_relaxed);
       in_parallel_phase_ = true;
       if (workers_.empty()) {
-        RunShardsInWindow(0);
+        RunShardsInWindow();
       } else {
         RunWindowParallel();
       }
@@ -417,7 +387,7 @@ size_t ParallelEngine::RunWindows(SimTime target, bool bounded, size_t limit) {
 
     // Adapt the cap from the committed exchange volume — a deterministic
     // function of simulation state, so the window sequence replays exactly
-    // regardless of thread count or executor policy.
+    // regardless of thread count or claim order.
     if (exchanged <= kSparseExchangeFactor * static_cast<uint64_t>(S)) {
       cap_multiplier_ = std::min(cap_multiplier_ * 2, kMaxCapMultiplier);
     } else if (exchanged >= kDenseExchangeFactor * static_cast<uint64_t>(S)) {

@@ -32,15 +32,15 @@
 // (DefaultShardCount) and fixed independently of the worker thread count.
 // Each shard's event sequence is fully determined by its own queue contents
 // plus the keyed cross-shard messages it receives, so any assignment of
-// shards to threads — 1 worker or 8, static slices or work stealing —
-// executes the identical computation. Cross-thread bit-identity therefore
-// holds by construction; the interesting proof obligation (discharged by
+// shards to threads — 1 worker or 8, in any claim order — executes the
+// identical computation. Cross-thread bit-identity therefore holds by
+// construction; the interesting proof obligation (discharged by
 // tools/check_determinism.sh) is identity against the *sequential* engine
 // running the same discipline, which rests on the keyed event ordering and
 // the counter-based per-link RNG streams (NetworkOptions::discipline).
 //
 // This file is the one place in src/{sim,overlay,mind,space,storage} allowed
-// to use raw threading primitives (see tools/mind_lint.py, rule
+// to use raw threading primitives (see tools/analyze/checks.py, rule
 // "concurrency").
 #ifndef MIND_SIM_PARALLEL_ENGINE_H_
 #define MIND_SIM_PARALLEL_ENGINE_H_
@@ -62,24 +62,6 @@
 namespace mind {
 
 class Network;
-
-/// How shards of a window are assigned to executor threads. Pure wall-clock
-/// policy: every policy runs the identical computation (see file comment), so
-/// digests are policy-independent; only load balance differs.
-enum class ExecutorPolicy {
-  /// Fixed round-robin slice: executor k runs active shards at positions
-  /// {k, k + threads, ...}. No shared state, best cache affinity, worst
-  /// balance under skew.
-  kStatic,
-  /// Single shared claim cursor over the active list, which is sorted by
-  /// pending-event count (longest processing time first). Executors grab the
-  /// next unclaimed shard as they finish — classic LPT list scheduling.
-  kDynamic,
-  /// Per-executor slices with work stealing: each executor drains its own
-  /// contiguous slice via a private cursor, then steals from other slices.
-  /// Like kStatic's affinity when balanced, like kDynamic under skew.
-  kStealing,
-};
 
 /// Aggregate engine statistics, all derived from simulation-deterministic
 /// quantities except the barrier-wait timings (wall-clock, diagnostic only).
@@ -125,14 +107,13 @@ class ParallelEngine {
 
   /// `threads` >= 1 workers; `shards` == 0 picks DefaultShardCount().
   ParallelEngine(EventQueue* control, Network* network, int threads,
-                 int shards, ExecutorPolicy policy = ExecutorPolicy::kDynamic);
+                 int shards);
   ~ParallelEngine();
   ParallelEngine(const ParallelEngine&) = delete;
   ParallelEngine& operator=(const ParallelEngine&) = delete;
 
   int shard_count() const { return static_cast<int>(queues_.size()); }
   int threads() const { return threads_; }
-  ExecutorPolicy policy() const { return policy_; }
   int ShardOf(NodeId id) const {
     return static_cast<int>(static_cast<uint32_t>(id) %
                             static_cast<uint32_t>(queues_.size()));
@@ -207,35 +188,26 @@ class ParallelEngine {
     bool has_next = false;
     bool runnable = false;        // next_time < wend, executes this window
   };
-  /// Per-executor claim cursor for ExecutorPolicy::kStealing (padded so
-  /// steals don't share a line with the owner's increments).
-  struct alignas(64) StealCursor {
-    std::atomic<size_t> next{0};
-  };
 
   size_t RunWindows(SimTime target, bool bounded, size_t limit);
-  // Executes shards of the current window's active list on this executor
-  // according to policy_. Executor 0 is the orchestrating thread itself;
-  // 1..threads-1 are the helper threads.
-  void RunShardsInWindow(int executor);
+  // Claims shards of the current window's active list (sorted longest
+  // processing time first) from the shared cursor and executes them until
+  // the list is exhausted. Called by the orchestrating thread and by every
+  // helper thread.
+  void RunShardsInWindow();
   void RunOneShard(int s);
   void EnsureWorkers();
-  void WorkerLoop(int executor);
+  void WorkerLoop();
   // Releases helpers for one window and waits for them to finish, recording
   // the orchestrator's wait time in stats_. Requires workers_ non-empty.
   void RunWindowParallel();
   // Recomputes lookahead_ and the shard-pair latency matrix from the
   // network's current host set and latency overrides.
   void ComputeLookahead();
-  // Start of executor e's slice of an n-entry active list (kStealing).
-  size_t SliceBegin(int e, size_t n) const {
-    return n * static_cast<size_t>(e) / static_cast<size_t>(threads_);
-  }
 
   EventQueue* control_;
   Network* network_;
   int threads_;
-  ExecutorPolicy policy_;
   std::vector<std::unique_ptr<EventQueue>> queues_;
   std::vector<ShardLane> lanes_;  // indexed by shard
   // Minimum host-to-host latency from shard r to shard s at r*S+s;
@@ -252,8 +224,7 @@ class ParallelEngine {
   // Plain fields published to workers via the epoch_ release/acquire pair.
   bool in_parallel_phase_ = false;
   std::vector<int> active_;  // shard ids runnable this window (claim order)
-  std::unique_ptr<StealCursor[]> steal_cursors_;  // one per executor
-  alignas(64) std::atomic<size_t> claim_{0};    // kDynamic shared cursor
+  alignas(64) std::atomic<size_t> claim_{0};    // shared LPT claim cursor
   std::vector<std::thread> workers_;  // threads_ - 1 helpers; main is exec 0
   // Hybrid spin/condvar barrier. Workers spin briefly on epoch_, then sleep
   // on wake_cv_; the orchestrator bumps epoch_ under wake_mu_ so a worker

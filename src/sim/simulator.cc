@@ -20,8 +20,7 @@ Simulator::Simulator(SimulatorOptions options)
   SetLogClock(this, [this]() { return events_.now(); });
   if (options.threads > 0) {
     engine_ = std::make_unique<ParallelEngine>(&events_, network_.get(),
-                                               options.threads, options.shards,
-                                               options.executor_policy);
+                                               options.threads, options.shards);
     network_->set_parallel_engine(engine_.get());
     // Counters and histograms get one slot per shard (plus the serial slot)
     // so worker recordings never share memory; reads aggregate.

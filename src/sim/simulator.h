@@ -29,10 +29,6 @@ struct SimulatorOptions {
   /// identical for any thread count over the same shard count — and, because
   /// ordering keys are engine-independent, across shard counts too.
   int shards = 0;
-  /// How window shards are mapped to executor threads (load-balance policy
-  /// only — digests are identical across policies). kDynamic claims shards
-  /// from a shared LPT-ordered list; see ExecutorPolicy for the others.
-  ExecutorPolicy executor_policy = ExecutorPolicy::kDynamic;
   /// Runs the *sequential* engine under the parallel engine's determinism
   /// discipline (counter-based per-link RNG, keyed event ordering,
   /// send-time in-flight-loss resolution). Produces the same StateDigest as

@@ -198,8 +198,8 @@ void BitmapIndexBackend::ScanRange(const KeyRange& kr, RowConsumer& out) const {
 }
 
 void BitmapIndexBackend::ScanAllRows(RowConsumer& out) const {
-  scan::SweepRows<true>(rows_, 0, rows_.size(),
-                        [&out](const StoredRow& r) { out.Consume(r); });
+  scan::SweepRows(rows_, 0, rows_.size(),
+                  [&out](const StoredRow& r) { out.Consume(r); });
 }
 
 Status BitmapIndexBackend::ValidateInvariants(const CutTree& cuts, int code_len,

@@ -112,7 +112,7 @@ class BucketDirectory {
 
   /// First position whose bucket id is >= `id`; size() if none.
   size_t LowerBound(uint32_t id) const {
-    return scan::LowerBound<true>(ids_.data(), ids_.size(), id);
+    return scan::LowerBound(ids_.data(), ids_.size(), id);
   }
 
   /// The bitmap for `id`, inserted empty at its sorted position if absent.

@@ -16,24 +16,17 @@
 //    for kr.hi turn the emit loop into a pure [begin, end) sweep with no
 //    per-row hi check, and the sweep prefetches rows a fixed distance ahead.
 //
-// Every kernel is templated on `kPrefetch` so the micro-benches
-// (BM_ScanRangeSorted / BM_ScanRangeBitmap / BM_CoverProbe) can measure the
-// prefetch contribution in isolation; backends always instantiate the
-// prefetching variant. Results are bit-identical either way: prefetch is a
-// pure hint and the search math does not change.
+// Prefetch is a pure hint: it never changes a result, only which lines are
+// in flight. The micro-benches BM_CoverProbe and BM_ScanRangeSorted time
+// these kernels in isolation.
 #ifndef MIND_STORAGE_SCAN_KERNELS_H_
 #define MIND_STORAGE_SCAN_KERNELS_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <new>
 #include <utility>
 #include <vector>
-
-#if defined(__AVX2__)
-#include <immintrin.h>
-#endif
 
 namespace mind {
 namespace scan {
@@ -80,17 +73,15 @@ using KeyColumn = std::vector<uint64_t, AlignedAlloc<uint64_t>>;
 /// First index i in the sorted [keys, keys+n) with keys[i] >= key; n if none.
 /// Branch-free: the interval update is a conditional move, and each level
 /// prefetches both candidate midpoints of the next level.
-template <bool kPrefetch, typename K>
+template <typename K>
 inline std::size_t LowerBound(const K* keys, std::size_t n, K key) {
   if (n == 0) return 0;
   const K* base = keys;
   std::size_t len = n;
   while (len > 1) {
     const std::size_t half = len / 2;
-    if constexpr (kPrefetch) {
-      PrefetchRead(base + half / 2);
-      PrefetchRead(base + half + (len - half) / 2);
-    }
+    PrefetchRead(base + half / 2);
+    PrefetchRead(base + half + (len - half) / 2);
     base += (base[half - 1] < key) ? half : 0;
     len -= half;
   }
@@ -98,17 +89,15 @@ inline std::size_t LowerBound(const K* keys, std::size_t n, K key) {
 }
 
 /// First index i in the sorted [keys, keys+n) with keys[i] > key; n if none.
-template <bool kPrefetch, typename K>
+template <typename K>
 inline std::size_t UpperBound(const K* keys, std::size_t n, K key) {
   if (n == 0) return 0;
   const K* base = keys;
   std::size_t len = n;
   while (len > 1) {
     const std::size_t half = len / 2;
-    if constexpr (kPrefetch) {
-      PrefetchRead(base + half / 2);
-      PrefetchRead(base + half + (len - half) / 2);
-    }
+    PrefetchRead(base + half / 2);
+    PrefetchRead(base + half + (len - half) / 2);
     base += (base[half - 1] <= key) ? half : 0;
     len -= half;
   }
@@ -118,74 +107,25 @@ inline std::size_t UpperBound(const K* keys, std::size_t n, K key) {
 /// The [begin, end) index range of keys inside the inclusive [lo, hi] range:
 /// one LowerBound for lo, one UpperBound for hi over the remaining suffix.
 /// The caller's emit loop needs no per-row hi comparison afterwards.
-template <bool kPrefetch, typename K>
+template <typename K>
 inline std::pair<std::size_t, std::size_t> RangeBounds(const K* keys,
                                                        std::size_t n, K lo,
                                                        K hi) {
-  const std::size_t b = LowerBound<kPrefetch>(keys, n, lo);
-  const std::size_t e = b + UpperBound<kPrefetch>(keys + b, n - b, hi);
+  const std::size_t b = LowerBound(keys, n, lo);
+  const std::size_t e = b + UpperBound(keys + b, n - b, hi);
   return {b, e};
 }
 
 /// Sweeps rows[begin, end) through `emit` with a fixed prefetch distance.
 /// `rows` only needs operator[]; `emit` receives a const reference.
-template <bool kPrefetch, typename Rows, typename Emit>
+template <typename Rows, typename Emit>
 inline void SweepRows(const Rows& rows, std::size_t begin, std::size_t end,
                       Emit&& emit) {
   for (std::size_t i = begin; i < end; ++i) {
-    if constexpr (kPrefetch) {
-      const std::size_t ahead = i + kEmitPrefetchDistance;
-      if (ahead < end) PrefetchRead(&rows[ahead]);
-    }
+    const std::size_t ahead = i + kEmitPrefetchDistance;
+    if (ahead < end) PrefetchRead(&rows[ahead]);
     emit(rows[i]);
   }
-}
-
-/// Whether SweepFieldSum below runs its vectorized arm in this build.
-inline constexpr bool kHaveAvx2Gather =
-#if defined(__AVX2__)
-    true;
-#else
-    false;
-#endif
-
-/// The reduction-shaped specialization of SweepRows: sums the uint64_t field
-/// at byte offset `field_offset` of each row in rows[begin, end).
-///
-/// When the emit callback is a pure field accumulation (count/sum style
-/// aggregation over a range scan), the callback indirection disappears and
-/// the per-row loads become a strided gather — under AVX2, four rows' fields
-/// per _mm256_i64gather_epi64 (byte-offset indices, scale 1, so row size
-/// need not be a multiple of 8). The scalar fallback is bit-identical:
-/// integer summation is associative, lane order does not matter. The offset
-/// is a runtime value (member pointers through non-standard-layout rows).
-template <typename Row>
-inline uint64_t SweepFieldSum(const Row* rows, std::size_t begin,
-                              std::size_t end, std::size_t field_offset) {
-  const char* base = reinterpret_cast<const char*>(rows) + field_offset;
-  uint64_t sum = 0;
-  std::size_t i = begin;
-#if defined(__AVX2__)
-  const __m256i idx = _mm256_set_epi64x(
-      static_cast<long long>(3 * sizeof(Row)),
-      static_cast<long long>(2 * sizeof(Row)),
-      static_cast<long long>(1 * sizeof(Row)), 0);
-  __m256i acc = _mm256_setzero_si256();
-  for (; i + 4 <= end; i += 4) {
-    const auto* p =
-        reinterpret_cast<const long long*>(base + i * sizeof(Row));
-    acc = _mm256_add_epi64(acc, _mm256_i64gather_epi64(p, idx, 1));
-  }
-  alignas(32) uint64_t lanes[4];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
-  sum = lanes[0] + lanes[1] + lanes[2] + lanes[3];
-#endif
-  for (; i < end; ++i) {
-    uint64_t v;
-    std::memcpy(&v, base + i * sizeof(Row), sizeof(v));
-    sum += v;
-  }
-  return sum;
 }
 
 }  // namespace scan

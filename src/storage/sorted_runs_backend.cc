@@ -74,9 +74,9 @@ void SortedRunsBackend::ScanRun(const std::vector<StoredRow>& run,
                                 const scan::KeyColumn& keys, const KeyRange& kr,
                                 RowConsumer& out) const {
   const auto [begin, end] =
-      scan::RangeBounds<true>(keys.data(), keys.size(), kr.lo, kr.hi);
-  scan::SweepRows<true>(run, begin, end,
-                        [&out](const StoredRow& r) { out.Consume(r); });
+      scan::RangeBounds(keys.data(), keys.size(), kr.lo, kr.hi);
+  scan::SweepRows(run, begin, end,
+                  [&out](const StoredRow& r) { out.Consume(r); });
 }
 
 void SortedRunsBackend::ScanRange(const KeyRange& kr, RowConsumer& out) const {

@@ -100,14 +100,8 @@ void TupleStore::ForEachRow(Fn&& fn) const {
 template <typename Fn>
 void TupleStore::Scan(const Rect& rect, Fn&& fn) const {
   const int len = std::min(opts_.cover_len, code_len_);
-  CoverRanges local;
-  const CoverRanges* cover;
-  if (cover_cache_ != nullptr) {
-    cover = cover_cache_->GetOrCompute(rect, cuts_, len, opts_.max_cover_codes);
-  } else {
-    local = ComputeCoverRanges(*cuts_, rect, len, opts_.max_cover_codes);
-    cover = &local;
-  }
+  const CoverRanges* cover =
+      cover_cache_->GetOrCompute(rect, cuts_, len, opts_.max_cover_codes);
   ++scan_queries_;
   auto visit = [&](const StoredRow& r) {
     ++scan_rows_examined_;

@@ -181,7 +181,7 @@ class TupleStore {
   mutable uint64_t scan_cover_ranges_ = 0;
   // mind-digest: skip(derived size estimate; recomputable from digested rows)
   uint64_t approx_bytes_ = 0;
-  CoverCache* cover_cache_ = nullptr;
+  CoverCache* cover_cache_ = nullptr;  // never null after construction
   // Fallback when no shared cache is injected: monitoring queries re-probe
   // the same rectangles, and ComputeCoverRanges is ~40% of a warm Count, so
   // even a standalone store memoizes.

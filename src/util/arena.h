@@ -24,7 +24,7 @@
 // high-water mark may feed back into simulation behaviour; stats exist for
 // telemetry gauges (`memory.pool.*`) published from serial context.
 //
-// This header lives in src/util (outside the mind_lint concurrency fence) on
+// This header lives in src/util (outside the analyzer's concurrency fence) on
 // purpose: the thread cache registry needs one mutex and two relaxed atomics,
 // and every linted directory gets pooled allocation through MakeMessage /
 // EventFn instead of raw new (the `raw-alloc` lint enforces this).

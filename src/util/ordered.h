@@ -5,8 +5,9 @@
 // determinism hazard when the loop emits messages, schedules events, or
 // otherwise leaks iteration order into simulation behavior: the order
 // depends on the hash function, bucket count, and insertion history, and
-// differs across standard libraries. tools/mind_lint.py flags such loops;
-// the fix is to iterate over SortedKeys(map) instead.
+// differs across standard libraries. The analyzer's unordered-emit rule
+// (tools/analyze) flags such loops; the fix is to iterate over
+// SortedKeys(map) instead.
 #ifndef MIND_UTIL_ORDERED_H_
 #define MIND_UTIL_ORDERED_H_
 

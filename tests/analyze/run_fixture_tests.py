@@ -3,7 +3,9 @@
 
 Each fixture under fixtures/ is a self-contained C++ file annotated with
 `analyze-expect: <rule>` on every line where the analyzer must report a
-finding. This runner asserts, per fixture:
+finding. Rules scoped by directory (wall-clock, raw-alloc, ...) see the
+fixture under the repository path named by an `analyze-as: <path>` line,
+e.g. `// analyze-as: src/sim/fixture.cc`. This runner asserts, per fixture:
 
   1. the reported (line, rule) set matches the annotated set exactly —
      a broken or silently-skipped check fails the test because its expected
@@ -29,6 +31,7 @@ from tools.analyze.cpp_model import Model  # noqa: E402
 from tools.analyze.cpp_parser import parse_file  # noqa: E402
 
 EXPECT_RE = re.compile(r"analyze-expect:\s*([\w-]+)")
+AS_RE = re.compile(r"analyze-as:\s*(\S+)")
 
 
 def expected_findings(path):
@@ -40,10 +43,19 @@ def expected_findings(path):
     return out
 
 
+def analyzed_as(path):
+    with open(path, encoding="utf-8") as f:
+        for line in f:
+            m = AS_RE.search(line)
+            if m:
+                return m.group(1)
+    return os.path.relpath(path, REPO)
+
+
 def run_fixture(path):
     rel = os.path.relpath(path, REPO)
     model = Model()
-    model.add_file(parse_file(path, rel))
+    model.add_file(parse_file(path, analyzed_as(path)))
 
     expected = expected_findings(path)
     got_full = checks.run_checks(model)

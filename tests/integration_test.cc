@@ -376,17 +376,16 @@ struct StorePathRunOutcome {
   uint64_t bitmap_bits = 0;
 };
 
-// One fixed insert+crash+revive+query scenario with store compaction, the
-// cover cache and the index backend toggled. Enough inserts that the
-// compaction ratio trigger fires, plus a crash/revive leg to exercise cache
+// One fixed insert+crash+revive+query scenario with store compaction and
+// the index backend toggled. Enough inserts that the compaction ratio
+// trigger fires, plus a crash/revive leg to exercise cover-cache
 // invalidation.
 StorePathRunOutcome RunStorePathScenario(
-    bool compaction, bool cover_cache,
+    bool compaction,
     IndexBackendKind backend = IndexBackendKind::kSortedRuns) {
   MindNetOptions mopts;
   mopts.sim.seed = 515151;
   mopts.mind.store_compaction = compaction;
-  mopts.mind.cover_cache = cover_cache;
   mopts.mind.store_backend = backend;
   MindNet net(12, mopts);
   EXPECT_TRUE(net.Build().ok());
@@ -433,54 +432,43 @@ StorePathRunOutcome RunStorePathScenario(
 
 }  // namespace
 
-// Compaction and the cover cache are layout/memoization only: every knob
-// combination must yield bit-identical tuples, latencies, sim clock and
-// whole-net digest — while the enabled runs actually compact and hit.
+// Compaction is layout only: on and off must yield bit-identical tuples,
+// latencies, sim clock and whole-net digest — while the enabled run actually
+// compacts, and the cover cache actually hits.
 TEST(StorePathIntegrationTest, LayoutKnobsAreTransparent) {
-  StorePathRunOutcome base = RunStorePathScenario(true, true);
-  StorePathRunOutcome no_compact = RunStorePathScenario(false, true);
-  StorePathRunOutcome no_cache = RunStorePathScenario(true, false);
-  StorePathRunOutcome plain = RunStorePathScenario(false, false);
+  StorePathRunOutcome base = RunStorePathScenario(true);
+  StorePathRunOutcome no_compact = RunStorePathScenario(false);
   EXPECT_FALSE(base.tuple_seqs.empty());
 #ifndef MIND_TELEMETRY_DISABLED
   EXPECT_GT(base.compactions, 0u);
   EXPECT_EQ(no_compact.compactions, 0u);
   EXPECT_GT(base.cover_hits, 0u);
-  EXPECT_EQ(plain.cover_hits, 0u);
 #endif
-  for (const StorePathRunOutcome* o : {&no_compact, &no_cache, &plain}) {
-    EXPECT_EQ(base.tuple_seqs, o->tuple_seqs);
-    EXPECT_EQ(base.complete, o->complete);
-    EXPECT_EQ(base.latency, o->latency);
-    EXPECT_EQ(base.end_time, o->end_time);
-    EXPECT_EQ(base.digest, o->digest);
-  }
+  EXPECT_EQ(base.tuple_seqs, no_compact.tuple_seqs);
+  EXPECT_EQ(base.complete, no_compact.complete);
+  EXPECT_EQ(base.latency, no_compact.latency);
+  EXPECT_EQ(base.end_time, no_compact.end_time);
+  EXPECT_EQ(base.digest, no_compact.digest);
 }
 
 // The index backend is pure physical layout (docs/BACKENDS.md): sorted runs,
 // hierarchical bitmaps and the adaptive chooser must all yield bit-identical
-// tuples, latencies, sim clock and whole-net digest, with or without the
-// cover cache — while the bitmap runs demonstrably index through bitmaps.
+// tuples, latencies, sim clock and whole-net digest — while the bitmap run
+// demonstrably indexes through bitmaps.
 TEST(StorePathIntegrationTest, BackendsAreTransparent) {
   StorePathRunOutcome base =
-      RunStorePathScenario(true, true, IndexBackendKind::kSortedRuns);
+      RunStorePathScenario(true, IndexBackendKind::kSortedRuns);
   StorePathRunOutcome bitmap =
-      RunStorePathScenario(true, true, IndexBackendKind::kBitmap);
+      RunStorePathScenario(true, IndexBackendKind::kBitmap);
   StorePathRunOutcome adaptive =
-      RunStorePathScenario(true, true, IndexBackendKind::kAdaptive);
-  StorePathRunOutcome bitmap_plain =
-      RunStorePathScenario(true, false, IndexBackendKind::kBitmap);
-  StorePathRunOutcome adaptive_plain =
-      RunStorePathScenario(true, false, IndexBackendKind::kAdaptive);
+      RunStorePathScenario(true, IndexBackendKind::kAdaptive);
   EXPECT_FALSE(base.tuple_seqs.empty());
 #ifndef MIND_TELEMETRY_DISABLED
   EXPECT_EQ(base.bitmap_bits, 0u);
   EXPECT_GT(bitmap.bitmap_bits, 0u);
-  EXPECT_GT(bitmap_plain.bitmap_bits, 0u);
   EXPECT_EQ(bitmap.compactions, 0u);  // bitmaps never merge runs
 #endif
-  for (const StorePathRunOutcome* o :
-       {&bitmap, &adaptive, &bitmap_plain, &adaptive_plain}) {
+  for (const StorePathRunOutcome* o : {&bitmap, &adaptive}) {
     EXPECT_EQ(base.tuple_seqs, o->tuple_seqs);
     EXPECT_EQ(base.complete, o->complete);
     EXPECT_EQ(base.latency, o->latency);

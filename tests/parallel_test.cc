@@ -263,12 +263,10 @@ struct RelayHost : Host {
 };
 
 // Runs the relay workload and returns every host's delivery log.
-std::vector<std::vector<std::pair<NodeId, SimTime>>> RunRelay(
-    int threads, ExecutorPolicy policy = ExecutorPolicy::kDynamic) {
+std::vector<std::vector<std::pair<NodeId, SimTime>>> RunRelay(int threads) {
   SimulatorOptions opts;
   opts.deterministic_discipline = threads == 0;
   opts.threads = threads;
-  opts.executor_policy = policy;
   Simulator sim(opts);
   const size_t kFleet = 12;
   std::vector<std::unique_ptr<RelayHost>> hosts;
@@ -297,22 +295,8 @@ TEST(ParallelEngineTest, RelayIdenticalAcrossEnginesAndThreadCounts) {
   size_t delivered = 0;
   for (const auto& log : serial) delivered += log.size();
   EXPECT_GT(delivered, 100u);  // the workload actually ran
-  EXPECT_EQ(serial, RunRelay(1));
-  EXPECT_EQ(serial, RunRelay(2));
-  EXPECT_EQ(serial, RunRelay(4));
-}
-
-// Every executor policy at every thread count executes the identical
-// computation: shard-to-executor mapping is pure wall-clock policy.
-TEST(ParallelEngineTest, RelayIdenticalAcrossExecutorPolicies) {
-  auto serial = RunRelay(0);
-  for (ExecutorPolicy policy :
-       {ExecutorPolicy::kStatic, ExecutorPolicy::kDynamic,
-        ExecutorPolicy::kStealing}) {
-    for (int threads : {1, 2, 4, 8}) {
-      EXPECT_EQ(serial, RunRelay(threads, policy))
-          << "policy=" << static_cast<int>(policy) << " threads=" << threads;
-    }
+  for (int threads : {1, 2, 4, 8}) {
+    EXPECT_EQ(serial, RunRelay(threads)) << "threads=" << threads;
   }
 }
 
@@ -410,7 +394,7 @@ struct MindRunResult {
   size_t stored = 0;
   size_t tuples = 0;
   std::vector<SimTime> latencies;  // merged commit order
-  // Virtual-time window trace (thread-count and policy independent).
+  // Virtual-time window trace (thread-count independent).
   uint64_t windows = 0;
   uint64_t events = 0;
   uint64_t exchanged = 0;
@@ -421,12 +405,10 @@ struct MindRunResult {
 // A small end-to-end MIND deployment: build, index, inserts, settling — then
 // the state digest. `threads == 0` is the sequential engine under the
 // discipline; anything else the sharded parallel engine.
-MindRunResult RunMindWorkload(int threads, bool with_failures,
-                              ExecutorPolicy policy = ExecutorPolicy::kDynamic) {
+MindRunResult RunMindWorkload(int threads, bool with_failures) {
   MindNetOptions opts;
   opts.sim.seed = 0xfeed;
   opts.sim.threads = threads;
-  opts.sim.executor_policy = policy;
   opts.sim.deterministic_discipline = threads == 0;
   if (with_failures) {
     opts.sim.failures.link_flaps_per_pair_hour = 2.0;
@@ -477,38 +459,21 @@ TEST(ParallelEngineTest, MindNetDigestIdenticalAcrossThreadCounts) {
   }
 }
 
+// Full thread-count matrix against the sequential digest, with planned link
+// flaps active — outages reshape cross-shard traffic mid-run, so this
+// exercises the adaptive cap and the lookahead-matrix refresh.
 TEST(ParallelEngineTest, MindNetDigestIdenticalUnderPlannedFailures) {
   MindRunResult serial = RunMindWorkload(0, true);
-  for (int threads : {2, 4}) {
+  for (int threads : {1, 2, 4, 8}) {
     MindRunResult par = RunMindWorkload(threads, true);
     EXPECT_EQ(par.digest, serial.digest) << "threads=" << threads;
     EXPECT_EQ(par.latencies, serial.latencies) << "threads=" << threads;
   }
 }
 
-// Full policy × thread-count matrix against the sequential digest, with
-// planned link flaps active — outages reshape cross-shard traffic mid-run,
-// so this exercises the adaptive cap and the lookahead-matrix refresh under
-// every executor.
-TEST(ParallelEngineTest, MindNetDigestIdenticalAcrossExecutorPolicies) {
-  MindRunResult serial = RunMindWorkload(0, true);
-  for (ExecutorPolicy policy :
-       {ExecutorPolicy::kStatic, ExecutorPolicy::kDynamic,
-        ExecutorPolicy::kStealing}) {
-    for (int threads : {1, 2, 4, 8}) {
-      MindRunResult par = RunMindWorkload(threads, true, policy);
-      EXPECT_EQ(par.digest, serial.digest)
-          << "policy=" << static_cast<int>(policy) << " threads=" << threads;
-      EXPECT_EQ(par.latencies, serial.latencies)
-          << "policy=" << static_cast<int>(policy) << " threads=" << threads;
-    }
-  }
-}
-
 // The adaptive lookahead must be a function of the committed simulation
 // alone: the window trace (count, events, exchange volume, widening
-// decisions) is bit-identical across thread counts, executor policies, and
-// repeat runs. A wall-clock-driven or racy cap would diverge here.
+// decisions) is bit-identical across thread counts and repeat runs. A wall-clock-driven or racy cap would diverge here.
 TEST(ParallelEngineTest, AdaptiveLookaheadIsDeterministic) {
   MindRunResult base = RunMindWorkload(2, false);
   EXPECT_GT(base.windows, 0u);
@@ -525,7 +490,7 @@ TEST(ParallelEngineTest, AdaptiveLookaheadIsDeterministic) {
   EXPECT_EQ(again.widened_windows, base.widened_windows);
   EXPECT_EQ(again.max_multiplier, base.max_multiplier);
 
-  // Different thread counts and policies: same virtual-time window trace.
+  // Different thread counts: same virtual-time window trace.
   for (int threads : {1, 4}) {
     MindRunResult par = RunMindWorkload(threads, false);
     EXPECT_EQ(par.windows, base.windows) << "threads=" << threads;
@@ -535,12 +500,6 @@ TEST(ParallelEngineTest, AdaptiveLookaheadIsDeterministic) {
     EXPECT_EQ(par.max_multiplier, base.max_multiplier)
         << "threads=" << threads;
   }
-  MindRunResult stealing =
-      RunMindWorkload(2, false, ExecutorPolicy::kStealing);
-  EXPECT_EQ(stealing.windows, base.windows);
-  EXPECT_EQ(stealing.exchanged, base.exchanged);
-  EXPECT_EQ(stealing.widened_windows, base.widened_windows);
-  EXPECT_EQ(stealing.max_multiplier, base.max_multiplier);
 }
 
 TEST(ParallelEngineTest, ValidatorsRunAtBarriers) {

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <string>
+#include <type_traits>
 
 #include "space/cut_tree.h"
 #include "space/histogram.h"
@@ -462,12 +464,14 @@ TEST(CutTreeBalancedTest, CoverAndPointCodesConsistent) {
 }
 
 // Property sweep over schemas/dimensions: code/rect duality holds for any
-// dimensionality and domain shape.
+// dimensionality and domain shape. gtest prints the raw bytes of a param into
+// the test names, so the struct must have no padding: `dims` is 64-bit.
 struct TreeParam {
-  int dims;
+  int64_t dims;
   uint64_t domain_max;
   uint64_t seed;
 };
+static_assert(std::has_unique_object_representations_v<TreeParam>);
 
 class CutTreePropertyTest : public ::testing::TestWithParam<TreeParam> {};
 
@@ -475,7 +479,9 @@ TEST_P(CutTreePropertyTest, PointAlwaysInOwnRect) {
   const TreeParam param = GetParam();
   std::vector<AttributeDef> attrs;
   for (int d = 0; d < param.dims; ++d) {
-    attrs.push_back({"d" + std::to_string(d), 0, param.domain_max});
+    std::string name = "d";
+    name += std::to_string(d);
+    attrs.push_back({name, 0, param.domain_max});
   }
   Schema s(attrs);
   Rng rng(param.seed);
@@ -506,7 +512,9 @@ TEST_P(CutTreePropertyTest, DistinctRegionsAreDisjoint) {
   const TreeParam param = GetParam();
   std::vector<AttributeDef> attrs;
   for (int d = 0; d < param.dims; ++d) {
-    attrs.push_back({"d" + std::to_string(d), 0, param.domain_max});
+    std::string name = "d";
+    name += std::to_string(d);
+    attrs.push_back({name, 0, param.domain_max});
   }
   Schema s(attrs);
   CutTree t = CutTree::Even(s);

@@ -1,7 +1,7 @@
 # The MIND semantic contract analyzer (docs/ANALYSIS.md).
 #
 # Modules:
-#   suppress      shared suppression grammar (also used by tools/mind_lint.py)
+#   suppress      the suppression grammar
 #   cpp_lexer     C++ tokenizer
 #   cpp_model     the semantic IR every frontend produces
 #   cpp_parser    builtin frontend: declaration-level C++ parser (zero deps)

@@ -18,6 +18,21 @@ Rules (docs/ANALYSIS.md is the narrative version):
                     container may not emit events/messages from its body
                     (iteration order is unspecified => nondeterminism).
   suppression-reason  every suppression annotation must state a reason.
+
+Source-text rules, applied line by line (comments and literals blanked) in
+the simulation-facing directories LINT_DIRS only:
+
+  wall-clock        no std::chrono clocks, time(), gettimeofday or
+                    clock_gettime; virtual time comes from EventQueue::now().
+  libc-rand         no rand()/srand()/std::random_device; all randomness
+                    flows through the seeded mind::Rng.
+  telemetry-divergence  no branching on MIND_TELEMETRY_DISABLED: simulation
+                    logic behaves the same with telemetry compiled out.
+  concurrency       no threading headers or primitives outside
+                    src/sim/parallel_engine.*, the one place threads exist.
+  raw-alloc         no malloc/raw `new`/std::make_shared in the pooled
+                    directories src/sim and src/overlay; placement new stays
+                    legal (it is how the pools construct into their storage).
 """
 
 import re
@@ -663,6 +678,146 @@ def check_suppression_reasons(model):
 
 
 # ---------------------------------------------------------------------------
+# Checks 6-10: source-text rules. They need no declarations, only each file's
+# lines, and apply only under LINT_DIRS (src/util, say, is never linted).
+
+LINT_DIRS = ("src/sim", "src/overlay", "src/mind", "src/space", "src/storage",
+             "src/frontend")
+# The pooled hot paths: message and event payloads there flow through
+# pool::Allocate (sim/message.h MakeMessage, sim/event_fn.h EventFn,
+# DESIGN.md §14), so a raw heap allocation reopens the general-heap churn
+# the pools eliminate.
+POOLED_DIRS = ("src/sim", "src/overlay")
+# The one engine boundary allowed to hold threading primitives.
+CONCURRENCY_EXEMPT = "src/sim/parallel_engine."
+
+_WALL_CLOCK_MSG = ("wall-clock reads are forbidden; use EventQueue::now() "
+                   "virtual time")
+_CONCURRENCY_MSG = ("threading primitives are confined to "
+                    "src/sim/parallel_engine.*; an ad-hoc lock or atomic "
+                    "would hide a cross-shard ordering dependency the "
+                    "engine cannot see")
+
+# rule -> [(pattern, message)]
+_TEXT_RULES = {
+    "wall-clock": [
+        (re.compile(r"std::chrono::(system_clock|steady_clock|"
+                    r"high_resolution_clock)"), _WALL_CLOCK_MSG),
+        (re.compile(r"\b(gettimeofday|clock_gettime)\s*\("), _WALL_CLOCK_MSG),
+        (re.compile(r"(\b|::)time\s*\(\s*(NULL|nullptr|0)?\s*\)"),
+         "libc time() is forbidden; use EventQueue::now() virtual time"),
+    ],
+    "libc-rand": [
+        (re.compile(r"\b(rand|srand)\s*\(\s*(\)|\w)"),
+         "libc randomness is forbidden; use the seeded mind::Rng"),
+        (re.compile(r"\brandom_device\b"),
+         "std::random_device is unseedable; use the seeded mind::Rng"),
+    ],
+    "telemetry-divergence": [
+        (re.compile(r"MIND_TELEMETRY_DISABLED"),
+         "simulation code may not branch on the telemetry build flag; only "
+         "src/telemetry may test MIND_TELEMETRY_DISABLED"),
+    ],
+    "concurrency": [
+        (re.compile(r"#\s*include\s*<(thread|mutex|shared_mutex|atomic|"
+                    r"condition_variable|future|semaphore|barrier|latch|"
+                    r"stop_token)>"),
+         "threading headers are confined to src/sim/parallel_engine.*; "
+         "simulation code runs single-threaded within its shard"),
+        (re.compile(r"std::(jthread|thread|mutex|shared_mutex|"
+                    r"recursive_mutex|timed_mutex|recursive_timed_mutex|"
+                    r"condition_variable\w*|atomic\w*|future|shared_future|"
+                    r"promise|async|counting_semaphore|binary_semaphore|"
+                    r"barrier|latch|lock_guard|unique_lock|scoped_lock|"
+                    r"shared_lock|call_once|once_flag|memory_order\w*|"
+                    r"this_thread)\b"), _CONCURRENCY_MSG),
+    ],
+    "raw-alloc": [
+        (re.compile(r"\b(malloc|calloc|realloc|aligned_alloc|posix_memalign|"
+                    r"strdup)\s*\("),
+         "libc heap allocation is banned on pooled paths; allocate through "
+         "pool::Allocate (sim/message.h MakeMessage, sim/event_fn.h EventFn)"),
+        # The lookbehind rejects `::new`, and a `(` after the keyword never
+        # matches, so placement new (`::new (p) T`, `new (mem) T`) is legal.
+        (re.compile(r"(?<!:)\bnew\s+[A-Za-z_:]"),
+         "raw `new` is banned on pooled paths; allocate through MakeMessage "
+         "/ EventFn / pool::Allocate (placement `::new (p) T` is allowed)"),
+        (re.compile(r"\bmake_shared\s*<"),
+         "std::make_shared puts message payloads on the general heap; "
+         "construct messages with MakeMessage (pool-backed "
+         "allocate_shared)"),
+    ],
+}
+
+
+def _under(relpath, dirs):
+    return any(relpath.startswith(d + "/") for d in dirs)
+
+
+def _text_rule_applies(rule, relpath):
+    if not _under(relpath, LINT_DIRS):
+        return False
+    if rule == "concurrency":
+        return not relpath.startswith(CONCURRENCY_EXEMPT)
+    if rule == "raw-alloc":
+        return _under(relpath, POOLED_DIRS)
+    return True
+
+
+def _blank_comments_and_strings(line):
+    """Blanks string/char literals and a trailing // comment, keeping the
+    line length so findings still point at the right line."""
+    out = []
+    i, n = 0, len(line)
+    in_str = None
+    while i < n:
+        c = line[i]
+        if in_str:
+            if c == "\\":
+                out.append("  ")
+                i += 2
+                continue
+            out.append(" ")
+            if c == in_str:
+                in_str = None
+            i += 1
+            continue
+        if c in "\"'":
+            in_str = c
+            out.append(" ")
+            i += 1
+            continue
+        if c == "/" and i + 1 < n and line[i + 1] == "/":
+            out.append(" " * (n - i))
+            break
+        out.append(c)
+        i += 1
+    return "".join(out)
+
+
+def _make_text_check(rule):
+    patterns = _TEXT_RULES[rule]
+
+    def check(model):
+        findings = []
+        for fm in model.files:
+            relpath = fm.relpath.replace("\\", "/")
+            if not _text_rule_applies(rule, relpath):
+                continue
+            for idx, raw in enumerate(fm.raw_lines):
+                code = _blank_comments_and_strings(raw)
+                for rx, msg in patterns:
+                    if rx.search(code) and not (
+                            fm.suppressions is not None and
+                            fm.suppressions.allowed(idx + 1, rule)):
+                        findings.append(
+                            Finding(fm.relpath, idx + 1, rule, msg))
+        return findings
+
+    return check
+
+
+# ---------------------------------------------------------------------------
 
 def _file_model_for(model, relpath):
     cache = getattr(model, "_by_relpath", None)
@@ -684,6 +839,7 @@ ALL_CHECKS = {
     "unordered-emit": check_unordered_emit,
     "suppression-reason": check_suppression_reasons,
 }
+ALL_CHECKS.update((rule, _make_text_check(rule)) for rule in _TEXT_RULES)
 
 
 def run_checks(model, disabled=()):

@@ -1,4 +1,4 @@
-"""The unified suppression grammar shared by mind_lint and the analyzer.
+"""The suppression grammar every analyzer rule honours.
 
 Two annotation forms, both line-comment based and both requiring a written
 reason (docs/ANALYSIS.md documents the grammar normatively):

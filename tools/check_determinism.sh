@@ -66,7 +66,7 @@ echo "run 3 (telemetry off): ${run_off}"
 fail=0
 if [[ "${run1}" != "${run2}" ]]; then
   echo "FAIL: two runs of the same binary diverged -- the simulation is" \
-       "nondeterministic (check mind_lint and recent unordered iteration)" >&2
+       "nondeterministic (run tools/run_analyze.sh; check recent unordered iteration)" >&2
   fail=1
 fi
 if [[ "${run1}" != "${run_off}" ]]; then

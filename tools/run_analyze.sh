@@ -1,25 +1,19 @@
 #!/usr/bin/env bash
-# Entry point for the full static contract suite:
-#   1. tools/mind_lint.py      -- fast regex pre-pass (zero dependencies)
-#   2. tools/analyze           -- semantic contract analyzer (libclang when
-#                                 available, builtin declaration parser
-#                                 otherwise -- a loud warning says which)
+# Entry point for the static contract suite: tools/analyze, the contract
+# analyzer (libclang when available, builtin declaration parser otherwise --
+# a loud warning says which). It runs the semantic rules and the source-text
+# determinism rules (docs/ANALYSIS.md).
 #
 # Usage: tools/run_analyze.sh [analyzer args...]
 #   e.g. tools/run_analyze.sh --frontend=builtin src/sim
 #
-# Exit status: non-zero when either pass reports an unsuppressed finding.
+# Exit status: non-zero when the analyzer reports an unsuppressed finding.
 set -u
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 cd "$ROOT"
 
 status=0
-
-echo "== mind_lint (regex pre-pass) =="
-python3 tools/mind_lint.py --root "$ROOT" || status=1
-
-echo "== analyze (semantic contracts) =="
 python3 -m tools.analyze.analyze "$@" || status=1
 
 if [ "$status" -ne 0 ]; then
