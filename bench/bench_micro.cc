@@ -15,6 +15,8 @@
 #include "storage/index_backend.h"
 #include "storage/scan_kernels.h"
 #include "storage/tuple_store.h"
+#include "traffic/flow_generator.h"
+#include "traffic/topology.h"
 #include "util/bitcode.h"
 #include "util/rng.h"
 
@@ -463,6 +465,36 @@ void BM_Mismatch(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Mismatch);
+
+// ------------------------------------------------------------------ traffic
+
+// Prefix-popularity draw at the backbone universe size (34 routers x 8
+// prefixes): the generator's hottest call, ~8.7 per flow.
+void BM_ZipfSample(benchmark::State& state) {
+  ZipfSampler zipf(272, 0.9);
+  Rng rng(17);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(zipf.Sample(&rng));
+  }
+}
+BENCHMARK(BM_ZipfSample);
+
+// One 30 s window at 11:00 of the trace perfbench's backbone_live replays
+// (fig21's seed 0x21f1 at 400 peak flows/router/s); items/s counts emitted
+// records.
+void BM_FlowGeneratorWindow(benchmark::State& state) {
+  FlowGeneratorOptions opts;
+  opts.peak_flows_per_router_sec = 400;
+  opts.seed = 0x21f1;
+  FlowGenerator gen(Topology::AbileneGeant(), opts);
+  size_t records = 0;
+  for (auto _ : state) {
+    gen.Generate(0, 39600.0, 39630.0,
+                 [&records](const FlowRecord&) { ++records; });
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(records));
+}
+BENCHMARK(BM_FlowGeneratorWindow)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace mind

@@ -1,6 +1,7 @@
 #include "frontend/trace_source.h"
 
 #include <algorithm>
+#include <string>
 
 namespace mind {
 namespace frontend {
@@ -40,7 +41,31 @@ void GeneratorTraceSource::Refill() {
   }
 }
 
+Status GeneratorTraceSource::CheckRange() const {
+  // Negated comparisons so NaN is rejected too.
+  if (!(window_ > 0.0)) {
+    return Status::InvalidArgument(
+        "generator trace: window_sec must be > 0, got " +
+        std::to_string(window_));
+  }
+  if (day_ < 0 || !(next_t_ >= 0.0) || !(t1_ <= 86400.0)) {
+    return Status::InvalidArgument(
+        "generator trace: range day " + std::to_string(day_) + " [" +
+        std::to_string(next_t_) + ", " + std::to_string(t1_) +
+        ") s is not within one day (day >= 0, 0 <= t0 and t1 <= 86400)");
+  }
+  return Status::OK();
+}
+
 Result<bool> GeneratorTraceSource::Next(FlowRecord* out) {
+  if (!checked_) {
+    checked_ = true;
+    Status st = CheckRange();
+    if (!st.ok()) {
+      next_t_ = t1_;  // the error is final: the stream stays exhausted
+      return st;
+    }
+  }
   Refill();
   if (buffer_.empty()) return false;
   *out = buffer_.front();

@@ -71,7 +71,9 @@ class BinaryTraceSource : public TraceSource {
 class GeneratorTraceSource : public TraceSource {
  public:
   /// Streams [t0_sec, t1_sec) of `day`, produced in `window_sec` chunks.
-  /// Does not own the generator.
+  /// Does not own the generator. The range must lie within one day
+  /// (day >= 0, 0 <= t0_sec, t1_sec <= 86400) and window_sec must be > 0;
+  /// otherwise the first Next() returns InvalidArgument.
   GeneratorTraceSource(FlowGenerator* gen, int day, double t0_sec,
                        double t1_sec, double window_sec = 30.0)
       : gen_(gen), day_(day), next_t_(t0_sec), t1_(t1_sec),
@@ -79,6 +81,7 @@ class GeneratorTraceSource : public TraceSource {
   Result<bool> Next(FlowRecord* out) override;
 
  private:
+  Status CheckRange() const;
   void Refill();
 
   FlowGenerator* gen_;
@@ -86,6 +89,7 @@ class GeneratorTraceSource : public TraceSource {
   double next_t_;
   double t1_;
   double window_;
+  bool checked_ = false;
   std::deque<FlowRecord> buffer_;
 };
 

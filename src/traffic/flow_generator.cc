@@ -96,6 +96,28 @@ void FlowGenerator::Generate(
                         (static_cast<uint64_t>(t0_sec * 16));
   Rng rng = Rng(options_.seed).Fork(0xF70 ^ window_key);
 
+  // Per-hour hot-set successor tables, built on first use in this call:
+  // next_hot[hour][i] is the first hot prefix index >= i (cyclic), or i
+  // itself when the hour has no hot prefix. hour < 24 as t1_sec <= 86400.
+  const size_t n_prefixes = prefixes_.size();
+  std::vector<std::vector<uint32_t>> next_hot(24);
+  auto hot_successors = [&](int hour) -> const std::vector<uint32_t>& {
+    std::vector<uint32_t>& succ = next_hot[hour];
+    if (succ.empty()) {
+      succ.resize(n_prefixes);
+      // Right-to-left; the second pass wraps the tail past the last hot
+      // index round to the first one.
+      size_t next = n_prefixes;  // none hot yet
+      for (size_t pass = 0; pass < 2; ++pass) {
+        for (size_t i = n_prefixes; i-- > 0;) {
+          if (InHotSet(i, hour)) next = i;
+          succ[i] = static_cast<uint32_t>(next == n_prefixes ? i : next);
+        }
+      }
+    }
+    return succ;
+  };
+
   // Generate flow arrivals router by router (arrivals are attributed to the
   // source prefix's home router; the destination's home router observes the
   // same flow too).
@@ -103,9 +125,15 @@ void FlowGenerator::Generate(
   for (size_t r = 0; r < n_routers; ++r) {
     double rate = options_.peak_flows_per_router_sec;
     double t = t0_sec;
+    int noise_hour = -1;  // HourNoise is a pure function of (day, r, hour)
+    double noise = 0.0;
     while (t < t1_sec) {
       int hour = static_cast<int>(t / 3600.0);
-      double level = diurnal_.At(t) * HourNoise(day, static_cast<int>(r), hour);
+      if (hour != noise_hour) {
+        noise = HourNoise(day, static_cast<int>(r), hour);
+        noise_hour = hour;
+      }
+      double level = diurnal_.At(t) * noise;
       double lambda = std::max(1e-6, rate * level);
       t += rng.Exponential(lambda);
       if (t >= t1_sec) break;
@@ -130,15 +158,8 @@ void FlowGenerator::Generate(
       // rest is popularity-weighted over the whole universe (gravity model).
       size_t dst_idx;
       if (rng.Bernoulli(options_.hot_set_fraction)) {
-        size_t pick = rng.Uniform(prefixes_.size());
-        for (size_t probe = 0; probe < prefixes_.size(); ++probe) {
-          size_t candidate = (pick + probe) % prefixes_.size();
-          if (InHotSet(candidate, hour)) {
-            pick = candidate;
-            break;
-          }
-        }
-        dst_idx = pick;
+        // A uniform pick moved to the next hot prefix at or after it.
+        dst_idx = hot_successors(hour)[rng.Uniform(n_prefixes)];
       } else {
         dst_idx = perm[popularity_.Sample(&rng)];
       }

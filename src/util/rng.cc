@@ -17,6 +17,12 @@ uint64_t SplitMix64(uint64_t* x) {
 }
 
 uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
+
+// ZipfSampler's guide-table slot for x in [0, 1] with k slots. Monotone in x,
+// rounding included, which is all ZipfSampler::Rank relies on.
+size_t GuideBucket(double x, size_t k) {
+  return std::min(static_cast<size_t>(x * static_cast<double>(k)), k - 1);
+}
 }  // namespace
 
 Rng::Rng(uint64_t seed) : seed_(seed) {
@@ -183,13 +189,23 @@ ZipfSampler::ZipfSampler(size_t n, double s) {
     cdf_[i] = sum;
   }
   for (auto& c : cdf_) c /= sum;
+
+  MIND_CHECK_LT(n, size_t{1} << 30);  // 4n guide entries fit in uint32_t
+  guide_.resize(4 * n);
+  size_t i = 0;
+  for (size_t j = 0; j < guide_.size(); ++j) {
+    while (i < n && GuideBucket(cdf_[i], guide_.size()) < j) ++i;
+    guide_[j] = static_cast<uint32_t>(i);
+  }
 }
 
-size_t ZipfSampler::Sample(Rng* rng) const {
-  double u = rng->UniformDouble();
-  auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-  if (it == cdf_.end()) return cdf_.size() - 1;
-  return static_cast<size_t>(it - cdf_.begin());
+size_t ZipfSampler::Rank(double u) const {
+  // guide_ counts the CDF entries in buckets below u's. GuideBucket is
+  // monotone, so all of those entries are < u, and the walk forward from
+  // there stops exactly at lower_bound's rank.
+  size_t i = guide_[GuideBucket(u, guide_.size())];
+  while (i < cdf_.size() && cdf_[i] < u) ++i;
+  return std::min(i, cdf_.size() - 1);
 }
 
 double ZipfSampler::pmf(size_t rank) const {

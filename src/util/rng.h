@@ -94,14 +94,21 @@ double CounterLogNormal(uint64_t seed, uint64_t stream, uint64_t counter,
                         double mu, double sigma);
 
 /// Zipf(n, s) sampler over ranks {0, .., n-1} with exponent s, using the
-/// inverse-CDF table method (O(n) setup, O(log n) per sample). Used for
-/// popularity of prefixes/ports in traffic generation.
+/// inverse-CDF table method with an indexed search: a guide table of 4n
+/// entries points each u-bucket [j/4n, (j+1)/4n) at its first candidate rank,
+/// so a sample walks O(1) CDF entries on average instead of binary-searching
+/// (O(n) setup). Used for popularity of prefixes/ports in traffic generation.
 class ZipfSampler {
  public:
   ZipfSampler(size_t n, double s);
 
-  /// Rank in [0, n); rank 0 is the most popular.
-  size_t Sample(Rng* rng) const;
+  /// Rank in [0, n); rank 0 is the most popular. Consumes exactly one
+  /// UniformDouble: `Rank(rng->UniformDouble())`.
+  size_t Sample(Rng* rng) const { return Rank(rng->UniformDouble()); }
+
+  /// The inverse CDF at u in [0, 1): the first rank whose cumulative mass is
+  /// >= u (std::lower_bound over the CDF), clamped to n - 1.
+  size_t Rank(double u) const;
 
   /// Probability mass of a given rank.
   double pmf(size_t rank) const;
@@ -110,6 +117,9 @@ class ZipfSampler {
 
  private:
   std::vector<double> cdf_;
+  // guide_[j] = number of CDF entries whose guide bucket is below j; an x in
+  // [0, 1] falls in bucket min(floor(x * 4n), 4n - 1).
+  std::vector<uint32_t> guide_;
 };
 
 /// Piecewise-linear diurnal modulation curve: value in [floor, 1] as a

@@ -4,9 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 #include <optional>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "frontend/frontend.h"
@@ -122,6 +124,75 @@ TEST(TraceSourceTest, GeneratorIsGloballyTimeOrdered) {
     ++n;
   }
   EXPECT_GT(n, 100u) << "generator produced implausibly few records";
+}
+
+// A bad range is reported through Next() as InvalidArgument, once, after
+// which the source stays exhausted -- as BinaryTraceSource reports corrupt
+// input. Unchecked, a window_sec <= 0 never advances Refill(), and a range
+// past midnight trips FlowGenerator::Generate's precondition mid-stream.
+TEST(TraceSourceTest, GeneratorRejectsBadRanges) {
+  Topology topo = Topology::Abilene();
+  FlowGeneratorOptions gopts;
+  gopts.seed = 11;
+  FlowGenerator gen(topo, gopts);
+  struct Case {
+    int day;
+    double t0, t1, window;
+    const char* what;
+  };
+  const Case kCases[] = {
+      {0, 39600.0, 39690.0, 0.0, "window_sec"},
+      {0, 39600.0, 39690.0, -30.0, "window_sec"},
+      {0, 39600.0, 39690.0, std::nan(""), "window_sec"},
+      {0, 86340.0, 86460.0, 30.0, "within one day"},
+      {0, -30.0, 60.0, 30.0, "within one day"},
+      {-1, 39600.0, 39690.0, 30.0, "within one day"},
+  };
+  for (const Case& c : kCases) {
+    GeneratorTraceSource src(&gen, c.day, c.t0, c.t1, c.window);
+    FlowRecord f;
+    auto more = src.Next(&f);
+    ASSERT_FALSE(more.ok()) << c.what << " " << c.t0 << " " << c.t1;
+    EXPECT_TRUE(more.status().IsInvalidArgument());
+    EXPECT_NE(more.status().message().find(c.what), std::string::npos)
+        << more.status().ToString();
+    more = src.Next(&f);
+    ASSERT_TRUE(more.ok());
+    EXPECT_FALSE(more.value());
+  }
+}
+
+// Valid ranges keep their stream: the source yields exactly the generator's
+// windows, each stable-sorted by time, up to and including midnight.
+TEST(TraceSourceTest, GeneratorStreamMatchesWindows) {
+  Topology topo = Topology::Abilene();
+  FlowGeneratorOptions gopts;
+  gopts.seed = 11;
+  FlowGenerator gen(topo, gopts);
+  std::vector<FlowRecord> want;
+  for (double t = 86340.0; t < 86400.0; t += 25.0) {
+    auto w = gen.GenerateVec(0, t, std::min(t + 25.0, 86400.0));
+    std::stable_sort(w.begin(), w.end(),
+                     [](const FlowRecord& a, const FlowRecord& b) {
+                       return a.time_sec < b.time_sec;
+                     });
+    want.insert(want.end(), w.begin(), w.end());
+  }
+  ASSERT_GT(want.size(), 10u);
+  GeneratorTraceSource src(&gen, 0, 86340.0, 86400.0, 25.0);
+  FlowRecord f;
+  for (const FlowRecord& w : want) {
+    auto more = src.Next(&f);
+    ASSERT_TRUE(more.ok()) << more.status().ToString();
+    ASSERT_TRUE(more.value());
+    EXPECT_EQ(f.time_sec, w.time_sec);
+    EXPECT_EQ(f.src_ip, w.src_ip);
+    EXPECT_EQ(f.bytes, w.bytes);
+    EXPECT_EQ(f.router, w.router);
+  }
+  auto more = src.Next(&f);
+  ASSERT_TRUE(more.ok());
+  EXPECT_FALSE(more.value());
 }
 
 // ----------------------------------------------------------------- Batcher

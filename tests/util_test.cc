@@ -318,6 +318,45 @@ TEST(ZipfTest, EmpiricalMatchesPmf) {
   EXPECT_NEAR(static_cast<double>(counts[1]) / n, zipf.pmf(1), 0.02);
 }
 
+// Rank(u) must be exactly std::lower_bound's rank (clamped to n - 1) for every
+// u, so the indexed search maps RNG draws exactly as a binary search would.
+// Probes sit on and next to each CDF entry and each guide-table bucket edge
+// j / 4n, where an off-by-one guide entry or bucket would show.
+TEST(ZipfTest, RankMatchesLowerBound) {
+  for (size_t n : {size_t{1}, size_t{2}, size_t{15}, size_t{272},
+                   size_t{4096}}) {
+    for (double s : {0.5, 0.9, 1.2, 2.0}) {
+      ZipfSampler zipf(n, s);
+      // The sampler's CDF, rebuilt with the same operations in the same
+      // order, so the reference search sees bit-identical entries.
+      std::vector<double> cdf(n);
+      double sum = 0.0;
+      for (size_t i = 0; i < n; ++i) {
+        sum += 1.0 / std::pow(static_cast<double>(i + 1), s);
+        cdf[i] = sum;
+      }
+      for (auto& c : cdf) c /= sum;
+      std::vector<double> probes = {0.0, 1.0 - 0x1.0p-53};
+      auto around = [&probes](double x) {
+        for (double v : {std::nextafter(x, 0.0), x, std::nextafter(x, 1.0)}) {
+          if (v >= 0.0 && v < 1.0) probes.push_back(v);
+        }
+      };
+      for (size_t i = 0; i < n; ++i) around(cdf[i]);
+      const size_t k = 4 * n;
+      for (size_t j = 0; j <= k; ++j) {
+        around(static_cast<double>(j) / static_cast<double>(k));
+      }
+      for (double u : probes) {
+        size_t want = static_cast<size_t>(
+            std::lower_bound(cdf.begin(), cdf.end(), u) - cdf.begin());
+        want = std::min(want, n - 1);
+        ASSERT_EQ(zipf.Rank(u), want) << "n=" << n << " s=" << s << " u=" << u;
+      }
+    }
+  }
+}
+
 TEST(DiurnalCurveTest, PeakAndFloor) {
   DiurnalCurve curve(0.4, 14 * 3600.0);
   EXPECT_NEAR(curve.At(14 * 3600.0), 1.0, 1e-9);

@@ -15,7 +15,9 @@
 #       world as the sequential discipline it refines), or
 #   (d) the front-end-driven scenario (`--frontend`: streaming ingest +
 #       admission-controlled query service) disagrees run to run or across
-#       MIND_TELEMETRY settings, or
+#       MIND_TELEMETRY settings, or drifts from its pinned value -- the only
+#       probe leg that pulls records through GeneratorTraceSource, so the
+#       pin also guards the generator's output stream, or
 #   (e) any index backend (MIND_BACKEND=sorted|bitmap|adaptive) disagrees
 #       with the default run, or the legacy digest drifts from its pinned
 #       value -- backends are physical layout only (docs/BACKENDS.md) and
@@ -92,6 +94,12 @@ if [[ "${fe1}" != "${fe_off}" ]]; then
        "a frontend.* recording call changes simulation state" >&2
   fail=1
 fi
+PINNED_FRONTEND="23bcc2d6727f13bf"
+if [[ "${fe1}" != "${PINNED_FRONTEND}" ]]; then
+  echo "FAIL: front-end digest ${fe1} != pinned ${PINNED_FRONTEND} -- the" \
+       "generator trace, ingest or query service changed behaviour" >&2
+  fail=1
+fi
 
 echo
 echo "== backend identity (MIND_BACKEND replay legs) =="
@@ -151,4 +159,5 @@ if [[ "${fail}" -ne 0 ]]; then
   exit 1
 fi
 echo
-echo "OK: deterministic replay verified (legacy ${run1}, engine ${disc})"
+echo "OK: deterministic replay verified (legacy ${run1}, engine ${disc}," \
+     "frontend ${fe1})"
