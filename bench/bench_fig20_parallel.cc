@@ -1,7 +1,7 @@
 // Figure 20 (engine scaling, no paper counterpart): the Figure 18 1024-node
 // mixed workload executed by the sharded parallel engine at worker thread
-// counts {1, 2, 4, 8}, against the sequential engine running the same
-// determinism discipline as the serial baseline.
+// counts {1, 2, 4, 8}, against the sequential engine as the serial baseline
+// (both run the network's one delivery discipline).
 //
 // Two claims are checked, not just reported:
 //   identity -- every configuration must produce the SAME deployment: the
@@ -13,7 +13,7 @@
 //
 // Duty cycle: MIND_BENCH_DUTY=<percent> (or argv[1]) scales the driven
 // sim-time window, as in fig18. MIND_BENCH_THREADS="0,2" overrides the
-// thread-count list (0 = sequential engine + discipline); the TSan CI job
+// thread-count list (0 = sequential engine); the TSan CI job
 // uses that to keep its instrumented run small. Results export to
 // BENCH_fig20_parallel.json.
 #include <chrono>
@@ -105,13 +105,12 @@ double ShardImbalance(const EngineStats& s) {
 
 // One full fig18-shaped run: 1024 flat nodes, mixed insert/batch/query
 // workload over `drive_sec` of sim time, then settle. `threads == 0` runs the
-// sequential engine under the determinism discipline.
+// sequential engine.
 ConfigResult RunConfig(int threads, double drive_sec) {
   const size_t kNodes = 1024;
   MindNetOptions mopts;
   mopts.sim.seed = 0x18181818;
   mopts.sim.threads = threads;
-  mopts.sim.deterministic_discipline = threads == 0;
   mopts.overlay.heartbeat_interval = 0;
   mopts.mind.replication = 1;
   MindNet net(kNodes, mopts);
@@ -267,7 +266,7 @@ int main(int argc, char** argv) {
   for (int threads : thread_counts) {
     ConfigResult r = RunConfig(threads, drive_sec);
     std::printf("%-14s wall=%7.2fs  events=%10llu (%9.0f/s)  digest=%016llx\n",
-                threads == 0 ? "serial+disc" :
+                threads == 0 ? "serial" :
                     ("threads=" + std::to_string(threads)).c_str(),
                 r.wall_sec, static_cast<unsigned long long>(r.events),
                 r.wall_sec > 0 ? r.events / r.wall_sec : 0,

@@ -33,6 +33,7 @@ enum class MindMsgKind {
   kHistReply,
   kIndexSyncRequest,
   kIndexSyncReply,
+  kRegionDataRequest,
 };
 
 struct MindMsg : Message {
@@ -221,6 +222,17 @@ struct IndexSyncReplyMsg : MindMsg {
   MindMsgKind kind() const override { return MindMsgKind::kIndexSyncReply; }
   const char* TypeName() const override { return "IndexSyncReply"; }
   size_t SizeBytes() const override { return 256 + 256 * indices.size(); }
+};
+
+/// Direct, to every peer of a node that relabelled into a vacant region (a
+/// recursive takeover, §3.8): send me, as replicas, every tuple you hold in
+/// `region`. The region's neighbours hold its replicas; the new owner, which
+/// was not necessarily one of them, starts with none.
+struct RegionDataRequestMsg : MindMsg {
+  BitCode region;
+  MindMsgKind kind() const override { return MindMsgKind::kRegionDataRequest; }
+  const char* TypeName() const override { return "RegionDataRequest"; }
+  size_t SizeBytes() const override { return 32; }
 };
 
 }  // namespace mind

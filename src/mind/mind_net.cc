@@ -55,7 +55,7 @@ Status MindNet::Build(bool concurrent_joins) {
       MindNode* node = nodes_[i].get();
       // ScheduleOn lands the join on the node's own shard queue under the
       // parallel engine; with the sequential engine it is exactly
-      // events().Schedule, so legacy replay digests are unchanged.
+      // events().Schedule.
       sim_->ScheduleOn(node->overlay().id(),
                        sim_->now() + options_.join_stagger * i,
                        [node] { node->Join(0); });
@@ -214,14 +214,9 @@ Status MindNet::ValidateInvariants(bool quiescent) const {
 uint64_t MindNet::StateDigest() const {
   Fnv64 d;
   d.Mix(static_cast<uint64_t>(nodes_.size()));
-  if (sim_->discipline()) {
-    // Discipline runs digest the pending-event set by (time, band, ukey) so
-    // the value is identical whether events live in one queue or S shard
-    // queues. Legacy runs keep the historical clock+FIFO digest byte-for-byte.
-    sim_->DigestEventsKeyed(&d);
-  } else {
-    sim_->events().DigestInto(&d);
-  }
+  // The pending-event set is digested by (time, band, ukey), so the value is
+  // identical whether events live in one queue or S shard queues.
+  sim_->DigestEventsKeyed(&d);
   for (const auto& node : nodes_) node->DigestInto(&d);
   return d.value();
 }

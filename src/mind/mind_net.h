@@ -94,16 +94,15 @@ class MindNet {
   /// outage plans, every node's overlay and index state — as one versioned
   /// binary stream (format MSN1). Requires quiescence: the only pending
   /// events allowed are the nodes' re-armable heartbeat timers; anything
-  /// else (in-flight queries, joins, legacy-mode failure-injector events) is
-  /// an error naming the offender. The header records StateDigest() so a
+  /// else (in-flight queries, joins, failure-injector callbacks) is an error
+  /// naming the offender. The header records StateDigest() so a
   /// restore can prove bit-identity.
   Status SaveSnapshot(std::ostream& out) const;
 
   /// Restores a SaveSnapshot stream into this *freshly constructed* net
-  /// (same size and topology options; never run). The snapshot's engine
-  /// mode (legacy vs determinism discipline) must match this net's — within
-  /// discipline mode the thread/shard count may differ, because keyed event
-  /// ordering is engine-independent. After restoring, recomputes
+  /// (same size and topology options; never run). The thread and shard
+  /// counts may differ from the saved net's, because keyed event ordering is
+  /// engine-independent. After restoring, recomputes
   /// StateDigest() and errors unless it equals the saved digest, so a
   /// corrupted or divergent restore can never run silently.
   Status LoadSnapshot(std::istream& in);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <tuple>
 #include <utility>
 
 #include "util/logging.h"
@@ -69,6 +70,75 @@ MindNode::MindNode(Simulator* sim, OverlayOptions overlay_options,
     join_time_ = events_->now();
     if (data_sibling_ != kInvalidNode) RequestIndexSync();
   });
+  overlay_.set_on_code_change([this](BitCode old_code, BitCode new_code) {
+    // Joins, splits and absorptions keep the new region nested with the old
+    // one. Only a recursive takeover relabels a node into a disjoint region
+    // (OverlayNode::TryAbsorbRegion), leaving its old region's data behind.
+    if (!old_code.IsPrefixOf(new_code) && !new_code.IsPrefixOf(old_code)) {
+      HandOffRegion(old_code);
+      RequestRegionData(new_code);
+    }
+  });
+}
+
+void MindNode::HandOffRegion(const BitCode& old_code) {
+  // The old region's heir is the node the overlay makes absorb it: its
+  // exact sibling (the code-update cascade), or, when the sibling side is
+  // split, that side's all-zeros leaf (it relabels into the vacancy). The
+  // heir receives every tuple held here as a replica, exactly the copy a
+  // sibling answers from after a primary fails (§3.8); without it, the data
+  // is stranded and, if the region's replica holder is dead too, lost to
+  // every query. No eligible peer known: nothing to hand to.
+  const BitCode sibling = old_code.Sibling();
+  NodeId heir = kInvalidNode;
+  for (const auto& [peer, pcode] : overlay_.peers()) {
+    if (!sibling.IsPrefixOf(pcode)) continue;
+    bool zeros = true;
+    for (int i = sibling.length(); i < pcode.length(); ++i) {
+      if (pcode.bit(i) != 0) zeros = false;
+    }
+    if (zeros && (heir == kInvalidNode || peer < heir)) heir = peer;
+  }
+  if (heir != kInvalidNode) SendTuplesAsReplicas(heir, nullptr);
+}
+
+void MindNode::RequestRegionData(const BitCode& new_code) {
+  for (NodeId peer : SortedKeys(overlay_.peers())) {
+    auto req = MakeMessage<RegionDataRequestMsg>();
+    req->region = new_code;
+    overlay_.SendDirect(peer, req);
+  }
+}
+
+void MindNode::SendTuplesAsReplicas(NodeId to, const BitCode* region) {
+  for (const auto& [name, st] : indices_) {  // map: ordered by name
+    for (const IndexVersions* chain : {&st.primary, &st.replicas}) {
+      for (const auto& v : chain->Versions()) {
+        const TupleStore* store = chain->Store(v.id);
+        if (store == nullptr) continue;
+        // Canonical send order: layout order differs between backends.
+        std::vector<Tuple> tuples = store->AllTuples();
+        std::sort(tuples.begin(), tuples.end(),
+                  [](const Tuple& a, const Tuple& b) {
+                    return std::tie(a.origin, a.seq) < std::tie(b.origin, b.seq);
+                  });
+        const CutTreeRef cuts = chain->Cuts(v.id);
+        size_t sent = 0;
+        for (Tuple& t : tuples) {
+          BitCode code = cuts->CodeForPoint(t.point, options_.insert_code_len);
+          if (region != nullptr && !region->IsPrefixOf(code)) continue;
+          auto rep = MakeMessage<ReplicateMsg>();
+          rep->index = name;
+          rep->version = v.id;
+          rep->code = std::move(code);
+          rep->tuple = std::move(t);
+          overlay_.SendDirect(to, rep);
+          ++sent;
+        }
+        tm_.replicas_sent->Inc(sent);
+      }
+    }
+  }
 }
 
 // --------------------------------------------------------------- management
@@ -145,6 +215,11 @@ void MindNode::ApplyInstallCuts(const InstallCutsMsg& m) {
   Status s = st->primary.AddVersion(m.version, m.cuts, m.start);
   if (s.ok()) {
     MIND_CHECK_OK(st->replicas.AddVersion(m.version, m.cuts, m.start));
+    // The daily freeze retires the cached covers: monitoring queries move to
+    // the new version's cuts, and an entry kept for a closed version would
+    // pin its tree and hold memory until the table filled (kMaxEntries per
+    // node), so the footprint would grow with the query history.
+    cover_cache_.Invalidate();
     if (on_version_opened_) {
       on_version_opened_(m.name, m.version, st->primary.epoch());
     }
@@ -892,6 +967,10 @@ void MindNode::OnDirect(NodeId from, const MessagePtr& msg) {
     }
     case MindMsgKind::kQueryReply:
       OnQueryReply(static_cast<QueryReplyMsg&>(*mm));
+      break;
+    case MindMsgKind::kRegionDataRequest:
+      SendTuplesAsReplicas(
+          from, &static_cast<const RegionDataRequestMsg&>(*mm).region);
       break;
     case MindMsgKind::kQuery: {
       // resolve_only forwards arrive as direct messages.

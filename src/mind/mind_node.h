@@ -238,11 +238,9 @@ class MindNode {
                                tree_index) const;
 
   /// Restores state written by SaveSnapshotState into this freshly
-  /// constructed node. `trees` is the deserialized interned tree table;
-  /// `preserve_seqs` selects the legacy exact-sequence timer re-arm (see
-  /// OverlayNode::LoadSnapshotState).
-  Status LoadSnapshotState(SnapReader* r, const std::vector<CutTreeRef>& trees,
-                           bool preserve_seqs);
+  /// constructed node. `trees` is the deserialized interned tree table.
+  Status LoadSnapshotState(SnapReader* r,
+                           const std::vector<CutTreeRef>& trees);
 
  private:
   struct IndexState {
@@ -278,6 +276,15 @@ class MindNode {
   void OnDelivered(NodeId origin, const MessagePtr& inner, int hops);
   void OnBroadcastMsg(NodeId origin, const MessagePtr& inner);
   void OnDirect(NodeId from, const MessagePtr& msg);
+  // Data migration for a relabel into a disjoint region (recursive
+  // takeover): copies every stored tuple to the peer that inherits
+  // `old_code`'s region, and asks every peer for the tuples it holds in
+  // `new_code`'s region.
+  void HandOffRegion(const BitCode& old_code);
+  void RequestRegionData(const BitCode& new_code);
+  // Sends the tuples stored here (both chains, every version) to `to` as
+  // replicas; only those inside `region` unless it is null.
+  void SendTuplesAsReplicas(NodeId to, const BitCode* region);
   void OnForward(const MessagePtr& inner);
 
   void ApplyCreateIndex(const CreateIndexMsg& m);

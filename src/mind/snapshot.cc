@@ -10,9 +10,9 @@
 // Layout (all little-endian, via SnapWriter/SnapReader; the trailer carries
 // a running FNV-1a 64 checksum of every preceding byte):
 //
-//   "MSN1"  u16 version  u16 flags(bit0=discipline)
+//   "MSN1"  u16 version(2)
 //   u64 node_count  u64 sim_now  u64 state_digest
-//   rng(simulator root)  u64 next_seq(global queue)
+//   rng(simulator root)
 //   [network section]
 //   u32 tree_count  [interned cut trees]
 //   per node: u32 index-framing  [overlay section]  [index chains]  rng
@@ -42,6 +42,10 @@ std::string Hex64(uint64_t v) {
                 static_cast<unsigned long long>(v));
   return buf;
 }
+
+// Version 1 streams carried an engine-mode flag and legacy insertion
+// sequence numbers; they are refused as unsupported.
+constexpr uint16_t kSnapshotVersion = 2;
 
 uint64_t IdBits(NodeId id) {
   return static_cast<uint64_t>(static_cast<int64_t>(id));
@@ -121,13 +125,12 @@ Status MindNode::SaveSnapshotState(
 }
 
 Status MindNode::LoadSnapshotState(SnapReader* r,
-                                   const std::vector<CutTreeRef>& trees,
-                                   bool preserve_seqs) {
+                                   const std::vector<CutTreeRef>& trees) {
   if (!indices_.empty()) {
     return Status::Internal("snapshot: restoring into a node that already has " +
                             std::to_string(indices_.size()) + " index(es)");
   }
-  MIND_RETURN_NOT_OK(overlay_.LoadSnapshotState(r, preserve_seqs));
+  MIND_RETURN_NOT_OK(overlay_.LoadSnapshotState(r));
 
   uint32_t index_count;
   MIND_ASSIGN_OR_RETURN(index_count, r->U32("node.index_count"));
@@ -221,25 +224,19 @@ Status MindNode::LoadSnapshotState(SnapReader* r,
 Status MindNet::SaveSnapshot(std::ostream& out) const {
   // Quiescence audit: every pending event across every queue must be one of
   // the nodes' re-armable heartbeat timers. Anything else — a query timeout
-  // sweep, a join retry, a legacy-mode failure-injector event — would be
-  // silently dropped by the restore, which would then diverge.
-  std::vector<EventQueue::PendingInfo> pending;
-  sim_->events().CollectPendingInfo(&pending);
-  if (const ParallelEngine* eng = sim_->parallel_engine()) {
-    for (int s = 0; s < eng->shard_count(); ++s) {
-      eng->shard_queue(s).CollectPendingInfo(&pending);
-    }
-  }
+  // sweep, a join retry, a failure-injector callback — would be silently
+  // dropped by the restore, which would then diverge.
+  const size_t pending = sim_->pending_events();
   size_t heartbeats = 0;
   for (const auto& n : nodes_) {
     if (n->overlay().HasPendingHeartbeat()) ++heartbeats;
   }
-  if (pending.size() != heartbeats) {
+  if (pending != heartbeats) {
     return Status::Internal(
-        "snapshot: " + std::to_string(pending.size()) +
+        "snapshot: " + std::to_string(pending) +
         " pending event(s) but only " + std::to_string(heartbeats) +
-        " re-armable heartbeat timer(s); queries, joins and legacy-mode "
-        "failure events must drain before SaveSnapshot");
+        " re-armable heartbeat timer(s); queries, joins and failure "
+        "callbacks must drain before SaveSnapshot");
   }
 
   // Intern the cut trees: one tree is typically shared by every node of an
@@ -261,14 +258,11 @@ Status MindNet::SaveSnapshot(std::ostream& out) const {
 
   SnapWriter w(&out);
   w.Bytes("MSN1", 4);
-  w.U16(1);  // format version
-  const bool disc = sim_->discipline();
-  w.U16(disc ? 1 : 0);
+  w.U16(kSnapshotVersion);
   w.U64(nodes_.size());
   w.U64(sim_->events().now());
   w.U64(StateDigest());
   WriteRngState(&w, sim_->rng());
-  w.U64(sim_->events().next_seq());
   sim_->network().SaveSnapshotState(&w);
 
   w.U32(static_cast<uint32_t>(trees.size()));
@@ -284,19 +278,11 @@ Status MindNet::SaveSnapshot(std::ostream& out) const {
 }
 
 Status MindNet::LoadSnapshot(std::istream& in) {
-  if (sim_->now() != 0 || !sim_->events().empty() || JoinedCount() != 0) {
+  if (sim_->now() != 0 || sim_->pending_events() != 0 ||
+      JoinedCount() != 0) {
     return Status::Internal(
         "snapshot: LoadSnapshot requires a freshly constructed, never-run "
         "net");
-  }
-  ParallelEngine* eng = sim_->parallel_engine();
-  if (eng != nullptr) {
-    for (int s = 0; s < eng->shard_count(); ++s) {
-      if (!eng->shard_queue(s).empty()) {
-        return Status::Internal(
-            "snapshot: LoadSnapshot requires empty shard queues");
-      }
-    }
   }
 
   SnapReader r(&in);
@@ -307,23 +293,9 @@ Status MindNet::LoadSnapshot(std::istream& in) {
   }
   uint16_t version;
   MIND_ASSIGN_OR_RETURN(version, r.U16("header.version"));
-  if (version != 1) {
+  if (version != kSnapshotVersion) {
     return r.FieldError("header.version", "unsupported snapshot version " +
                                               std::to_string(version));
-  }
-  uint16_t flags;
-  MIND_ASSIGN_OR_RETURN(flags, r.U16("header.flags"));
-  if ((flags & ~uint16_t{1}) != 0) {
-    return r.FieldError("header.flags", "unknown flag bits");
-  }
-  const bool disc = (flags & 1) != 0;
-  if (disc != sim_->discipline()) {
-    return r.FieldError(
-        "header.flags",
-        disc ? "snapshot was saved under the determinism discipline but "
-               "this net runs the legacy engine"
-             : "snapshot was saved under the legacy engine but this net "
-               "runs the determinism discipline");
   }
   uint64_t node_count;
   MIND_ASSIGN_OR_RETURN(node_count, r.U64("header.node_count"));
@@ -340,14 +312,12 @@ Status MindNet::LoadSnapshot(std::istream& in) {
   // Clocks first: every queue advances to the saved instant before any
   // timer is re-armed (scheduling into the past is fatal by design).
   sim_->events().AdvanceTo(sim_now);
-  if (eng != nullptr) {
+  if (ParallelEngine* eng = sim_->parallel_engine()) {
     for (int s = 0; s < eng->shard_count(); ++s) {
       eng->shard_queue(s).AdvanceTo(sim_now);
     }
   }
   MIND_RETURN_NOT_OK(ReadRngState(&r, &sim_->rng(), "header.rng"));
-  uint64_t next_seq;
-  MIND_ASSIGN_OR_RETURN(next_seq, r.U64("header.next_seq"));
 
   MIND_RETURN_NOT_OK(sim_->network().LoadSnapshotState(&r));
 
@@ -374,16 +344,8 @@ Status MindNet::LoadSnapshot(std::istream& in) {
                           "expected node " + std::to_string(i) + ", found " +
                               std::to_string(idx));
     }
-    MIND_RETURN_NOT_OK(nodes_[i]->LoadSnapshotState(&r, trees, !disc));
+    MIND_RETURN_NOT_OK(nodes_[i]->LoadSnapshotState(&r, trees));
   }
-
-  // Legacy digests fold per-queue insertion sequences, so the global
-  // allocator must resume exactly where the saved run left it. Applied
-  // *after* the timer re-arms above: ScheduleAtKeyedWithSeq consumed fresh
-  // seqs internally, and the straight-through run's allocator never saw
-  // those draws. Discipline mode orders by engine-independent keys and
-  // leaves its per-shard allocators alone.
-  if (!disc) sim_->events().SetNextSeq(next_seq);
 
   const uint64_t computed = r.checksum();
   uint64_t stored;

@@ -108,13 +108,23 @@ void OverlayNode::OnJoinCandidate(const JoinCandidateMsg& m) {
 
 void OverlayNode::OnJoinRequest(NodeId from, const JoinRequestMsg& m) {
   MIND_CHECK_EQ(from, m.joiner);
-  if (!joined_ || pending_join_.has_value() ||
-      code_.length() >= BitCode::kMaxLen ||
-      m.expected_parent_code != code_) {
+  std::optional<JoinRejectReason> reject;
+  if (!joined_) {
+    reject = JoinRejectReason::kNotJoined;
+  } else if (pending_join_.has_value()) {
+    reject = JoinRejectReason::kPending;
+  } else if (code_.length() >= BitCode::kMaxLen) {
+    reject = JoinRejectReason::kMaxDepth;
+  } else if (m.expected_parent_code != code_) {
     // The depth-mismatch reject matters for balance: the joiner selected us
     // from a possibly stale peer table; if we've split since, we are no
     // longer the shallowest choice and the joiner must re-sample.
+    reject = JoinRejectReason::kStaleCode;
+  }
+  if (reject) {
+    tm_.join_reject_reasons[static_cast<int>(*reject)]->Inc();
     auto rej = MakeMessage<JoinRejectMsg>();
+    rej->reason = *reject;
     rej->actual_code = code_;
     SendRaw(from, rej);
     return;

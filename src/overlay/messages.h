@@ -86,7 +86,17 @@ struct JoinRequestMsg : OverlayMsg {
   const char* TypeName() const override { return "JoinRequest"; }
 };
 
+/// Why a candidate refused a JoinRequest (OverlayNode::OnJoinRequest).
+enum class JoinRejectReason : uint8_t {
+  kNotJoined,  // the candidate is not (or no longer) part of the overlay
+  kPending,    // the candidate is already splitting for another joiner
+  kMaxDepth,   // the candidate's code is at BitCode::kMaxLen
+  kStaleCode,  // the candidate's code moved since the joiner was told it
+};
+constexpr int kJoinRejectReasons = 4;
+
 struct JoinRejectMsg : OverlayMsg {
+  JoinRejectReason reason = JoinRejectReason::kStaleCode;
   /// The rejecting node's actual code: lets the joiner heal the stale peer
   /// table that proposed this candidate (see PeerCodeCorrectionMsg).
   BitCode actual_code;
@@ -100,6 +110,10 @@ struct JoinRejectMsg : OverlayMsg {
 struct PeerCodeCorrectionMsg : OverlayMsg {
   NodeId subject = kInvalidNode;
   BitCode code;
+  /// False when `subject` is not in the overlay at all: the proposer drops
+  /// the entry instead of relabelling it (an unjoined node's empty code
+  /// would otherwise look like the shallowest candidate to every joiner).
+  bool joined = true;
   OverlayMsgKind kind() const override {
     return OverlayMsgKind::kPeerCodeCorrection;
   }

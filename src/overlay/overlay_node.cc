@@ -32,6 +32,11 @@ OverlayNode::OverlayNode(Simulator* sim, OverlayOptions options,
   tm_.ring_found = &m.counter("overlay.ring.found");
   tm_.join_attempts = &m.counter("overlay.join.attempts");
   tm_.join_rejects = &m.counter("overlay.join.rejects");
+  tm_.join_reject_reasons = {
+      &m.counter("overlay.join.rejects.not_joined"),
+      &m.counter("overlay.join.rejects.pending"),
+      &m.counter("overlay.join.rejects.max_depth"),
+      &m.counter("overlay.join.rejects.stale_code")};
   tm_.join_preemptions = &m.counter("overlay.join.preemptions");
   tm_.takeovers = &m.counter("overlay.recovery.takeovers");
   tm_.peers_declared_dead = &m.counter("overlay.recovery.peers_declared_dead");
@@ -164,6 +169,18 @@ void OverlayNode::PrunePeers() {
 void OverlayNode::SendDirect(NodeId to, MessagePtr msg) {
   if (!alive_) return;
   SendRaw(to, std::move(msg));
+}
+
+void OverlayNode::AdoptIntoEmptyLevel(NodeId from, const BitCode& code) {
+  if (!joined_ || from == id_ || peers_.count(from) != 0) return;
+  const int level = code_.CommonPrefixLen(code);
+  // An overlapping code owns no region beside ours; never a routing peer.
+  if (level >= std::min(code_.length(), code.length())) return;
+  for (const auto& [peer, pcode] : peers_) {
+    if (code_.CommonPrefixLen(pcode) == level) return;
+  }
+  peers_[from] = code;
+  InvalidateRouteCache();
 }
 
 bool OverlayNode::OwnsTarget(const BitCode& target) const {
@@ -321,9 +338,26 @@ void OverlayNode::Broadcast(MessagePtr inner) {
   OnBroadcastMsg(id_, b);
 }
 
+bool OverlayNode::MarkBroadcastSeen(uint64_t bcast_id) {
+  BcastSeen& seen = bcast_seen_[static_cast<uint32_t>(bcast_id >> 32)];
+  const uint32_t seq = static_cast<uint32_t>(bcast_id);
+  if (seq <= seen.floor) return false;
+  auto it = std::lower_bound(seen.above.begin(), seen.above.end(), seq);
+  if (it != seen.above.end() && *it == seq) return false;
+  seen.above.insert(it, seq);
+  size_t filled = 0;
+  while (filled < seen.above.size() &&
+         seen.above[filled] == seen.floor + 1) {
+    ++seen.floor;
+    ++filled;
+  }
+  seen.above.erase(seen.above.begin(), seen.above.begin() + filled);
+  return true;
+}
+
 void OverlayNode::OnBroadcastMsg(NodeId from,
                                  const std::shared_ptr<BroadcastMsg>& b) {
-  if (!bcast_seen_.insert(b->bcast_id).second) return;
+  if (!MarkBroadcastSeen(b->bcast_id)) return;
   if (on_broadcast_) on_broadcast_(b->origin, b->inner);
   // Sorted fan-out: flood order must not leak hash-table iteration order.
   for (NodeId peer : SortedKeys(peers_)) {
@@ -367,6 +401,7 @@ void OverlayNode::HandleMessage(NodeId from, const MessagePtr& msg) {
           auto fix = MakeMessage<PeerCodeCorrectionMsg>();
           fix->subject = from;
           fix->code = rej.actual_code;
+          fix->joined = rej.reason != JoinRejectReason::kNotJoined;
           SendRaw(join_proposer_, fix);
         }
         ScheduleJoinRetry();
@@ -406,7 +441,12 @@ void OverlayNode::HandleMessage(NodeId from, const MessagePtr& msg) {
     case OverlayMsgKind::kPeerCodeCorrection: {
       const auto& fix = static_cast<const PeerCodeCorrectionMsg&>(*om);
       auto it = peers_.find(fix.subject);
-      if (it != peers_.end() && it->second != fix.code) {
+      if (it == peers_.end()) break;
+      if (!fix.joined) {
+        // A ghost left behind by an aborted join: it owns no region.
+        peers_.erase(it);
+        InvalidateRouteCache();
+      } else if (it->second != fix.code) {
         it->second = fix.code;
         InvalidateRouteCache();
       }
@@ -437,6 +477,7 @@ void OverlayNode::HandleMessage(NodeId from, const MessagePtr& msg) {
     }
     case OverlayMsgKind::kHeartbeat: {
       const auto& hb = static_cast<const HeartbeatMsg&>(*om);
+      AdoptIntoEmptyLevel(from, hb.code);
       NotePeerAlive(from, &hb.code);
       auto ack = MakeMessage<HeartbeatAckMsg>();
       ack->code = code_;

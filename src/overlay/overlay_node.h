@@ -15,6 +15,7 @@
 #ifndef MIND_OVERLAY_OVERLAY_NODE_H_
 #define MIND_OVERLAY_OVERLAY_NODE_H_
 
+#include <array>
 #include <deque>
 #include <functional>
 #include <memory>
@@ -168,12 +169,11 @@ class OverlayNode : public Host {
   /// with pre-snapshot ones.
   Status SaveSnapshotState(SnapWriter* w) const;
   /// Restores state saved by SaveSnapshotState into this freshly
-  /// constructed node and re-arms its heartbeat timer. `preserve_seqs` (the
-  /// legacy-digest mode) re-inserts the timer under its exact saved
-  /// insertion sequence; discipline mode re-arms fresh — keyed digests
-  /// ignore per-queue seqs, which is what lets a discipline snapshot restore
-  /// into a different thread/shard count.
-  Status LoadSnapshotState(SnapReader* r, bool preserve_seqs);
+  /// constructed node and re-arms its heartbeat timer under its saved
+  /// (time, band, ukey) key. Keyed digests ignore per-queue insertion
+  /// sequences, which is what lets a snapshot restore into a different
+  /// thread/shard count.
+  Status LoadSnapshotState(SnapReader* r);
 
   /// True while the heartbeat timer is live in the event queue — the one
   /// event class the snapshot layer re-arms (MindNet's save-time quiescence
@@ -198,6 +198,12 @@ class OverlayNode : public Host {
   // call makes the routing cache return stale (but still reachable) hops.
   void InvalidateRouteCache() { ++route_epoch_; }
   bool OwnsTarget(const BitCode& target) const;
+  // Peer-table repair: a heartbeat from a node at a prefix level where we
+  // know nobody makes it our peer there. Failures can empty a level (its
+  // peers die and are declared dead); we then cannot route into that half
+  // of the tree, our vacancy probes into it go unanswered, and silence reads
+  // as vacancy. The sender keeps us as its peer, so it is a live route back.
+  void AdoptIntoEmptyLevel(NodeId from, const BitCode& code);
   void SendRaw(NodeId to, MessagePtr msg);  // network send, no retry logic
   void OnBroadcastMsg(NodeId from, const std::shared_ptr<BroadcastMsg>& b);
 
@@ -235,6 +241,9 @@ class OverlayNode : public Host {
   // (exact sibling -> shorten; all-zeros descendant of the sibling subtree ->
   // relabel). Re-checked after the probe timeout.
   void TryAbsorbRegion(const BitCode& p);
+  // Routes a RegionVacantMsg for `region` to its sibling side's all-zeros
+  // leaf, the node eligible to relabel into it.
+  void NotifyRegionVacant(const BitCode& region);
   // True if some known peer's code is prefix-compatible with p (someone
   // covers that region).
   bool RegionCoveredByPeer(const BitCode& p) const;
@@ -366,9 +375,19 @@ class OverlayNode : public Host {
   // mind-digest: skip(probe id allocator; ids are local and never stored)
   uint64_t probe_seq_ = 0;
 
-  // broadcast dedup
+  // Broadcast dedup. An id is (origin << 32 | origin's sequence number, from
+  // 1), so per origin the node keeps a floor (every seq <= floor was seen)
+  // plus the seen seqs above it, sorted; a flood fills the gaps and the
+  // floor advances. Memory stays one entry per origin instead of one per
+  // broadcast ever received.
+  struct BcastSeen {
+    uint32_t floor = 0;
+    std::vector<uint32_t> above;
+  };
+  /// Records `bcast_id`; false if it was seen before.
+  bool MarkBroadcastSeen(uint64_t bcast_id);
   // mind-digest: skip(dedup memory; delivery effects land in digested state)
-  std::unordered_set<uint64_t> bcast_seen_;
+  std::unordered_map<uint32_t, BcastSeen> bcast_seen_;  // by origin
   // mind-digest: skip(broadcast id allocator; ids are local and never stored)
   uint64_t bcast_seq_ = 0;
 
@@ -394,12 +413,15 @@ class OverlayNode : public Host {
     telemetry::Counter* ring_searches;
     telemetry::Counter* ring_found;
     telemetry::Counter* join_attempts;
-    telemetry::Counter* join_rejects;
+    telemetry::Counter* join_rejects;  // counted at the joiner
+    // Counted at the candidate, indexed by JoinRejectReason.
+    std::array<telemetry::Counter*, kJoinRejectReasons> join_reject_reasons;
     telemetry::Counter* join_preemptions;
     telemetry::Counter* takeovers;
     telemetry::Counter* peers_declared_dead;
     telemetry::Counter* heartbeats_sent;
   };
+  // mind-digest: skip(registry instrument handles; observation only)
   Instruments tm_;
 };
 

@@ -132,11 +132,7 @@ void OverlayNode::OnWatchTimeout(uint64_t probe_id) {
   if (!w.recheck_phase) {
     // The region is dead: tell its sibling subtree to absorb it, then
     // re-check whether the takeover happened.
-    auto vacant = MakeMessage<RegionVacantMsg>();
-    vacant->vacant = w.region;
-    BitCode target = w.region.Sibling();
-    while (target.length() < BitCode::kMaxLen) target.PushBack(0);
-    Route(target, vacant);
+    NotifyRegionVacant(w.region);
     StartVacancyWatch(w.region, w.escalations_left, /*recheck_phase=*/true);
     return;
   }
@@ -146,6 +142,14 @@ void OverlayNode::OnWatchTimeout(uint64_t probe_id) {
     StartVacancyWatch(w.region.Parent(), w.escalations_left - 1,
                       /*recheck_phase=*/false);
   }
+}
+
+void OverlayNode::NotifyRegionVacant(const BitCode& region) {
+  auto vacant = MakeMessage<RegionVacantMsg>();
+  vacant->vacant = region;
+  BitCode target = region.Sibling();
+  while (target.length() < BitCode::kMaxLen) target.PushBack(0);
+  Route(target, vacant);
 }
 
 bool OverlayNode::RegionCoveredByPeer(const BitCode& p) const {
@@ -218,9 +222,18 @@ void OverlayNode::TryAbsorbRegion(const BitCode& p) {
     if (code_.bit(i) != 0) return;
   }
   tm_.takeovers->Inc();
+  const BitCode old = code_;
   SetCode(p);
   AnnounceCode();
   if (on_takeover_) on_takeover_(p);
+  // Our old region is empty now. Its exact sibling absorbs it on our code
+  // update (the cascade in HandleMessage); when the sibling side is split
+  // there is no such node, so the side's all-zeros leaf is told instead.
+  bool sibling_known = false;
+  for (const auto& [peer, pcode] : peers_) {
+    if (pcode == old.Sibling()) sibling_known = true;
+  }
+  if (!sibling_known) NotifyRegionVacant(old);
 }
 
 void OverlayNode::OnRegionProbe(const RegionProbeMsg& m) {
@@ -278,14 +291,19 @@ void OverlayNode::OnRetryTimer(NodeId to) {
   q.swap(rs.queue);
   for (auto& m : q) SendRaw(to, std::move(m));
   // If everything goes through, no failure events arrive and the queue stays
-  // empty; reset the attempt counter after a calm period.
-  events_->Schedule(2 * options_.reconnect_backoff, [this, to] {
-    auto it2 = retry_.find(to);
-    if (it2 != retry_.end() && it2->second.queue.empty() &&
-        it2->second.timer == 0) {
-      retry_.erase(it2);
-    }
-  });
+  // empty; reset the attempt counter after a calm period. The settle band
+  // orders the reset after every network event of the same instant, so a
+  // failure notification landing exactly at the period's end still counts
+  // against this attempt whichever engine runs.
+  events_->ScheduleAtKeyed(
+      events_->now() + 2 * options_.reconnect_backoff, EventQueue::kBandSettle,
+      static_cast<uint32_t>(to), [this, to] {
+        auto it2 = retry_.find(to);
+        if (it2 != retry_.end() && it2->second.queue.empty() &&
+            it2->second.timer == 0) {
+          retry_.erase(it2);
+        }
+      });
 }
 
 void OverlayNode::GiveUpOnPeerQueue(NodeId to) {

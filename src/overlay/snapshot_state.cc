@@ -147,9 +147,8 @@ Status OverlayNode::SaveSnapshotState(SnapWriter* w) const {
   w->U64(bcast_seq_);
   w->U32(static_cast<uint32_t>(join_failures_));
 
-  // Heartbeat timer: the one event class allowed to be pending. Its full
-  // ordering key is saved so a legacy-mode restore can re-insert it with
-  // bit-identical (time, seq) and preserve the pinned legacy digest.
+  // Heartbeat timer: the one event class allowed to be pending. Its keyed
+  // ordering triple is saved so restore re-arms it digest-identically.
   EventQueue::PendingInfo hb;
   const bool hb_live =
       heartbeat_timer_ != 0 && events_->EventInfo(heartbeat_timer_, &hb);
@@ -158,14 +157,13 @@ Status OverlayNode::SaveSnapshotState(SnapWriter* w) const {
     w->U64(hb.time);
     w->U8(hb.band);
     w->U64(hb.ukey);
-    w->U64(hb.seq);
   }
 
   WriteRngState(w, rng_);
   return Status::OK();
 }
 
-Status OverlayNode::LoadSnapshotState(SnapReader* r, bool preserve_seqs) {
+Status OverlayNode::LoadSnapshotState(SnapReader* r) {
   const size_t fleet = net_->host_count();
 
   uint8_t alive, joined;
@@ -243,27 +241,16 @@ Status OverlayNode::LoadSnapshotState(SnapReader* r, bool preserve_seqs) {
     MIND_ASSIGN_OR_RETURN(hb_time, r->U64("overlay.heartbeat.time"));
     uint8_t band;
     MIND_ASSIGN_OR_RETURN(band, r->U8("overlay.heartbeat.band"));
-    uint64_t ukey, seq;
+    uint64_t ukey;
     MIND_ASSIGN_OR_RETURN(ukey, r->U64("overlay.heartbeat.ukey"));
-    MIND_ASSIGN_OR_RETURN(seq, r->U64("overlay.heartbeat.seq"));
     if (hb_time < events_->now()) {
       return r->FieldError("overlay.heartbeat.time",
                            "heartbeat at " + std::to_string(hb_time) +
                                " is before the restored clock " +
                                std::to_string(events_->now()));
     }
-    if (preserve_seqs) {
-      // Legacy digests fold (time, seq) pairs: re-insert under the exact
-      // saved sequence so the restored queue digests bit-identically.
-      heartbeat_timer_ = events_->ScheduleAtKeyedWithSeq(
-          hb_time, band, ukey, seq, [this] { OnHeartbeatTimer(); });
-    } else {
-      // Discipline digests fold (time, band, ukey) triples and ignore
-      // per-queue seqs, so a fresh keyed insert is digest-identical — and
-      // works when the restored run shards its queues differently.
-      heartbeat_timer_ = events_->ScheduleAtKeyed(
-          hb_time, band, ukey, [this] { OnHeartbeatTimer(); });
-    }
+    heartbeat_timer_ = events_->ScheduleAtKeyed(
+        hb_time, band, ukey, [this] { OnHeartbeatTimer(); });
   } else {
     heartbeat_timer_ = 0;
   }

@@ -286,21 +286,6 @@ Status EventQueue::ValidateInvariants() const {
   return Status::OK();
 }
 
-void EventQueue::DigestInto(Fnv64* out) const {
-  out->Mix(now_);
-  std::vector<std::pair<SimTime, uint64_t>> live;
-  live.reserve(live_count_);
-  for (uint32_t s : heap_) {
-    if (slots_[s].live) live.emplace_back(slots_[s].time, slots_[s].seq);
-  }
-  std::sort(live.begin(), live.end());
-  out->Mix(static_cast<uint64_t>(live.size()));
-  for (const auto& [t, seq] : live) {
-    out->Mix(t);
-    out->Mix(seq);
-  }
-}
-
 void EventQueue::CollectKeyed(std::vector<std::array<uint64_t, 3>>* out) const {
   for (uint32_t s : heap_) {
     if (!slots_[s].live) continue;
@@ -314,39 +299,9 @@ bool EventQueue::EventInfo(EventId id, PendingInfo* out) const {
   if (slot == kNone || !slots_[slot].live) return false;
   const Slot& s = slots_[slot];
   out->time = s.time;
-  out->seq = s.seq;
   out->ukey = s.ukey;
   out->band = s.band;
   return true;
-}
-
-void EventQueue::CollectPendingInfo(std::vector<PendingInfo>* out) const {
-  for (uint32_t s : heap_) {
-    if (!slots_[s].live) continue;
-    out->push_back(
-        {slots_[s].time, slots_[s].seq, slots_[s].ukey, slots_[s].band});
-  }
-}
-
-EventId EventQueue::ScheduleAtKeyedWithSeq(SimTime t, uint8_t band,
-                                           uint64_t ukey, uint64_t seq,
-                                           EventFn fn) {
-  EventId id = ScheduleAtKeyed(t, band, ukey, std::move(fn));
-  // Rewrite the freshly allocated seq with the snapshot's, and keep the
-  // allocator's high-water mark past it. The slot index is recoverable from
-  // the id; the heap position may shift, so re-establish heap order.
-  uint32_t slot = DecodeLive(id);
-  MIND_CHECK_NE(slot, kNone);
-  slots_[slot].seq = seq;
-  if (next_seq_ < seq) next_seq_ = seq;
-  for (size_t i = 0; i < heap_.size(); ++i) {
-    if (heap_[i] == slot) {
-      SiftUp(i);
-      SiftDown(i);
-      break;
-    }
-  }
-  return id;
 }
 
 }  // namespace mind

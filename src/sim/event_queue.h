@@ -1,5 +1,6 @@
 // The discrete-event core: a virtual clock plus a priority queue of
-// timestamped callbacks. Deterministic: ties are broken by insertion order.
+// timestamped callbacks. Deterministic: same-time events fire in (band, ukey)
+// key order, remaining ties by insertion order.
 //
 // Internals are built for the hot path (one Schedule + one fire per network
 // message, millions per run):
@@ -21,7 +22,6 @@
 #include "sim/event_fn.h"
 #include "sim/time.h"
 #include "telemetry/metrics.h"
-#include "util/digest.h"
 #include "util/status.h"
 
 namespace mind {
@@ -44,18 +44,26 @@ class EventQueue {
 
   SimTime now() const { return now_; }
 
+  /// Ordering bands within one timestamp (ScheduleAtKeyed): a host's local
+  /// timers, then message deliveries, then send-failure notifications, then
+  /// local work that must observe every same-instant network event.
+  static constexpr uint8_t kBandLocal = 0;
+  static constexpr uint8_t kBandDelivery = 1;
+  static constexpr uint8_t kBandNotify = 2;
+  static constexpr uint8_t kBandSettle = 3;
+
   /// Schedules `fn` to run at absolute virtual time `t` (>= now).
   EventId ScheduleAt(SimTime t, EventFn fn) {
-    return ScheduleAtKeyed(t, 0, 0, std::move(fn));
+    return ScheduleAtKeyed(t, kBandLocal, 0, std::move(fn));
   }
 
   /// Schedules `fn` at `t` with an explicit ordering key. Events fire in
   /// (time, band, ukey, insertion seq) order; plain ScheduleAt uses
-  /// (band 0, ukey 0), so its relative order is pure insertion order exactly
-  /// as before. The discipline-mode network layer keys message deliveries by
-  /// engine-independent values (band, sender, per-link send index) so the
-  /// same-timestamp event order at a host is identical whether the run is
-  /// sequential or sharded across threads.
+  /// (kBandLocal, ukey 0), so its relative order is pure insertion order.
+  /// The network keys message deliveries by engine-independent values
+  /// (band, sender, per-link send index) so the same-timestamp event order
+  /// at a host is identical whether the run is sequential or sharded across
+  /// threads.
   EventId ScheduleAtKeyed(SimTime t, uint8_t band, uint64_t ukey, EventFn fn);
 
   /// Schedules `fn` to run `delay` after now.
@@ -116,59 +124,31 @@ class EventQueue {
     next_validation_ = now_ + interval;
   }
 
-  /// Checks internal consistency: heap order over (time, seq), every slot on
-  /// exactly one of {heap, free list}, free list acyclic and dead-only,
-  /// live/dead counters matching slot flags, no live event in the past, and
-  /// live sequence numbers unique and <= the allocation high-water mark.
+  /// Checks internal consistency: heap order over the full ordering key,
+  /// every slot on exactly one of {heap, free list}, free list acyclic and
+  /// dead-only, live/dead counters matching slot flags, no live event in the
+  /// past, and live sequence numbers unique and <= the allocation high-water
+  /// mark.
   /// Returns OK trivially when MIND_VALIDATORS is off (see util/validate.h).
   Status ValidateInvariants() const;
 
-  /// Folds the queue's logical state (clock + sorted live (time, seq) pairs)
-  /// into `out`. Independent of slot layout, heap shape and compaction
-  /// history, so two behaviorally identical runs digest identically.
-  void DigestInto(Fnv64* out) const;
-
   /// Appends the (time, band, ukey) triple of every live event to `out`
-  /// (unsorted). Unlike DigestInto's (time, seq) pairs, these keys are
-  /// engine-independent: per-queue insertion sequence numbers differ between
-  /// a single global queue and per-shard queues, but the keyed triples do
-  /// not. The discipline-mode StateDigest sorts the union across all shard
-  /// queues and digests that.
+  /// (unsorted). These keys are engine-independent: per-queue insertion
+  /// sequence numbers differ between a single global queue and per-shard
+  /// queues, but the keyed triples do not. StateDigest sorts the union
+  /// across all shard queues and digests that.
   void CollectKeyed(std::vector<std::array<uint64_t, 3>>* out) const;
 
-  // --- Snapshot support (src/mind/snapshot.cc) ---------------------------
-  // A snapshot may only be taken when every pending event is a re-armable
-  // timer (heartbeats). Save records each timer's ordering key via
-  // EventInfo; restore re-creates the closure and re-inserts it with
-  // ScheduleAtKeyedWithSeq so the (time, band, ukey, seq) ordering key — and
-  // therefore the legacy (time, seq) digest — survives the round trip.
-
-  /// Ordering key of a live pending event.
+  /// Ordering key of a live pending event. Snapshot save records a pending
+  /// heartbeat timer's key so restore can re-arm it (src/mind/snapshot.cc).
   struct PendingInfo {
     SimTime time = 0;
-    uint64_t seq = 0;
     uint64_t ukey = 0;
     uint8_t band = 0;
   };
 
   /// Looks up a live event by handle; false if the id is stale/invalid.
   bool EventInfo(EventId id, PendingInfo* out) const;
-
-  /// Appends the ordering key of every live event (unsorted). Snapshot save
-  /// uses this to name unexpected non-timer events in its quiescence error.
-  void CollectPendingInfo(std::vector<PendingInfo>* out) const;
-
-  /// Schedules `fn` with an explicit insertion sequence number instead of
-  /// allocating the next one; bumps the allocator past `seq` so later
-  /// Schedules never collide. Restore-only: using this while the original
-  /// event still exists would duplicate a tie-break key.
-  EventId ScheduleAtKeyedWithSeq(SimTime t, uint8_t band, uint64_t ukey,
-                                 uint64_t seq, EventFn fn);
-
-  /// Insertion-sequence allocator high-water mark, for snapshot round trips
-  /// that must preserve the exact seq a future Schedule would draw.
-  uint64_t next_seq() const { return next_seq_; }
-  void SetNextSeq(uint64_t v) { next_seq_ = v; }
 
  private:
   friend class EventQueueTestPeek;  // corruption injection in validator tests

@@ -12,12 +12,9 @@ FailureInjector::FailureInjector(EventQueue* events, Network* network,
 
 void FailureInjector::Start(SimTime horizon) {
   const size_t n = network_->host_count();
-  const double hours = ToSeconds(horizon) / 3600.0;
-  // Discipline mode: outages are registered as an immutable plan on the
-  // network instead of SetLinkDown/SetNodeUp calls firing mid-run, so every
-  // shard can resolve liveness at send time without cross-shard reads. The
-  // random draws below are identical in both modes (same rng_ stream).
-  const bool plan = network_->discipline();
+  // Outages are registered as an immutable plan on the network rather than
+  // fired as mid-run events, so every shard can resolve liveness at send
+  // time without cross-shard reads.
 
   if (options_.link_flaps_per_pair_hour > 0) {
     for (NodeId a = 0; a < static_cast<NodeId>(n); ++a) {
@@ -31,18 +28,11 @@ void FailureInjector::Start(SimTime horizon) {
           if (t >= events_->now() + horizon) break;
           SimTime dur = static_cast<SimTime>(rng_.Exponential(
               1.0 / static_cast<double>(options_.mean_flap_duration)));
-          if (plan) {
-            network_->PlanLinkOutage(a, b, t, t + std::max<SimTime>(dur, 1));
-          } else {
-            events_->ScheduleAt(t, [this, a, b, dur]() {
-              network_->SetLinkDown(a, b, dur);
-            });
-          }
+          network_->PlanLinkOutage(a, b, t, t + std::max<SimTime>(dur, 1));
           ++scheduled_flaps_;
         }
       }
     }
-    (void)hours;
   }
 
   if (options_.node_crashes_per_hour > 0) {
@@ -55,32 +45,19 @@ void FailureInjector::Start(SimTime horizon) {
         if (t >= events_->now() + horizon) break;
         SimTime down = static_cast<SimTime>(rng_.Exponential(
             1.0 / static_cast<double>(options_.mean_downtime)));
-        if (plan) {
-          // Network-level blackout. The crash/revive callbacks run as events
-          // on the node's own shard queue; overlay-level crash protocols
-          // (which mutate fleet-wide state) stay a sequential-engine feature,
-          // so callbacks are only scheduled when someone registered them.
-          network_->PlanNodeOutage(id, t, t + std::max<SimTime>(down, 1));
-          if (on_crash_) {
-            network_->queue_for(id)->ScheduleAt(t,
-                                                [this, id]() { on_crash_(id); });
-          }
-          if (on_revive_) {
-            network_->queue_for(id)->ScheduleAt(
-                t + std::max<SimTime>(down, 1),
-                [this, id]() { on_revive_(id); });
-          }
-        } else {
-          events_->ScheduleAt(t, [this, id]() {
-            if (!network_->IsNodeUp(id)) return;  // already down
-            network_->SetNodeUp(id, false);
-            if (on_crash_) on_crash_(id);
-          });
-          events_->ScheduleAt(t + down, [this, id]() {
-            if (network_->IsNodeUp(id)) return;
-            network_->SetNodeUp(id, true);
-            if (on_revive_) on_revive_(id);
-          });
+        // Network-level blackout. The crash/revive callbacks run as events
+        // on the node's own shard queue; overlay-level crash protocols
+        // (which mutate fleet-wide state) stay a sequential-engine feature,
+        // so callbacks are only scheduled when someone registered them.
+        network_->PlanNodeOutage(id, t, t + std::max<SimTime>(down, 1));
+        if (on_crash_) {
+          network_->queue_for(id)->ScheduleAt(t,
+                                              [this, id]() { on_crash_(id); });
+        }
+        if (on_revive_) {
+          network_->queue_for(id)->ScheduleAt(
+              t + std::max<SimTime>(down, 1),
+              [this, id]() { on_revive_(id); });
         }
         ++scheduled_crashes_;
         t += down;  // next crash only after recovery

@@ -24,15 +24,16 @@ struct FailureOptions {
   uint64_t seed = 0xfa11;
 };
 
-/// \brief Schedules random link outages and node churn on a Network.
+/// \brief Plans random link outages and node churn on a Network.
 ///
-/// Node crash/revive transitions are reported through callbacks so that the
-/// overlay layer can run its failure-recovery and rejoin protocols.
+/// Every outage is pre-sampled into the network's immutable failure plan
+/// (Network::PlanLinkOutage / PlanNodeOutage). Node crash/revive transitions
+/// are also reported through callbacks, scheduled on the node's own queue.
 class FailureInjector {
  public:
   FailureInjector(EventQueue* events, Network* network, FailureOptions options);
 
-  /// Starts injecting over [now, now + horizon). Pre-schedules all events.
+  /// Plans outages over [now, now + horizon).
   void Start(SimTime horizon);
 
   /// Called with the node id when the injector crashes / revives a node.

@@ -37,7 +37,7 @@ SimTime PropagationDelayUs(const GeoPoint& a, const GeoPoint& b) {
 
 Network::Network(EventQueue* events, NetworkOptions options,
                  telemetry::Telemetry* telemetry)
-    : events_(events), options_(options), rng_(options.seed) {
+    : events_(events), options_(options) {
   if (telemetry != nullptr) {
     telemetry::MetricsRegistry& m = telemetry->metrics();
     msgs_counter_ = &m.counter("sim.net.messages");
@@ -92,11 +92,6 @@ SimTime Network::Latency(NodeId a, NodeId b) const {
   return options_.default_latency;
 }
 
-SimTime Network::JitterUs() {
-  double ms = rng_.LogNormal(options_.jitter_mu_ln_ms, options_.jitter_sigma_ln);
-  return FromMillis(ms);
-}
-
 SimTime Network::JitterCounterUs(NodeId from, NodeId to,
                                  uint64_t counter) const {
   double ms = CounterLogNormal(options_.seed, DirKey(from, to), counter,
@@ -135,70 +130,6 @@ void Network::DispatchKeyed(NodeId to, SimTime t, uint8_t band, uint64_t ukey,
 void Network::Send(NodeId from, NodeId to, MessagePtr msg) {
   MIND_CHECK(from >= 0 && static_cast<size_t>(from) < hosts_.size());
   MIND_CHECK(to >= 0 && static_cast<size_t>(to) < hosts_.size());
-  if (options_.discipline) {
-    SendDiscipline(from, to, msg);
-    return;
-  }
-  if (!hosts_[from].up) return;  // a dead node cannot send
-
-  if (from == to) {
-    if (loopback_counter_ != nullptr) loopback_counter_->Inc();
-    events_->Schedule(options_.loopback_delay, [this, from, to, msg]() {
-      if (hosts_[to].up) hosts_[to].host->HandleMessage(from, msg);
-    });
-    return;
-  }
-
-  SimTime now = events_->now();
-  LinkState& link = LinkTo(from, to);
-
-  bool link_down = false;
-  if (!down_until_.empty()) {
-    auto it = down_until_.find(DirKey(from, to));
-    link_down = it != down_until_.end() && it->second > now;
-  }
-  if (link_down || !hosts_[to].up) {
-    if (send_fail_counter_ != nullptr) send_fail_counter_->Inc();
-    events_->Schedule(options_.send_fail_detect, [this, from, to, msg]() {
-      if (hosts_[from].up) hosts_[from].host->HandleSendFailure(to, msg);
-    });
-    return;
-  }
-
-  double tx_sec =
-      static_cast<double>(msg->SizeBytes()) / options_.bandwidth_bytes_per_sec;
-  SimTime queue_wait = link.busy_until > now ? link.busy_until - now : 0;
-  SimTime depart = std::max(now, link.busy_until) + FromSeconds(tx_sec);
-  link.busy_until = depart;
-  SimTime arrival = depart + CachedLatency(from, to, link) + JitterUs();
-  // The paper's prototype speaks TCP: per-link delivery is in order. Jitter
-  // therefore stretches the stream but never reorders it.
-  arrival = std::max(arrival, link.last_arrival + 1);
-  link.last_arrival = arrival;
-  SimTime delay = arrival - now;
-  link.stats.messages++;
-  link.stats.bytes += msg->SizeBytes();
-  if (msgs_counter_ != nullptr) {
-    msgs_counter_->Inc();
-    bytes_counter_->Inc(msg->SizeBytes());
-    queue_wait_ms_->Record(ToSeconds(queue_wait) * 1e3);
-    delivery_delay_ms_->Record(ToSeconds(delay) * 1e3);
-  }
-
-  events_->Schedule(delay, [this, from, to, msg, delay]() {
-    if (!hosts_[to].up) {
-      // Destination died while the message was in flight: sender learns of
-      // the failure (its TCP connection resets).
-      if (inflight_fail_counter_ != nullptr) inflight_fail_counter_->Inc();
-      if (hosts_[from].up) hosts_[from].host->HandleSendFailure(to, msg);
-      return;
-    }
-    if (delay_observer_) delay_observer_(from, to, delay);
-    hosts_[to].host->HandleMessage(from, msg);
-  });
-}
-
-void Network::SendDiscipline(NodeId from, NodeId to, MessagePtr msg) {
   EventQueue* src_q = queue_for(from);
   SimTime now = src_q->now();
   if (!IsNodeUpAt(from, now)) return;  // a dead node cannot send
@@ -212,7 +143,7 @@ void Network::SendDiscipline(NodeId from, NodeId to, MessagePtr msg) {
     uint64_t ukey = PackUkey(from, hosts_[from].loopback_count++);
     // Loopback never crosses a shard; liveness is re-checked at delivery
     // against the sender's own flag and the immutable plan.
-    DispatchKeyed(to, arrival, kBandDelivery, ukey,
+    DispatchKeyed(to, arrival, EventQueue::kBandDelivery, ukey,
                   [this, from, to, msg, arrival]() {
                     if (IsNodeUpAt(to, arrival)) {
                       hosts_[to].host->HandleMessage(from, msg);
@@ -225,8 +156,9 @@ void Network::SendDiscipline(NodeId from, NodeId to, MessagePtr msg) {
   uint64_t send_ix = link.send_count++;
   if (!IsLinkUpAt(from, to, now) || !IsNodeUpAt(to, now)) {
     if (send_fail_counter_ != nullptr) send_fail_counter_->Inc();
-    DispatchKeyed(from, now + options_.send_fail_detect, kBandNotify,
-                  PackUkey(to, send_ix), [this, from, to, msg]() {
+    DispatchKeyed(from, now + options_.send_fail_detect,
+                  EventQueue::kBandNotify, PackUkey(to, send_ix),
+                  [this, from, to, msg]() {
                     if (IsNodeUpAt(from, queue_for(from)->now())) {
                       hosts_[from].host->HandleSendFailure(to, msg);
                     }
@@ -241,6 +173,8 @@ void Network::SendDiscipline(NodeId from, NodeId to, MessagePtr msg) {
   link.busy_until = depart;
   SimTime arrival = depart + CachedLatency(from, to, link) +
                     JitterCounterUs(from, to, send_ix);
+  // The paper's prototype speaks TCP: per-link delivery is in order. Jitter
+  // therefore stretches the stream but never reorders it.
   arrival = std::max(arrival, link.last_arrival + 1);
   link.last_arrival = arrival;
   SimTime delay = arrival - now;
@@ -257,26 +191,39 @@ void Network::SendDiscipline(NodeId from, NodeId to, MessagePtr msg) {
     // In-flight loss, resolved at send time: the failure plan already knows
     // the destination will be down at arrival, so the sender schedules its
     // own notification locally — no cross-shard zero-lookahead event needed.
-    DispatchKeyed(from, arrival, kBandNotify, PackUkey(to, send_ix),
-                  [this, from, to, msg, arrival]() {
-                    if (inflight_fail_counter_ != nullptr) {
-                      inflight_fail_counter_->Inc();
-                    }
-                    if (IsNodeUpAt(from, arrival)) {
-                      hosts_[from].host->HandleSendFailure(to, msg);
-                    }
-                  });
+    NotifyInFlightLoss(from, to, std::move(msg), send_ix, arrival);
     return;
   }
 
-  DispatchKeyed(to, arrival, kBandDelivery, PackUkey(from, send_ix),
-                [this, from, to, msg, delay]() {
-                  // Last-resort guard for dynamic (unplanned) death between
-                  // send and arrival: the flag only mutates outside parallel
-                  // phases, so both engines read the same value.
-                  if (!hosts_[to].up) return;
-                  if (delay_observer_) delay_observer_(from, to, delay);
-                  hosts_[to].host->HandleMessage(from, msg);
+  DispatchKeyed(to, arrival, EventQueue::kBandDelivery, PackUkey(from, send_ix),
+                [this, from, to, msg, delay, send_ix]() {
+                  if (hosts_[to].up) {
+                    if (delay_observer_) delay_observer_(from, to, delay);
+                    hosts_[to].host->HandleMessage(from, msg);
+                    return;
+                  }
+                  // The destination died unplanned (OverlayNode::Crash)
+                  // while the message was in flight; the flag only mutates
+                  // outside parallel phases, so every engine reads the same
+                  // value. The sender hears of it when the reset travels
+                  // back: a return-path latency is at least the engine's
+                  // lookahead, so this is a valid cross-shard event.
+                  NotifyInFlightLoss(
+                      from, to, msg, send_ix,
+                      queue_for(to)->now() + Latency(to, from));
+                });
+}
+
+void Network::NotifyInFlightLoss(NodeId from, NodeId to, MessagePtr msg,
+                                 uint64_t send_ix, SimTime at) {
+  DispatchKeyed(from, at, EventQueue::kBandNotify, PackUkey(to, send_ix),
+                [this, from, to, msg = std::move(msg), at]() {
+                  if (inflight_fail_counter_ != nullptr) {
+                    inflight_fail_counter_->Inc();
+                  }
+                  if (IsNodeUpAt(from, at)) {
+                    hosts_[from].host->HandleSendFailure(to, msg);
+                  }
                 });
 }
 
@@ -433,8 +380,6 @@ void Network::SaveSnapshotState(SnapWriter* w) const {
     w->U64(key);
     w->U64(latency);
   }
-
-  WriteRngState(w, rng_);
 }
 
 Status Network::LoadSnapshotState(SnapReader* r) {
@@ -549,8 +494,7 @@ Status Network::LoadSnapshotState(SnapReader* r) {
   }
   // Overrides may differ from the construction-time table; invalidate memos.
   ++latency_epoch_;
-
-  return ReadRngState(r, &rng_, "network.rng");
+  return Status::OK();
 }
 
 }  // namespace mind

@@ -53,18 +53,8 @@ struct NetworkOptions {
   SimTime send_fail_detect = FromMillis(200);
   /// Local loopback delivery delay (from == to).
   SimTime loopback_delay = 10;  // us
+  /// Seeds the counter-based jitter streams (see Network::Send).
   uint64_t seed = 0x5eed;
-  /// Deterministic-discipline mode (set by Simulator when `threads` or
-  /// `deterministic_discipline` is requested; not meant to be set by hand).
-  /// Under the discipline every random value on the delivery path is a pure
-  /// function of (seed, directed link, per-link send index) instead of a
-  /// shared-stream draw in event-execution order; deliveries are scheduled
-  /// with engine-independent ordering keys; and in-flight loss is resolved at
-  /// send time from the pre-registered failure plan. The same discipline run
-  /// sequentially or sharded across any number of threads produces
-  /// bit-identical state digests. Legacy mode (the default) is byte-for-byte
-  /// the behavior of previous releases.
-  bool discipline = false;
 };
 
 /// \brief The simulated network fabric.
@@ -73,6 +63,14 @@ struct NetworkOptions {
 /// directed link, propagation delay and jitter, then delivers via
 /// Host::HandleMessage. If the link is down or the destination dead, the
 /// sender gets Host::HandleSendFailure after a detection delay.
+///
+/// Delivery follows one determinism discipline, whichever engine runs it:
+/// every random value on the delivery path is a pure function of (seed,
+/// directed link, per-link send index), deliveries and failure notifications
+/// carry engine-independent ordering keys (EventQueue::ScheduleAtKeyed), and
+/// in-flight loss to a planned outage is resolved at send time from the
+/// immutable failure plan. The sequential engine and the sharded engine at
+/// any thread count therefore produce bit-identical state digests.
 class Network {
  public:
   /// `telemetry` is optional; when set, the fabric records per-send metrics
@@ -103,8 +101,10 @@ class Network {
   /// Sends a message. See class comment for delivery/failure semantics.
   void Send(NodeId from, NodeId to, MessagePtr msg);
 
-  /// Marks a node dead/alive. Dead nodes neither send nor receive; messages
-  /// already in flight toward a node that dies are lost (sender notified).
+  /// Marks a node dead/alive. Dead nodes neither send nor receive; a message
+  /// already in flight toward a node that dies is lost, and its sender is
+  /// notified one return-path latency after the would-be arrival (the reset
+  /// travelling back). Serial context only.
   void SetNodeUp(NodeId id, bool up);
   bool IsNodeUp(NodeId id) const;
 
@@ -113,8 +113,8 @@ class Network {
   void SetLinkDown(NodeId a, NodeId b, SimTime duration);
   bool IsLinkUp(NodeId a, NodeId b) const;
 
-  /// Pre-registers a node outage over [down_at, up_at). Discipline mode: the
-  /// failure plan is immutable while shards execute, so any shard can resolve
+  /// Pre-registers a node outage over [down_at, up_at). The failure plan is
+  /// immutable while shards execute, so any shard can resolve
   /// "will the destination be alive at arrival?" at send time without
   /// cross-shard reads. The node still runs its own timers while planned-down;
   /// only network delivery to/from it is suppressed (overlay-level crash
@@ -130,15 +130,14 @@ class Network {
   /// Link liveness at `t` (dynamic outages + planned outages, both directions).
   bool IsLinkUpAt(NodeId a, NodeId b, SimTime t) const;
 
-  /// Wires the parallel engine in (Simulator does this); discipline-mode
-  /// sends then route to the destination's shard queue, buffering across
-  /// shard boundaries during a parallel phase. Serial context only.
+  /// Wires the parallel engine in (Simulator does this); sends then route to
+  /// the destination's shard queue, buffering across shard boundaries during
+  /// a parallel phase. Serial context only.
   void set_parallel_engine(ParallelEngine* engine);
   /// The queue that owns `id`'s events: its shard queue under the parallel
   /// engine, the global queue otherwise.
   EventQueue* queue_for(NodeId id) const;
 
-  bool discipline() const { return options_.discipline; }
   bool has_delay_observer() const { return static_cast<bool>(delay_observer_); }
 
   /// Grows the dense per-host link table to its full host_count x host_count
@@ -166,7 +165,7 @@ class Network {
 
   /// Serializes the fabric's mutable state — host up flags and loopback
   /// counters, per-directed-link FIFO clocks and send counters, dynamic and
-  /// planned outages, latency overrides, and the jitter rng — in canonical
+  /// planned outages and latency overrides — in canonical
   /// (sender, destination) order. Latency memos are a pure cache and are not
   /// saved. Part of the MSN1 snapshot (DESIGN.md §14).
   void SaveSnapshotState(SnapWriter* w) const;
@@ -180,7 +179,7 @@ class Network {
     bool has_position = false;
     GeoPoint position;
     bool up = true;
-    uint64_t loopback_count = 0;  // discipline: keys same-host deliveries
+    uint64_t loopback_count = 0;  // keys same-host deliveries
   };
   // Per-directed-link state. Rows are indexed densely by sender; within a
   // row, destinations live in a sparse open-addressed table (LinkRow below):
@@ -196,7 +195,7 @@ class Network {
   struct alignas(64) LinkState {
     SimTime busy_until = 0;    // FIFO transmit queue tail (directed)
     SimTime last_arrival = 0;  // enforces in-order (TCP-like) delivery
-    uint64_t send_count = 0;   // discipline: per-link RNG counter + ukey
+    uint64_t send_count = 0;   // per-link jitter counter + ukey
     LinkStats stats;
     // Memoized Latency(from, to), valid while latency_epoch matches the
     // network's epoch. Every send used to recompute great-circle trig (or an
@@ -292,7 +291,6 @@ class Network {
     return links_[static_cast<size_t>(from)].FindOrInsert(to);
   }
 
-  SimTime JitterUs();
   // Latency(from, to) through the link's per-epoch memo (see LinkState).
   // The memo is sender-owned like every LinkState field, so shard workers
   // fill it race-free for their own senders.
@@ -303,21 +301,20 @@ class Network {
     }
     return link.cached_latency;
   }
-  // Discipline-mode jitter: pure function of (seed, link, send index).
+  // Jitter: pure function of (seed, link, send index).
   SimTime JitterCounterUs(NodeId from, NodeId to, uint64_t counter) const;
-  void SendDiscipline(NodeId from, NodeId to, MessagePtr msg);
+  // Schedules the sender's notification that send `send_ix` from -> to was
+  // lost in flight, at time `at` on the sender's queue.
+  void NotifyInFlightLoss(NodeId from, NodeId to, MessagePtr msg,
+                          uint64_t send_ix, SimTime at);
   // Routes a keyed event to `to`'s owning queue, buffering across shard
   // boundaries during a parallel phase.
   void DispatchKeyed(NodeId to, SimTime t, uint8_t band, uint64_t ukey,
                      EventFn fn);
   bool InParallelPhase() const;
-  // Ordering bands within one timestamp at a host (band 0 = local events).
-  static constexpr uint8_t kBandDelivery = 1;
-  static constexpr uint8_t kBandNotify = 2;
 
   EventQueue* events_;
   NetworkOptions options_;
-  Rng rng_;
   ParallelEngine* engine_ = nullptr;
   // Cached instruments (nullptr when constructed without telemetry).
   telemetry::Counter* msgs_counter_ = nullptr;

@@ -35,9 +35,9 @@
 // shards to threads — 1 worker or 8, in any claim order — executes the
 // identical computation. Cross-thread bit-identity therefore holds by
 // construction; the interesting proof obligation (discharged by
-// tools/check_determinism.sh) is identity against the *sequential* engine
-// running the same discipline, which rests on the keyed event ordering and
-// the counter-based per-link RNG streams (NetworkOptions::discipline).
+// tools/check_determinism.sh) is identity against the *sequential* engine,
+// which rests on the network's delivery discipline: keyed event ordering and
+// counter-based per-link RNG streams (see Network).
 //
 // This file is the one place in src/{sim,overlay,mind,space,storage} allowed
 // to use raw threading primitives (see tools/analyze/checks.py, rule

@@ -10,8 +10,6 @@ Simulator::Simulator(SimulatorOptions options)
     : telemetry_([this]() { return events_.now(); }), rng_(options.seed) {
   options.network.seed = rng_.Fork(1).Next();
   options.failures.seed = rng_.Fork(2).Next();
-  options.network.discipline =
-      options.threads > 0 || options.deterministic_discipline;
   network_ = std::make_unique<Network>(&events_, options.network, &telemetry_);
   failures_ = std::make_unique<FailureInjector>(&events_, network_.get(),
                                                 options.failures);
@@ -36,6 +34,16 @@ Simulator::Simulator(SimulatorOptions options)
 }
 
 Simulator::~Simulator() { ClearLogClock(this); }
+
+size_t Simulator::pending_events() const {
+  size_t n = events_.pending();
+  if (engine_ != nullptr) {
+    for (int s = 0; s < engine_->shard_count(); ++s) {
+      n += engine_->shard_queue(s).pending();
+    }
+  }
+  return n;
+}
 
 void Simulator::DigestEventsKeyed(Fnv64* out) const {
   std::vector<std::array<uint64_t, 3>> keys;

@@ -20,8 +20,10 @@ struct SimulatorOptions {
   FailureOptions failures;
   uint64_t seed = 0x5eed;
   /// > 0 opts in to the sharded parallel engine with that many worker
-  /// threads (which implies the deterministic discipline below). 0 — the
-  /// default — is the sequential engine, byte-for-byte the legacy behavior.
+  /// threads. 0 — the default — is the sequential engine. Both run the same
+  /// delivery discipline (see Network), so they produce the same StateDigest
+  /// for the same seed — the cross-engine identity check_determinism.sh
+  /// proves.
   int threads = 0;
   /// Shard count for the parallel engine; 0 picks
   /// ParallelEngine::DefaultShardCount() (hardware-derived, floor
@@ -29,12 +31,6 @@ struct SimulatorOptions {
   /// identical for any thread count over the same shard count — and, because
   /// ordering keys are engine-independent, across shard counts too.
   int shards = 0;
-  /// Runs the *sequential* engine under the parallel engine's determinism
-  /// discipline (counter-based per-link RNG, keyed event ordering,
-  /// send-time in-flight-loss resolution). Produces the same StateDigest as
-  /// any threads > 0 configuration with the same seed/shards — the
-  /// cross-engine identity check_determinism.sh proves.
-  bool deterministic_discipline = false;
 };
 
 /// \brief One simulated world.
@@ -72,10 +68,6 @@ class Simulator {
   /// Runs `delta` past the current virtual time.
   size_t RunFor(SimTime delta) { return RunUntil(events_.now() + delta); }
 
-  /// True when the delivery path runs the determinism discipline (threads
-  /// opted in, or deterministic_discipline set).
-  bool discipline() const { return network_->discipline(); }
-
   /// The parallel engine, or nullptr on the sequential path.
   ParallelEngine* parallel_engine() { return engine_.get(); }
   const ParallelEngine* parallel_engine() const { return engine_.get(); }
@@ -100,10 +92,11 @@ class Simulator {
   }
 
   /// Mixes the engine-independent (time, band, ukey) triples of every
-  /// pending event — across all shard queues, sorted — into `out`. The
-  /// discipline-mode replacement for events().DigestInto (whose per-queue
-  /// sequence numbers differ between engines).
+  /// pending event — across all shard queues, sorted — into `out`.
   void DigestEventsKeyed(Fnv64* out) const;
+
+  /// Number of pending events across the global and every shard queue.
+  size_t pending_events() const;
 
  private:
   EventQueue events_;

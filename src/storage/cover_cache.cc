@@ -51,14 +51,15 @@ CoverCache::CoverCache(telemetry::MetricsRegistry* metrics) {
   }
 }
 
+void CoverCache::Invalidate() {
+  // clear() keeps the bucket array; swapping with an empty table frees it.
+  decltype(table_)().swap(table_);
+  entries_ = 0;
+}
+
 const CoverRanges* CoverCache::GetOrCompute(const Rect& rect,
                                             const CutTreeRef& cuts, int len,
                                             size_t max_codes) {
-  if (table_epoch_ != epoch_) {
-    table_.clear();
-    entries_ = 0;
-    table_epoch_ = epoch_;
-  }
   const uint64_t key = EntryDigest(rect, cuts.get(), len);
   auto it = table_.find(key);
   if (it != table_.end()) {

@@ -11,11 +11,10 @@
 // Entries pin their cut tree (CutTreeRef), so pointer identity can never be
 // confused by allocator address reuse, and every hit is verified against the
 // stored rectangle — a digest collision degrades to a recompute, never to
-// wrong ranges. Invalidation mirrors the overlay route cache: Invalidate()
-// bumps an epoch and the table clears lazily at the next lookup. Because
-// entries are pure functions of pinned immutable inputs they cannot go
-// stale; the epoch exists to release memory when indices are dropped or the
-// node crashes.
+// wrong ranges. Because entries are pure functions of pinned immutable inputs
+// they cannot go stale; Invalidate() exists to release memory (and the cut
+// trees the entries pin) when a new index version opens, an index is
+// dropped, or the node crashes.
 #ifndef MIND_STORAGE_COVER_CACHE_H_
 #define MIND_STORAGE_COVER_CACHE_H_
 
@@ -78,11 +77,13 @@ class CoverCache {
   const CoverRanges* GetOrCompute(const Rect& rect, const CutTreeRef& cuts,
                                   int len, size_t max_codes);
 
-  /// Epoch bump; the table clears at the next lookup (route-cache idiom).
-  void Invalidate() { ++epoch_; }
+  /// Drops every entry and releases the table's memory now. A lazy clear
+  /// at the next lookup would keep a crashed node's trees pinned, and leave
+  /// a node that is not queried again holding its old covers.
+  void Invalidate();
 
-  /// Cached entry count (after any pending epoch clear has been applied).
-  size_t size() const { return table_epoch_ == epoch_ ? entries_ : 0; }
+  /// Cached entry count.
+  size_t size() const { return entries_; }
 
   /// Entry budget; the table clears wholesale when it fills. Query workloads
   /// re-probe the same few rectangles per distributed query (one per store
@@ -97,8 +98,6 @@ class CoverCache {
     CoverRanges cover;
   };
 
-  uint64_t epoch_ = 0;
-  uint64_t table_epoch_ = 0;
   // digest-keyed chains: a hash collision is resolved by the full (rect,
   // cuts, len) comparison below, never trusted.
   std::unordered_map<uint64_t, std::vector<Entry>> table_;

@@ -230,6 +230,13 @@ Status TupleStore::LoadSnapshotState(SnapReader* r) {
   return Status::OK();
 }
 
+std::vector<Tuple> TupleStore::AllTuples() const {
+  std::vector<Tuple> out;
+  out.reserve(size());
+  ForEachRow([&out](const StoredRow& r) { out.push_back(r.tuple); });
+  return out;
+}
+
 Histogram TupleStore::BuildHistogram(int bins_per_dim, int time_attr,
                                      Value time_shift) const {
   Histogram h(cuts_->schema(), bins_per_dim);

@@ -112,6 +112,9 @@ class TupleStore {
   /// Number of matching tuples without materializing them.
   size_t Count(const Rect& rect) const;
 
+  /// Every stored tuple, in backend layout order.
+  std::vector<Tuple> AllTuples() const;
+
   /// Histogram of the stored points at the given granularity (input to the
   /// daily balancing service). If `time_attr` >= 0, that coordinate is
   /// shifted forward by `time_shift` (clamped into the domain): cuts built

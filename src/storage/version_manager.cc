@@ -41,16 +41,25 @@ Status IndexVersions::AddVersion(VersionId id, CutTreeRef cuts, SimTime start) {
   e.id = id;
   e.start = start;
   e.cuts = std::move(cuts);
-  e.adaptive_at_open = config_.adaptive_stats;
+  e.adaptive_at_open = BoxEvidence(config_.adaptive_stats);
   entries_.push_back(std::move(e));
   ++epoch_;
   return Status::OK();
 }
 
+std::unique_ptr<const BackendWorkloadStats> IndexVersions::BoxEvidence(
+    const BackendWorkloadStats& stats) {
+  const bool zero = stats.rows == 0 && stats.queries == 0 &&
+                    stats.cover_ranges == 0 && stats.rows_examined == 0 &&
+                    stats.rows_matched == 0;
+  if (zero) return nullptr;
+  return std::make_unique<const BackendWorkloadStats>(stats);
+}
+
 TupleStore* IndexVersions::Materialize(Entry* e) {
   if (e->store == nullptr) {
     TupleStoreConfig config = config_;
-    config.adaptive_stats = e->adaptive_at_open;
+    config.adaptive_stats = e->OpenEvidence();
     e->store = std::make_unique<TupleStore>(e->cuts, config);
   }
   return e->store.get();
@@ -163,11 +172,12 @@ void IndexVersions::SaveSnapshotState(
     w->U32(e.id);
     w->U64(e.start);
     w->U32(tree_index(e.cuts));
-    w->U64(e.adaptive_at_open.rows);
-    w->U64(e.adaptive_at_open.queries);
-    w->U64(e.adaptive_at_open.cover_ranges);
-    w->U64(e.adaptive_at_open.rows_examined);
-    w->U64(e.adaptive_at_open.rows_matched);
+    const BackendWorkloadStats ao = e.OpenEvidence();
+    w->U64(ao.rows);
+    w->U64(ao.queries);
+    w->U64(ao.cover_ranges);
+    w->U64(ao.rows_examined);
+    w->U64(ao.rows_matched);
     if (e.store == nullptr) {
       w->U8(0);  // lazy: the version has never been written
     } else {
@@ -204,15 +214,14 @@ Status IndexVersions::LoadSnapshotState(SnapReader* r,
                                std::to_string(trees.size()));
     }
     e.cuts = trees[tree_idx];
-    MIND_ASSIGN_OR_RETURN(e.adaptive_at_open.rows, r->U64("versions.ao.rows"));
-    MIND_ASSIGN_OR_RETURN(e.adaptive_at_open.queries,
-                          r->U64("versions.ao.queries"));
-    MIND_ASSIGN_OR_RETURN(e.adaptive_at_open.cover_ranges,
-                          r->U64("versions.ao.cover_ranges"));
-    MIND_ASSIGN_OR_RETURN(e.adaptive_at_open.rows_examined,
+    BackendWorkloadStats ao;
+    MIND_ASSIGN_OR_RETURN(ao.rows, r->U64("versions.ao.rows"));
+    MIND_ASSIGN_OR_RETURN(ao.queries, r->U64("versions.ao.queries"));
+    MIND_ASSIGN_OR_RETURN(ao.cover_ranges, r->U64("versions.ao.cover_ranges"));
+    MIND_ASSIGN_OR_RETURN(ao.rows_examined,
                           r->U64("versions.ao.rows_examined"));
-    MIND_ASSIGN_OR_RETURN(e.adaptive_at_open.rows_matched,
-                          r->U64("versions.ao.rows_matched"));
+    MIND_ASSIGN_OR_RETURN(ao.rows_matched, r->U64("versions.ao.rows_matched"));
+    e.adaptive_at_open = BoxEvidence(ao);
     if (!entries_.empty()) {
       if (e.id <= entries_.back().id) {
         return r->FieldError("versions.entry.id",
@@ -243,7 +252,7 @@ Status IndexVersions::LoadSnapshotState(SnapReader* r,
       // its layout and (through scan counters) its future evidence.
       TupleStoreConfig config = config_;
       config.options.backend = static_cast<IndexBackendKind>(kind);
-      config.adaptive_stats = e.adaptive_at_open;
+      config.adaptive_stats = ao;
       e.store = std::make_unique<TupleStore>(e.cuts, config);
       MIND_RETURN_NOT_OK(e.store->LoadSnapshotState(r));
     }
@@ -252,7 +261,7 @@ Status IndexVersions::LoadSnapshotState(SnapReader* r,
   // AddVersion keeps config_.adaptive_stats equal to the newest entry's
   // open-time evidence; restore the same relationship.
   if (!entries_.empty()) {
-    config_.adaptive_stats = entries_.back().adaptive_at_open;
+    config_.adaptive_stats = entries_.back().OpenEvidence();
   }
   return Status::OK();
 }

@@ -124,9 +124,18 @@ class IndexVersions {
     std::unique_ptr<TupleStore> store;
     /// kAdaptive evidence captured when this version opened, so a store
     /// materializing late still resolves its backend exactly as an eager
-    /// store would have at AddVersion time.
-    BackendWorkloadStats adaptive_at_open;
+    /// store would have at AddVersion time. Null stands for zero evidence
+    /// (every non-adaptive chain, and a cold adaptive one): a node opens
+    /// one entry per chain per day, so the chain keeps the 40-byte record
+    /// only where it says something.
+    std::unique_ptr<const BackendWorkloadStats> adaptive_at_open;
+    BackendWorkloadStats OpenEvidence() const {
+      return adaptive_at_open ? *adaptive_at_open : BackendWorkloadStats{};
+    }
   };
+  /// The boxed form of `stats` for Entry::adaptive_at_open.
+  static std::unique_ptr<const BackendWorkloadStats> BoxEvidence(
+      const BackendWorkloadStats& stats);
   const Entry* Find(VersionId id) const;
   /// Creates the entry's store on first write (config_ + adaptive_at_open).
   TupleStore* Materialize(Entry* e);

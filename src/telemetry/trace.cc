@@ -49,7 +49,16 @@ void Tracer::EvictOldest() {
     }
     if (victim == mru_id_) mru_ = nullptr;
     spare_trace_ = traces_.extract(it);
-    spare_trace_.mapped().spans.clear();  // keep capacity for reuse
+    // Keep a small buffer's capacity for reuse; release a large one. The
+    // recycled buffer goes to the next new trace, so a kept capacity would
+    // ratchet every ring slot up to the largest trace it ever held, and the
+    // recorder's memory would grow with the number of big traces ever seen.
+    std::vector<TraceSpan>& spans = spare_trace_.mapped().spans;
+    if (spans.capacity() > kRecycledSpanCapacity) {
+      std::vector<TraceSpan>().swap(spans);
+    } else {
+      spans.clear();
+    }
     ++traces_evicted_;
     return;
   }

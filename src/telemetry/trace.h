@@ -94,6 +94,10 @@ class Tracer {
   TraceBuf* GetOrCreateTrace(uint64_t trace_id);
   void EvictOldest();
 
+  // Largest span capacity an evicted trace hands on to the next one (see
+  // EvictOldest); insert traces fit, wide query traces do not.
+  static constexpr size_t kRecycledSpanCapacity = 16;
+
   std::function<SimTime()> clock_;
   size_t max_traces_;
   size_t max_spans_per_trace_;

@@ -1,4 +1,5 @@
-// Tests for the sharded parallel engine and its determinism discipline:
+// Tests for the sharded parallel engine and the delivery discipline it shares
+// with the sequential engine:
 // counter-based RNG streams, keyed event ordering, the dense link table,
 // planned outages, sharded telemetry, and — the core property — bit-identical
 // state digests across the sequential engine and every worker thread count.
@@ -172,9 +173,10 @@ TEST(NetworkTest, SetLinkDownOverlapExtendsOutage) {
   EXPECT_TRUE(sim.network().IsLinkUp(ia, ib));
 }
 
-// Satellite: destination dies while the message is in flight — the sender
-// must get HandleSendFailure (its TCP connection resets), not silence.
-TEST(NetworkTest, InFlightLossNotifiesSenderLegacy) {
+// Destination dies (unplanned, SetNodeUp) while the message is in flight —
+// the sender must get HandleSendFailure (its TCP connection resets), not
+// silence.
+TEST(NetworkTest, InFlightLossNotifiesSenderOnDynamicDeath) {
   Simulator sim;
   TestHost a, b;
   NodeId ia = sim.network().AddHost(&a);
@@ -189,9 +191,7 @@ TEST(NetworkTest, InFlightLossNotifiesSenderLegacy) {
 }
 
 TEST(NetworkTest, InFlightLossNotifiesSenderDiscipline) {
-  SimulatorOptions opts;
-  opts.deterministic_discipline = true;
-  Simulator sim(opts);
+  Simulator sim;
   TestHost a, b;
   NodeId ia = sim.network().AddHost(&a);
   NodeId ib = sim.network().AddHost(&b);
@@ -206,9 +206,7 @@ TEST(NetworkTest, InFlightLossNotifiesSenderDiscipline) {
 }
 
 TEST(NetworkTest, PlannedOutageLivenessWindows) {
-  SimulatorOptions opts;
-  opts.deterministic_discipline = true;
-  Simulator sim(opts);
+  Simulator sim;
   TestHost a, b;
   NodeId ia = sim.network().AddHost(&a);
   NodeId ib = sim.network().AddHost(&b);
@@ -265,7 +263,6 @@ struct RelayHost : Host {
 // Runs the relay workload and returns every host's delivery log.
 std::vector<std::vector<std::pair<NodeId, SimTime>>> RunRelay(int threads) {
   SimulatorOptions opts;
-  opts.deterministic_discipline = threads == 0;
   opts.threads = threads;
   Simulator sim(opts);
   const size_t kFleet = 12;
@@ -291,7 +288,7 @@ std::vector<std::vector<std::pair<NodeId, SimTime>>> RunRelay(int threads) {
 }
 
 TEST(ParallelEngineTest, RelayIdenticalAcrossEnginesAndThreadCounts) {
-  auto serial = RunRelay(0);  // sequential engine, discipline on
+  auto serial = RunRelay(0);  // sequential engine
   size_t delivered = 0;
   for (const auto& log : serial) delivered += log.size();
   EXPECT_GT(delivered, 100u);  // the workload actually ran
@@ -403,13 +400,12 @@ struct MindRunResult {
 };
 
 // A small end-to-end MIND deployment: build, index, inserts, settling — then
-// the state digest. `threads == 0` is the sequential engine under the
-// discipline; anything else the sharded parallel engine.
+// the state digest. `threads == 0` is the sequential engine; anything else
+// the sharded parallel engine.
 MindRunResult RunMindWorkload(int threads, bool with_failures) {
   MindNetOptions opts;
   opts.sim.seed = 0xfeed;
   opts.sim.threads = threads;
-  opts.sim.deterministic_discipline = threads == 0;
   if (with_failures) {
     opts.sim.failures.link_flaps_per_pair_hour = 2.0;
     opts.sim.failures.node_crashes_per_hour = 0.0;  // planned blackouts only

@@ -9,6 +9,7 @@
 #include "mind/mind_net.h"
 #include "space/cut_tree.h"
 #include "traffic/indices.h"
+#include "traffic/topology.h"
 
 namespace mind {
 namespace {
@@ -166,6 +167,29 @@ TEST(QueryCompletionRegressionTest, SupplementalRepliesDoNotCompleteQueries) {
   }
 }
 
+TEST(JoinRegressionTest, GhostPeerDoesNotPoisonLaterJoins) {
+  // An aborted join can leave an unjoined node in its neighbours' peer
+  // tables. Asked to split, that ghost rejects as "not joined" with an empty
+  // code; relabelling the proposer's entry to that code made the ghost the
+  // shallowest candidate for every later join, and the build stalled
+  // (seeds 16 and 18 at 5-6 of 34 nodes). The proposer now drops the entry.
+  // Settings are fig07's: 34 Abilene+GEANT nodes under heavy jitter.
+  Topology topo = Topology::AbileneGeant();
+  for (uint64_t seed : {16, 18, 7070, 7073}) {
+    MindNetOptions opts;
+    opts.sim.seed = seed;
+    opts.sim.network.jitter_mu_ln_ms = 5.3;
+    opts.sim.network.jitter_sigma_ln = 1.1;
+    opts.overlay.heartbeat_interval = FromSeconds(5);
+    opts.mind.replication = 1;
+    opts.positions = topo.Positions();
+    MindNet net(topo.size(), opts);
+    Status st = net.Build();
+    EXPECT_TRUE(st.ok()) << "seed " << seed << ": " << st.ToString();
+    EXPECT_TRUE(net.CodesFormCompleteCover()) << "seed " << seed;
+  }
+}
+
 TEST(TakeoverRegressionTest, SiblingPairDeathEventuallyRecovered) {
   // When a node AND its whole sibling subtree die together, vacancy notices
   // routed into the dead pair vanish; the detector-side escalation must walk
@@ -194,6 +218,184 @@ TEST(TakeoverRegressionTest, SiblingPairDeathEventuallyRecovered) {
   net.sim().RunFor(FromSeconds(120));
   EXPECT_TRUE(net.CodesFormCompleteCover())
       << "dead sibling pair's region was never absorbed";
+}
+
+// A recursive takeover (§3.8) relabels X, the all-zeros leaf of a dead
+// region's sibling side, into the dead region R. X's own region is left
+// behind, and the tuples X stored there must follow it to the node that
+// absorbs it: X's exact sibling (the code-update cascade), or, when that
+// side is split, its all-zeros leaf, which X tells to relabel into the
+// vacancy. Replication 0, so no replica elsewhere can hide a loss. Before
+// the hand-off the stranded tuples (~70 of 600) were missing from every
+// answer; without the vacancy notice the split case never closed its cover.
+void KillUncleRegionAndCheckNothingStranded(uint64_t seed,
+                                            bool sibling_split) {
+  const size_t kNodes = 24;
+  MindNetOptions opts;
+  opts.sim.seed = seed;
+  opts.mind.replication = 0;
+  opts.overlay.heartbeat_interval = FromSeconds(2);
+  MindNet net(kNodes, opts);
+  ASSERT_TRUE(net.Build().ok());
+  IndexDef def;
+  def.name = "t";
+  def.schema =
+      Schema({{"x", 0, 9999}, {"ts", 0, UINT64_MAX}, {"y", 0, 9999}});
+  def.time_attr = 1;
+  auto cuts = std::make_shared<CutTree>(CutTree::Even(def.schema));
+  ASSERT_TRUE(net.CreateIndexEverywhere(def, cuts, 1, 0).ok());
+  Rng rng(seed);
+  std::vector<Tuple> tuples;
+  for (int i = 0; i < 600; ++i) {
+    Tuple t;
+    t.point = {rng.Uniform(10000), 1000 + rng.Uniform(1000),
+               rng.Uniform(10000)};
+    t.origin = i % static_cast<int>(kNodes);
+    t.seq = static_cast<uint64_t>(i) + 1;
+    tuples.push_back(t);
+    ASSERT_TRUE(net.node(i % kNodes).Insert("t", t).ok());
+    if (i % 50 == 0) net.sim().RunFor(FromSeconds(1));
+  }
+  net.sim().RunFor(FromSeconds(20));
+
+  // X ends in 0, so it is the all-zeros leaf of its parent's region, whose
+  // sibling R (X's "uncle" region) holds live nodes, none of them node 0
+  // (the query gateway below).
+  size_t x = kNodes;
+  BitCode uncle;
+  std::vector<size_t> in_uncle;
+  for (size_t i = 0; i < kNodes && x == kNodes; ++i) {
+    const BitCode& code = net.node(i).overlay().code();
+    if (code.length() < 3 || code.bit(code.length() - 1) != 0) continue;
+    const BitCode r = code.Parent().Sibling();
+    std::vector<size_t> members;
+    bool exact_sibling = false;
+    for (size_t v = 0; v < kNodes; ++v) {
+      const BitCode& other = net.node(v).overlay().code();
+      if (r.IsPrefixOf(other)) members.push_back(v);
+      if (other == code.Sibling()) exact_sibling = true;
+    }
+    if (members.empty() || members.front() == 0 ||
+        exact_sibling == sibling_split) {
+      continue;
+    }
+    x = i;
+    uncle = r;
+    in_uncle = members;
+  }
+  ASSERT_LT(x, kNodes) << "no candidate layout at seed " << seed;
+  for (size_t v : in_uncle) net.node(v).Crash();
+  net.sim().RunFor(FromSeconds(150));
+  ASSERT_EQ(net.node(x).overlay().code(), uncle)
+      << "the recursive takeover this test pins did not happen";
+  EXPECT_TRUE(net.CodesFormCompleteCover());
+
+  std::optional<QueryResult> out;
+  Rect everything({{0, 9999}, {0, UINT64_MAX}, {0, 9999}});
+  ASSERT_TRUE(net.node(0)
+                  .Query("t", everything,
+                         [&](const QueryResult& r) { out = r; })
+                  .ok());
+  for (int i = 0; i < 120 && !out.has_value(); ++i) {
+    net.sim().RunFor(FromSeconds(1));
+  }
+  ASSERT_TRUE(out.has_value());
+  EXPECT_TRUE(out->complete);
+  std::set<uint64_t> got;
+  for (const Tuple& t : out->tuples) got.insert(t.seq);
+  size_t missing = 0;
+  for (const Tuple& t : tuples) {
+    // The dead region's own tuples had no replica: lost, not stranded.
+    if (uncle.IsPrefixOf(cuts->CodeForPoint(t.point, 32))) continue;
+    if (got.count(t.seq) == 0) ++missing;
+  }
+  EXPECT_EQ(missing, 0u);
+}
+
+TEST(TakeoverRegressionTest, RelabelHandsTheOldRegionToTheExactSibling) {
+  KillUncleRegionAndCheckNothingStranded(1, /*sibling_split=*/false);
+}
+
+TEST(TakeoverRegressionTest, RelabelHandsTheOldRegionToASplitSiblingSide) {
+  KillUncleRegionAndCheckNothingStranded(1, /*sibling_split=*/true);
+}
+
+TEST(TakeoverRegressionTest, HalfTheFleetDiesWithoutOverlapOrLoss) {
+  // Half of a fully replicated 102-node fleet dies at once. Two defects
+  // showed here. (1) Nodes whose peers at one prefix level all died could
+  // no longer route into that half of the tree; their vacancy probes went
+  // unanswered, silence read as vacancy, and they relabelled into regions
+  // live nodes still owned (9 overlapping code pairs on this draw; n0 once
+  // took over half the key space). A heartbeat from such a level now
+  // refills it. (2) A node that relabels into a vacant region was not
+  // necessarily a neighbour of the dead owners, so it held none of the
+  // region's replicas; it now asks its peers for them (68 of 400 tuples
+  // were lost without that request).
+  const size_t kNodes = 102;
+  const uint64_t kSeed = 2;
+  MindNetOptions opts;
+  opts.sim.seed = kSeed;
+  opts.mind.replication = -1;  // every overlay neighbour holds a copy
+  opts.overlay.heartbeat_interval = FromSeconds(2);
+  MindNet net(kNodes, opts);
+  ASSERT_TRUE(net.Build().ok());
+  IndexDef def;
+  def.name = "t";
+  def.schema =
+      Schema({{"x", 0, 9999}, {"ts", 0, UINT64_MAX}, {"y", 0, 9999}});
+  def.time_attr = 1;
+  ASSERT_TRUE(net.CreateIndexEverywhere(
+                     def, std::make_shared<CutTree>(CutTree::Even(def.schema)),
+                     1, 0)
+                  .ok());
+  Rng rng(kSeed);
+  std::set<uint64_t> expected;
+  for (int i = 0; i < 400; ++i) {
+    Tuple t;
+    t.point = {rng.Uniform(10000), 1000 + rng.Uniform(1000),
+               rng.Uniform(10000)};
+    t.origin = i % static_cast<int>(kNodes);
+    t.seq = static_cast<uint64_t>(i) + 1;
+    expected.insert(t.seq);
+    ASSERT_TRUE(net.node(i % kNodes).Insert("t", t).ok());
+    if (i % 50 == 0) net.sim().RunFor(FromSeconds(1));
+  }
+  net.sim().RunFor(FromSeconds(20));
+  std::set<size_t> killed;
+  while (killed.size() < kNodes / 2) {
+    const size_t v = 1 + rng.Uniform(kNodes - 1);  // node 0 is the gateway
+    if (killed.insert(v).second) net.node(v).Crash();
+  }
+  net.sim().RunFor(FromSeconds(90));
+
+  size_t overlaps = 0;
+  for (size_t i = 0; i < kNodes; ++i) {
+    for (size_t j = i + 1; j < kNodes; ++j) {
+      if (!net.node(i).overlay().alive() || !net.node(j).overlay().alive()) {
+        continue;
+      }
+      const BitCode& a = net.node(i).overlay().code();
+      const BitCode& b = net.node(j).overlay().code();
+      if (a.IsPrefixOf(b) || b.IsPrefixOf(a)) ++overlaps;
+    }
+  }
+  EXPECT_EQ(overlaps, 0u);
+  EXPECT_TRUE(net.CodesFormCompleteCover());
+
+  std::optional<QueryResult> out;
+  Rect everything({{0, 9999}, {0, UINT64_MAX}, {0, 9999}});
+  ASSERT_TRUE(net.node(0)
+                  .Query("t", everything,
+                         [&](const QueryResult& r) { out = r; })
+                  .ok());
+  for (int i = 0; i < 60 && !out.has_value(); ++i) {
+    net.sim().RunFor(FromSeconds(1));
+  }
+  ASSERT_TRUE(out.has_value());
+  EXPECT_TRUE(out->complete);
+  std::set<uint64_t> got;
+  for (const Tuple& t : out->tuples) got.insert(t.seq);
+  EXPECT_EQ(got, expected);
 }
 
 TEST(RebalanceRegressionTest, TimeShiftedCutsServeTheNextDay) {

@@ -3,7 +3,7 @@
 // The contract under test: a net restored from a snapshot and run forward is
 // bit-identical — StateDigest and observable results — to the net that never
 // stopped. Serial and parallel, every index backend, across thread and shard
-// counts (discipline mode), with outage plans in force and heartbeat timers
+// counts, with outage plans in force and heartbeat timers
 // live. Plus the refusal paths: non-quiescent saves, stale nets, corrupted
 // and truncated streams, each with a precise field-level error.
 #include <cstdint>
@@ -45,17 +45,14 @@ Tuple SnapTuple(Rng* rng, uint64_t seq) {
   return t;
 }
 
-/// `threads == -1` is the legacy sequential engine; `threads == 0` the
-/// sequential engine under the determinism discipline; > 0 the sharded
-/// parallel engine (which implies the discipline).
+/// `threads == 0` is the sequential engine; > 0 the sharded parallel engine.
 MindNetOptions SnapOpts(int threads,
                         IndexBackendKind backend = IndexBackendKind::kSortedRuns,
                         int shards = 0) {
   MindNetOptions opts;
   opts.sim.seed = 0x5aa5;
-  opts.sim.threads = threads > 0 ? threads : 0;
+  opts.sim.threads = threads;
   opts.sim.shards = shards;
-  opts.sim.deterministic_discipline = threads == 0;
   opts.mind.store_backend = backend;
   // Live heartbeat timers at save time: the one event class the snapshot
   // layer re-arms, so every round trip here exercises that path.
@@ -156,15 +153,6 @@ Phase2Result RunRestored(const MindNetOptions& opts,
 
 // ------------------------------------------------------------ round trips
 
-TEST(SnapshotTest, LegacySerialRestoreThenRunIsBitIdentical) {
-  std::string snap;
-  Phase2Result straight = RunStraight(SnapOpts(-1), &snap);
-  ASSERT_FALSE(snap.empty());
-  Phase2Result restored = RunRestored(SnapOpts(-1), snap);
-  EXPECT_EQ(straight.digest, restored.digest);
-  EXPECT_TRUE(straight == restored);
-}
-
 TEST(SnapshotTest, RoundTripAcrossBackendsSerialAndParallel) {
   for (IndexBackendKind backend :
        {IndexBackendKind::kSortedRuns, IndexBackendKind::kBitmap,
@@ -172,7 +160,7 @@ TEST(SnapshotTest, RoundTripAcrossBackendsSerialAndParallel) {
     std::string snap;
     Phase2Result straight = RunStraight(SnapOpts(0, backend), &snap);
     ASSERT_FALSE(snap.empty());
-    // Same engine restore, and the discipline's promise: the same snapshot
+    // Same engine restore, and the cross-engine promise: the same snapshot
     // restores into the threads=4 engine with an identical digest.
     Phase2Result serial = RunRestored(SnapOpts(0, backend), snap);
     Phase2Result parallel = RunRestored(SnapOpts(4, backend), snap);
@@ -200,8 +188,8 @@ TEST(SnapshotTest, DisciplineRestoreAcrossThreadAndShardCounts) {
 }
 
 TEST(SnapshotTest, SnapshotMidOutagePlanCarriesThePlan) {
-  // Planned link flaps (discipline mode writes them into the network as an
-  // immutable plan, no queue events). The snapshot is taken while part of
+  // Planned link flaps (the failure injector writes them into the network as
+  // an immutable plan, no queue events). The snapshot is taken while part of
   // the plan is still in the future; both arms then run through it.
   MindNetOptions opts = SnapOpts(0);
   opts.sim.failures.link_flaps_per_pair_hour = 4.0;
@@ -223,8 +211,7 @@ TEST(SnapshotTest, SnapshotMidOutagePlanCarriesThePlan) {
 // ------------------------------------------------------------ refusal paths
 
 TEST(SnapshotTest, SaveRefusedWhileEventsAreInFlight) {
-  MindNetOptions opts = SnapOpts(-1);
-  MindNet net(kFleet, opts);
+  MindNet net(kFleet, SnapOpts(0));
   Phase1(net);
   // An in-flight query holds a timeout event (and reply messages) no byte
   // stream can carry: the quiescence audit must name the pending events.
@@ -238,30 +225,16 @@ TEST(SnapshotTest, SaveRefusedWhileEventsAreInFlight) {
   ASSERT_FALSE(st.ok());
   EXPECT_NE(st.message().find("pending event"), std::string::npos)
       << st.message();
-  // Legacy-mode failure injection schedules SetLinkDown queue events (no
-  // immutable plan outside the discipline) — same refusal.
-  MindNetOptions flappy = SnapOpts(-1);
-  flappy.sim.failures.link_flaps_per_pair_hour = 4.0;
-  MindNet net2(kFleet, flappy);
-  ASSERT_TRUE(net2.Build().ok());
-  net2.sim().RunFor(FromSeconds(30));
-  net2.sim().failures().Start(FromSeconds(300));
-  ASSERT_GT(net2.sim().failures().scheduled_flaps(), 0u);
-  std::ostringstream out2;
-  st = net2.SaveSnapshot(out2);
-  ASSERT_FALSE(st.ok());
-  EXPECT_NE(st.message().find("pending event"), std::string::npos)
-      << st.message();
 }
 
 TEST(SnapshotTest, RestoreRequiresFreshNet) {
   std::string snap;
   {
-    MindNet net(kFleet, SnapOpts(-1));
+    MindNet net(kFleet, SnapOpts(0));
     Phase1(net);
     snap = SaveWhenQuiet(net);
   }
-  MindNet used(kFleet, SnapOpts(-1));
+  MindNet used(kFleet, SnapOpts(0));
   ASSERT_TRUE(used.Build().ok());
   std::istringstream in(snap);
   Status st = used.LoadSnapshot(in);
@@ -347,14 +320,14 @@ TEST(SnapshotTest, MidIngestSnapshotRefusedUntilPipelineDrains) {
 class SnapshotCorruptionTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    MindNet net(kFleet, SnapOpts(-1));
+    MindNet net(kFleet, SnapOpts(0));
     Phase1(net);
     snap_ = SaveWhenQuiet(net);
     ASSERT_FALSE(snap_.empty());
   }
 
-  Status Load(const std::string& bytes, int threads = -1) {
-    MindNet net(kFleet, SnapOpts(threads));
+  Status Load(const std::string& bytes) {
+    MindNet net(kFleet, SnapOpts(0));
     std::istringstream in(bytes);
     return net.LoadSnapshot(in);
   }
@@ -376,25 +349,24 @@ TEST_F(SnapshotCorruptionTest, BadMagicNamesTheField) {
 }
 
 TEST_F(SnapshotCorruptionTest, UnsupportedVersionNamesTheField) {
-  std::string bad = snap_;
-  bad[4] = 9;  // u16 version field, little-endian low byte
-  Status st = Load(bad);
-  ASSERT_FALSE(st.ok());
-  EXPECT_NE(st.message().find("header.version"), std::string::npos)
-      << st.message();
-}
-
-TEST_F(SnapshotCorruptionTest, EngineModeMismatchNamesTheFlags) {
-  Status st = Load(snap_, /*threads=*/0);  // legacy snapshot, discipline net
-  ASSERT_FALSE(st.ok());
-  EXPECT_NE(st.message().find("header.flags"), std::string::npos)
-      << st.message();
-  EXPECT_NE(st.message().find("legacy engine"), std::string::npos)
-      << st.message();
+  // 1 is the retired format (it carried an engine-mode flag and legacy
+  // insertion sequence numbers); 9 was never written.
+  for (char version : {1, 9}) {
+    std::string bad = snap_;
+    bad[4] = version;  // u16 version field, little-endian low byte
+    Status st = Load(bad);
+    ASSERT_FALSE(st.ok());
+    EXPECT_NE(st.message().find("header.version"), std::string::npos)
+        << st.message();
+    EXPECT_NE(st.message().find("unsupported snapshot version " +
+                                std::to_string(version)),
+              std::string::npos)
+        << st.message();
+  }
 }
 
 TEST_F(SnapshotCorruptionTest, WrongFleetSizeNamesTheCount) {
-  MindNet small(kFleet - 2, SnapOpts(-1));
+  MindNet small(kFleet - 2, SnapOpts(0));
   std::istringstream in(snap_);
   Status st = small.LoadSnapshot(in);
   ASSERT_FALSE(st.ok());

@@ -264,7 +264,7 @@ TEST(CoverCacheTest, HitsMissesAndInvalidation) {
   cache.Invalidate();
   EXPECT_EQ(cache.size(), 0u);
   cache.GetOrCompute(q, cuts, 12, 4096);
-  EXPECT_EQ(cache.size(), 1u);  // repopulated after the epoch clear
+  EXPECT_EQ(cache.size(), 1u);  // repopulated after the clear
 }
 
 // Cached scans against a brute-force reference: every inserted tuple tested

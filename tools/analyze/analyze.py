@@ -2,9 +2,7 @@
 
 Usage (tools/run_analyze.sh wraps this):
 
-  python3 -m tools.analyze.analyze [paths...] \
-      [--frontend=auto|builtin|clang] [--compdb build/compile_commands.json] \
-      [--disable RULE]... [--list-rules]
+  python3 -m tools.analyze.analyze [paths...] [--disable RULE]... [--list-rules]
 
 Paths default to the repo's contract-bearing source directories. Output is
 one finding per line, `file:line: [rule] message`, sorted; the exit code is
@@ -49,23 +47,15 @@ def collect_files(paths, root):
     return sorted(set(out))
 
 
-def build_model_builtin(files, root):
+def build_model(files, root):
     model = Model()
     for path in files:
         rel = os.path.relpath(path, root)
         try:
             model.add_file(parse_file(path, rel))
         except Exception as e:  # a parse gap must never kill the run
-            print("analyze: warning: builtin frontend failed on %s: %s"
+            print("analyze: warning: parser failed on %s: %s"
                   % (rel, e), file=sys.stderr)
-    return model
-
-
-def build_model_clang(files, root, compdb):
-    from . import clang_frontend
-    model = Model()
-    for fm in clang_frontend.parse_files(files, root, compdb):
-        model.add_file(fm)
     return model
 
 
@@ -73,10 +63,6 @@ def main(argv=None):
     ap = argparse.ArgumentParser(prog="analyze", description=__doc__)
     ap.add_argument("paths", nargs="*", default=None,
                     help="files or directories (default: contract dirs)")
-    ap.add_argument("--frontend", choices=["auto", "builtin", "clang"],
-                    default="auto")
-    ap.add_argument("--compdb", default=None,
-                    help="compile_commands.json for the clang frontend")
     ap.add_argument("--disable", action="append", default=[],
                     metavar="RULE", help="disable one rule (repeatable)")
     ap.add_argument("--list-rules", action="store_true")
@@ -103,33 +89,10 @@ def main(argv=None):
               % " ".join(paths), file=sys.stderr)
         return 2
 
-    compdb = args.compdb
-    if compdb is None:
-        cand = os.path.join(root, "build", "compile_commands.json")
-        compdb = cand if os.path.exists(cand) else None
-
-    frontend = args.frontend
-    model = None
-    if frontend in ("auto", "clang"):
-        try:
-            model = build_model_clang(files, root, compdb)
-            print("analyze: frontend: libclang (compdb: %s)"
-                  % (compdb or "none"), file=sys.stderr)
-        except ImportError:
-            if frontend == "clang":
-                print("analyze: error: --frontend=clang but the clang "
-                      "Python bindings are not importable", file=sys.stderr)
-                return 2
-            print("analyze: WARNING: libclang bindings unavailable; "
-                  "falling back to the builtin frontend (declaration-level "
-                  "parse, alias-resolution types). Install python3-clang "
-                  "for compiler-accurate analysis.", file=sys.stderr)
-    if model is None:
-        model = build_model_builtin(files, root)
-        print("analyze: frontend: builtin (%d files, %d classes, "
-              "%d function bodies)"
-              % (len(model.files), len(model.classes),
-                 len(model.functions)), file=sys.stderr)
+    model = build_model(files, root)
+    print("analyze: %d files, %d classes, %d function bodies"
+          % (len(model.files), len(model.classes), len(model.functions)),
+          file=sys.stderr)
 
     findings = checks.run_checks(model, disabled=set(args.disable))
     shown = findings if args.max_findings <= 0 \

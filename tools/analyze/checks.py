@@ -147,7 +147,7 @@ def _is_instrument_struct(model, cls, type_text):
     for m in ci.members:
         if m.is_static:
             continue
-        rt = model.resolve_type_text(m.resolved_type or m.type_text, ci)
+        rt = model.resolve_type_text(m.type_text, ci)
         if not (is_pointer_type(rt) or is_function_type(rt)):
             return False
     return True
@@ -170,7 +170,7 @@ def check_digest_coverage(model):
                 continue
             if m.is_static or m.is_mutable:
                 continue
-            rt = model.resolve_type_text(m.resolved_type or m.type_text, cls)
+            rt = model.resolve_type_text(m.type_text, cls)
             if is_pointer_type(rt) or is_reference_type(rt) or \
                     is_function_type(rt):
                 continue  # identity/plumbing, not simulation state
@@ -512,7 +512,7 @@ def resolve_expr_type(model, expr, fn, cls, locals_=None):
                 m = model.find_member(cls, t.text) if cls else None
                 if m is None:
                     return None
-                cur_type = m.resolved_type or m.type_text
+                cur_type = m.type_text
         else:
             owner = model.find_class(
                 outer_class_name(model.resolve_type_text(cur_type, cls)),
@@ -532,7 +532,7 @@ def resolve_expr_type(model, expr, fn, cls, locals_=None):
                         return None
                     cur_type = al
                 else:
-                    cur_type = m.resolved_type or m.type_text
+                    cur_type = m.type_text
         if is_call:
             depth = 0
             while i < n:

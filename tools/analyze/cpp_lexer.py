@@ -1,4 +1,4 @@
-"""C++ tokenizer for the builtin frontend.
+"""C++ tokenizer for the declaration parser.
 
 Produces (kind, text, line) tokens with comments stripped and string/char
 literals collapsed to single tokens. Preprocessor directives become one `pp`

@@ -1,12 +1,10 @@
-"""The semantic IR both frontends produce and every check consumes.
+"""The semantic IR the parser produces and every check consumes.
 
-The model is deliberately token-oriented: a frontend parses declarations
+The model is deliberately token-oriented: the parser records declarations
 precisely (classes, bases, members, aliases, function bodies) and hands the
 checks token streams for the bodies. Type *resolution* (typedefs, `auto`,
-member lookup) lives in resolve.py-style helpers on this model so the
-builtin and libclang frontends share one definition of "what type is this
-expression" — libclang simply pre-fills `resolved_type` where it knows
-better.
+member lookup) lives in helpers on this model, so every check shares one
+definition of "what type is this expression".
 """
 
 from dataclasses import dataclass, field
@@ -20,7 +18,6 @@ class Member:
     file: str
     is_mutable: bool = False
     is_static: bool = False
-    resolved_type: str = None  # canonical type when a frontend knows it
 
 
 @dataclass
@@ -193,10 +190,7 @@ class Model:
     # ---- type resolution ------------------------------------------------
 
     def resolve_type_text(self, type_text, class_info=None, depth=0):
-        """Expands known aliases inside a type string until fixpoint.
-        A frontend that already canonicalized (libclang) short-circuits by
-        storing resolved_type on members; this path serves the builtin
-        frontend and expression resolution."""
+        """Expands known aliases inside a type string until fixpoint."""
         if not type_text or depth > 6:
             return type_text or ""
         import re as _re

@@ -1,4 +1,4 @@
-"""Builtin frontend: a declaration-level C++ parser with zero dependencies.
+"""A declaration-level C++ parser with zero dependencies.
 
 This is not a general C++ parser. It understands the subset the repo's
 style guide produces — namespaces, classes/structs with bases and nested
@@ -8,9 +8,6 @@ with constructor initializer lists — and records function bodies as token
 streams for the checks to analyze. Anything it cannot classify it skips
 conservatively, so a parse gap degrades into a missed declaration, never a
 crash or a phantom finding.
-
-The libclang frontend (clang_frontend.py) produces the same model with
-compiler-accurate types; CI prefers it when python3-clang is installed.
 """
 
 from .cpp_lexer import tokenize, match_brace, match_paren, skip_angles

@@ -8,29 +8,26 @@
 #       wall-clock leak, unseeded randomness, unordered-container ordering), or
 #   (b) the telemetry-ON and telemetry-OFF digests disagree (telemetry
 #       recording changed simulation behaviour), or
-#   (c) the sequential engine under the determinism discipline
-#       (`--discipline`) and the sharded parallel engine at worker thread
-#       counts 1, 2, 4 and 8 (`--threads=N`) disagree with each other
+#   (c) the sequential engine and the sharded parallel engine at worker
+#       thread counts 1, 2, 4 and 8 (`--threads=N`) disagree with each other
 #       (engine identity: the parallel engine must compute the exact same
-#       world as the sequential discipline it refines), or
+#       world as the sequential engine), or
 #   (d) the front-end-driven scenario (`--frontend`: streaming ingest +
 #       admission-controlled query service) disagrees run to run or across
 #       MIND_TELEMETRY settings, or drifts from its pinned value -- the only
 #       probe leg that pulls records through GeneratorTraceSource, so the
 #       pin also guards the generator's output stream, or
 #   (e) any index backend (MIND_BACKEND=sorted|bitmap|adaptive) disagrees
-#       with the default run, or the legacy digest drifts from its pinned
-#       value -- backends are physical layout only (docs/BACKENDS.md) and
-#       must be invisible to the simulation, or
-#   (f) the pinned legacy digest fails to survive an MSN1 snapshot
-#       save/load cycle (`--snapshot-roundtrip`: the restore's internal
-#       digest gate plus the printed pre-snapshot digest), serial and
-#       parallel -- week-long campaigns must resume bit-identically.
+#       with the default run, or the closed-loop digest drifts from its
+#       pinned value -- backends are physical layout only (docs/BACKENDS.md)
+#       and must be invisible to the simulation, or
+#   (f) the pinned digest fails to survive an MSN1 snapshot save/load cycle
+#       (`--snapshot-roundtrip`: the restore's internal digest gate plus the
+#       printed pre-snapshot digest), serial and parallel -- week-long
+#       campaigns must resume bit-identically.
 #
-# The flagless (legacy-mode) digest is intentionally distinct from the
-# discipline digest: the discipline switches jitter to counter-based per-link
-# RNG streams and keyed event ordering. Checks (a)/(b) pin the legacy digest;
-# check (c) pins the engine family to one another.
+# There is one delivery semantics, so there is one pinned closed-loop digest:
+# every engine, telemetry setting, backend and snapshot leg must print it.
 #
 # Usage: tools/check_determinism.sh [build-dir]   (default: build-determinism)
 set -euo pipefail
@@ -94,7 +91,7 @@ if [[ "${fe1}" != "${fe_off}" ]]; then
        "a frontend.* recording call changes simulation state" >&2
   fail=1
 fi
-PINNED_FRONTEND="23bcc2d6727f13bf"
+PINNED_FRONTEND="f7807fe86e70c60d"
 if [[ "${fe1}" != "${PINNED_FRONTEND}" ]]; then
   echo "FAIL: front-end digest ${fe1} != pinned ${PINNED_FRONTEND} -- the" \
        "generator trace, ingest or query service changed behaviour" >&2
@@ -103,11 +100,10 @@ fi
 
 echo
 echo "== backend identity (MIND_BACKEND replay legs) =="
-# The refactor that introduced the backend seam must never move the legacy
-# digest: pin it, then replay once per backend and require bit-identity.
-PINNED="5a64d0dabbca0731"
+# The closed-loop digest is pinned; every backend must replay it exactly.
+PINNED="83a37054ff6b7be4"
 if [[ "${run1}" != "${PINNED}" ]]; then
-  echo "FAIL: legacy digest ${run1} != pinned ${PINNED} -- the default" \
+  echo "FAIL: digest ${run1} != pinned ${PINNED} -- the default" \
        "replay changed behaviour (not just layout)" >&2
   fail=1
 fi
@@ -123,41 +119,35 @@ for b in sorted bitmap adaptive; do
 done
 
 echo
-echo "== engine identity (sequential discipline vs parallel thread counts) =="
+echo "== engine identity (sequential engine vs parallel thread counts) =="
 probe="${BUILD}/on/tools/determinism_probe"
-disc="$(digest "${probe}" --discipline)"
-echo "discipline (serial): ${disc}"
 for t in 1 2 4 8; do
   dt="$(digest "${probe}" --threads="${t}")"
   echo "threads=${t}:           ${dt}"
-  if [[ "${dt}" != "${disc}" ]]; then
+  if [[ "${dt}" != "${run1}" ]]; then
     echo "FAIL: parallel engine at ${t} thread(s) diverged from the" \
-         "sequential discipline digest -- a shard executed something the" \
+         "sequential digest -- a shard executed something the" \
          "conservative window should have forbidden" >&2
     fail=1
   fi
 done
 
 echo
-echo "== snapshot roundtrip (MSN1 save/load must preserve the digests) =="
-snap="$(digest "${probe}" --snapshot-roundtrip)"
-echo "legacy through save/load:     ${snap}"
-if [[ "${snap}" != "${PINNED}" ]]; then
-  echo "FAIL: legacy digest ${snap} != pinned ${PINNED} after a snapshot" \
-       "save/load cycle -- the MSN1 format dropped or distorted state" >&2
-  fail=1
-fi
-snap_par="$(digest "${probe}" --threads=4 --snapshot-roundtrip)"
-echo "threads=4 through save/load:  ${snap_par}"
-if [[ "${snap_par}" != "${disc}" ]]; then
-  echo "FAIL: parallel digest ${snap_par} != engine digest ${disc} after a" \
-       "snapshot save/load cycle" >&2
-  fail=1
-fi
+echo "== snapshot roundtrip (MSN1 save/load must preserve the digest) =="
+for flags in "" "--threads=4"; do
+  snap="$(digest "${probe}" ${flags} --snapshot-roundtrip)"
+  echo "${flags:-serial} through save/load:  ${snap}"
+  if [[ "${snap}" != "${PINNED}" ]]; then
+    echo "FAIL: digest ${snap} != pinned ${PINNED} after a ${flags:-serial}" \
+         "snapshot save/load cycle -- the MSN1 format dropped or distorted" \
+         "state" >&2
+    fail=1
+  fi
+done
 
 if [[ "${fail}" -ne 0 ]]; then
   exit 1
 fi
 echo
-echo "OK: deterministic replay verified (legacy ${run1}, engine ${disc}," \
+echo "OK: deterministic replay verified (closed loop ${run1}," \
      "frontend ${fe1})"

@@ -10,10 +10,8 @@
 // events, version chains), so telemetry ON and OFF builds must agree.
 //
 // Flags:
-//   --discipline    run the sequential engine under the determinism
-//                   discipline (counter RNG + keyed event ordering)
 //   --threads=N     run the sharded parallel engine with N worker threads
-//                   (implies the discipline)
+//                   (default: the sequential engine)
 //   --frontend      drive inserts and queries through the live front-end
 //                   (src/frontend) instead of the closed-loop harness:
 //                   streaming ingest with batching plus the admission-
@@ -24,12 +22,11 @@
 //                   SaveSnapshot/LoadSnapshot cycle into a fresh net; the
 //                   load's internal digest gate makes any divergence a hard
 //                   failure, and the digest printed is the pre-snapshot one,
-//                   so the pinned legacy digest must survive the cycle
-// The script asserts that --discipline and every --threads=N value print the
-// SAME digest (engine identity), that the flagless legacy digest is
-// unchanged across builds (no regression of historical replay digests), and
-// that the --frontend digest is reproducible run to run and across
-// MIND_TELEMETRY settings.
+//                   so the pinned digest must survive the cycle
+// The script asserts that the flagless run and every --threads=N value print
+// the SAME pinned digest (engine identity, and no regression of the
+// historical replay digest), and that the --frontend digest is reproducible
+// run to run and across MIND_TELEMETRY settings.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -109,13 +106,10 @@ int RunFrontendScenario(MindNet& net, const Topology& topo) {
 
 int main(int argc, char** argv) {
   int threads = 0;
-  bool discipline = false;
   bool use_frontend = false;
   bool snapshot_roundtrip = false;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--discipline") == 0) {
-      discipline = true;
-    } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
+    if (std::strncmp(argv[i], "--threads=", 10) == 0) {
       threads = std::atoi(argv[i] + 10);
     } else if (std::strcmp(argv[i], "--frontend") == 0) {
       use_frontend = true;
@@ -123,7 +117,7 @@ int main(int argc, char** argv) {
       snapshot_roundtrip = true;
     } else {
       std::fprintf(stderr,
-                   "usage: %s [--discipline] [--threads=N] [--frontend] "
+                   "usage: %s [--threads=N] [--frontend] "
                    "[--snapshot-roundtrip]\n",
                    argv[0]);
       return 2;
@@ -145,7 +139,6 @@ int main(int argc, char** argv) {
   MindNetOptions mopts;
   mopts.sim.seed = 4242;
   mopts.sim.threads = threads;
-  mopts.sim.deterministic_discipline = discipline;
   mopts.overlay.heartbeat_interval = FromSeconds(5);
   mopts.mind.replication = 1;
   mopts.positions = topo.Positions();

@@ -1,11 +1,10 @@
 #!/usr/bin/env bash
 # Entry point for the static contract suite: tools/analyze, the contract
-# analyzer (libclang when available, builtin declaration parser otherwise --
-# a loud warning says which). It runs the semantic rules and the source-text
-# determinism rules (docs/ANALYSIS.md).
+# analyzer over its zero-dependency declaration parser. It runs the semantic
+# rules and the source-text determinism rules (docs/ANALYSIS.md).
 #
 # Usage: tools/run_analyze.sh [analyzer args...]
-#   e.g. tools/run_analyze.sh --frontend=builtin src/sim
+#   e.g. tools/run_analyze.sh src/sim
 #
 # Exit status: non-zero when the analyzer reports an unsuppressed finding.
 set -u
