@@ -4,6 +4,8 @@
 // the system benches.
 #include <benchmark/benchmark.h>
 
+#include <memory>
+
 #include "mind/mind_net.h"
 #include "overlay/overlay_node.h"
 #include "sim/event_queue.h"
@@ -188,67 +190,118 @@ void BM_CoverProbe(benchmark::State& state) {
 }
 BENCHMARK(BM_CoverProbe)->ArgName("keys")->Arg(1 << 12)->Arg(1 << 20);
 
-// Two-bound range scan over a sorted run: the sorted_runs_backend ScanRun
-// shape (branchless bounds on the key column, prefetch-ahead row sweep).
+// Random points in a dims-stride column, and the box the query below uses:
+// the first dimension's lower 1/4 of the domain (all others full), so ~25%
+// of the rows in any key range match.
+scan::PointColumn RandomPointColumn(size_t n, size_t dims, uint64_t seed) {
+  Rng rng(seed);
+  scan::PointColumn points(n * dims);
+  for (auto& v : points) v = rng.Uniform(1 << 20);
+  return points;
+}
+scan::Box QuarterBox(size_t dims) {
+  scan::Box box(2 * dims);
+  for (size_t d = 0; d < dims; ++d) box[2 * d + 1] = (1 << 20) - 1;
+  box[1] = (1 << 18) - 1;
+  return box;
+}
+
+// Two-bound range scan over a sorted run: the sorted_runs_backend shape
+// (branchless bounds on the key column, point-column filter sweep, matched
+// rows fetched by id).
 void BM_ScanRangeSorted(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
+  constexpr size_t kDims = 3;
   scan::KeyColumn keys = SortedKeys(n, 23);
+  scan::PointColumn points = RandomPointColumn(n, kDims, 26);
+  const scan::Box box = QuarterBox(kDims);
   std::vector<StoredRow> rows(n);
-  for (size_t i = 0; i < n; ++i) rows[i].key = keys[i];
+  std::vector<uint32_t> ids(n);
+  for (size_t i = 0; i < n; ++i) {
+    rows[i].seq = i * 2 + 1;
+    ids[i] = static_cast<uint32_t>(i);
+  }
   const uint64_t span = keys.back();
   Rng rng(24);
   uint64_t sink = 0;
   for (auto _ : state) {
     uint64_t lo = rng.Uniform(span);
-    uint64_t hi = lo + span / 64;  // ~1.5% selectivity
+    uint64_t hi = lo + span / 64;  // ~1.5% of the keys
     auto [b, e] = scan::RangeBounds(keys.data(), keys.size(), lo, hi);
-    scan::SweepRows(rows.data(), b, e,
-                    [&sink](const StoredRow& row) { sink += row.tuple.seq; });
+    scan::FilterPoints(points.data(), kDims, b, e, box.data(),
+                       [&](size_t i) { sink += rows[ids[i]].seq; });
     benchmark::DoNotOptimize(sink);
   }
 }
 BENCHMARK(BM_ScanRangeSorted)->ArgName("rows")->Arg(100000)->Arg(1000000);
 
-// RLE bitmap decode + software-pipelined row gather: the bitmap backend's
-// emission path (ids decode ahead of the rows they touch).
-// args: {rows, prefetch}
+// RLE bitmap decode + point-column filter by row id: the bitmap backend's
+// emission path (ids arrive in increasing order, spread over the column).
 void BM_ScanRangeBitmap(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
-  const bool prefetch = state.range(1) != 0;
+  constexpr size_t kDims = 3;
   Rng rng(25);
   RleBitmap bm;
+  scan::PointColumn points = RandomPointColumn(n, kDims, 27);
+  const scan::Box box = QuarterBox(kDims);
   std::vector<StoredRow> rows(n);
   for (size_t id = 0; id < n; ++id) {
-    rows[id].key = id;
-    rows[id].tuple.seq = id * 2 + 1;
+    rows[id].seq = id * 2 + 1;
     if (rng.Uniform(4) == 0) bm.Set(id);  // ~25% density
   }
-  constexpr size_t kBatch = 16;
   uint64_t sink = 0;
   for (auto _ : state) {
-    uint32_t batch[kBatch];
-    size_t fill = 0;
-    auto drain = [&](size_t count) {
-      for (size_t i = 0; i < count; ++i) sink += rows[batch[i]].tuple.seq;
-    };
     bm.ForEachSet([&](uint64_t id) {
-      if (prefetch) scan::PrefetchRead(&rows[id]);
-      batch[fill++] = static_cast<uint32_t>(id);
-      if (fill == kBatch) {
-        drain(kBatch);
-        fill = 0;
+      if (scan::PointInBox(points.data() + id * kDims, box.data(), kDims)) {
+        sink += rows[id].seq;
       }
     });
-    drain(fill);
     benchmark::DoNotOptimize(sink);
   }
 }
-BENCHMARK(BM_ScanRangeBitmap)
-    ->ArgNames({"rows", "prefetch"})
-    ->Args({100000, 0})
-    ->Args({100000, 1})
-    ->Args({1000000, 0})
-    ->Args({1000000, 1});
+BENCHMARK(BM_ScanRangeBitmap)->ArgName("rows")->Arg(100000)->Arg(1000000);
+
+// One out-of-order insert, then one query, on a store of ~6k rows: the shape
+// of one churn48 node's store, where every query follows a fresh insert.
+// The store is rebuilt (untimed) every 2048 iterations to hold its size.
+// arg 0 selects the index backend: 0 = sorted runs, 1 = bitmap.
+void BM_TupleStoreChurn(benchmark::State& state) {
+  const Schema schema({{"dst", 0, 0xFFFFFFFFull}, {"ts", 0, 86400},
+                       {"v", 0, 1 << 20}});
+  auto cuts = std::make_shared<CutTree>(CutTree::Even(schema));
+  TupleStoreConfig cfg;
+  cfg.code_len = 32;
+  cfg.options.backend = static_cast<IndexBackendKind>(state.range(0));
+  Rng rng(28);
+  auto random_tuple = [&rng](uint64_t seq) {
+    Tuple t;
+    t.point = {rng.Uniform(0x100000000ull), rng.Uniform(86400),
+               rng.Uniform(1 << 20)};
+    t.extra = {seq};
+    t.seq = seq;
+    return t;
+  };
+  constexpr uint64_t kPreload = 6000;
+  constexpr uint64_t kRefresh = 2048;
+  std::unique_ptr<TupleStore> store;
+  uint64_t seq = 0;
+  std::vector<Tuple> out;
+  for (auto _ : state) {
+    if (seq % kRefresh == 0) {
+      state.PauseTiming();
+      store = std::make_unique<TupleStore>(cuts, cfg);
+      for (uint64_t i = 0; i < kPreload; ++i) store->Insert(random_tuple(i));
+      state.ResumeTiming();
+    }
+    store->Insert(random_tuple(kPreload + seq++));
+    const Value t0 = rng.Uniform(86400 - 3600);
+    out.clear();
+    store->QueryInto(Rect({{0, 0x0FFFFFFF}, {t0, t0 + 3600}, {0, 1 << 20}}),
+                     &out);
+    benchmark::DoNotOptimize(out.data());
+  }
+}
+BENCHMARK(BM_TupleStoreChurn)->ArgName("backend")->Arg(0)->Arg(1);
 
 // ------------------------------------------------------------ event queue
 //

@@ -92,78 +92,58 @@ Status RleBitmap::Validate(const char* what, uint32_t bucket) const {
 }
 
 // mind-lint: allow(backend-purity): optional counter wiring per docs/BACKENDS.md
-BitmapIndexBackend::BitmapIndexBackend(telemetry::MetricsRegistry* metrics) {
+BitmapIndexBackend::BitmapIndexBackend(size_t dims,
+                                       telemetry::MetricsRegistry* metrics)
+    : dims_(dims) {
   if (metrics != nullptr) {
     set_bits_ = &metrics->counter("storage.backend.bitmap.set_bits");
   }
 }
 
-void BitmapIndexBackend::Append(StoredRow row) {
+void BitmapIndexBackend::Append(uint64_t key, const Value* point,
+                                StoredRow row) {
   const uint64_t id = rows_.size();
-  fine_.Get(FineBucket(row.key)).Set(id);
-  summary_.Get(SummaryBucket(row.key)).Set(id);
+  fine_.Get(FineBucket(key)).Set(id);
+  summary_.Get(SummaryBucket(key)).Set(id);
+  keys_.push_back(key);
+  points_.insert(points_.end(), point, point + dims_);
   rows_.push_back(std::move(row));
   if (set_bits_ != nullptr) set_bits_->Inc(2);
 }
 
-uint64_t BitmapIndexBackend::overhead_bytes() const {
-  // Encoded words plus a directory entry per bucket; telemetry-facing only.
-  uint64_t words = 0;
-  for (size_t i = 0; i < fine_.size(); ++i) words += fine_.map_at(i).words();
-  for (size_t i = 0; i < summary_.size(); ++i) {
-    words += summary_.map_at(i).words();
-  }
-  return words * 8 + (fine_.size() + summary_.size()) * 16;
+void BitmapIndexBackend::Emit(uint64_t id, RowConsumer& out) const {
+  out.Consume(RowView{keys_[id], points_.data() + id * dims_, rows_[id]});
 }
 
-namespace {
-// Software-pipelined gather: a bucket's row ids are arrival-order positions,
-// so consecutive set bits land on scattered rows_ lines. Buffer a batch of
-// ids, prefetching each row as its id is decoded, and consume the batch one
-// prefetch-distance later — decode work hides the row fetches.
-constexpr size_t kGatherBatch = 16;
-
-template <typename Filter>
-void GatherRows(const RleBitmap& bm, const std::vector<StoredRow>& rows,
-                RowConsumer& out, Filter&& keep) {
-  uint64_t batch[kGatherBatch];
-  size_t n = 0;
+uint64_t BitmapIndexBackend::EmitMatches(const RleBitmap& bm,
+                                         const scan::Box& box,
+                                         const KeyRange* kr,
+                                         RowConsumer& out) const {
+  uint64_t examined = 0;
   bm.ForEachSet([&](uint64_t id) {
-    scan::PrefetchRead(&rows[id]);
-    batch[n++] = id;
-    if (n == kGatherBatch) {
-      for (uint64_t b : batch) {
-        if (keep(rows[b])) out.Consume(rows[b]);
-      }
-      n = 0;
+    if (kr != nullptr && (keys_[id] < kr->lo || keys_[id] > kr->hi)) return;
+    ++examined;
+    if (scan::PointInBox(points_.data() + id * dims_, box.data(), dims_)) {
+      Emit(id, out);
     }
   });
-  for (size_t i = 0; i < n; ++i) {
-    if (keep(rows[batch[i]])) out.Consume(rows[batch[i]]);
-  }
-}
-}  // namespace
-
-void BitmapIndexBackend::EmitAll(const RleBitmap& bm, RowConsumer& out) const {
-  GatherRows(bm, rows_, out, [](const StoredRow&) { return true; });
+  return examined;
 }
 
-void BitmapIndexBackend::EmitFiltered(const RleBitmap& bm, const KeyRange& kr,
-                                      RowConsumer& out) const {
-  GatherRows(bm, rows_, out, [&kr](const StoredRow& r) {
-    return r.key >= kr.lo && r.key <= kr.hi;
-  });
-}
-
-void BitmapIndexBackend::ScanRange(const KeyRange& kr, RowConsumer& out) const {
-  if (kr.lo == 0 && kr.hi == UINT64_MAX) {
-    // Full-range cover (the root code): every row qualifies.
-    ScanAllRows(out);
-    return;
+uint64_t BitmapIndexBackend::ScanRange(const KeyRange& kr,
+                                       const scan::Box& box,
+                                       RowConsumer& out) const {
+  if (kr.lo == kFullKeyRange.lo && kr.hi == kFullKeyRange.hi) {
+    // Full-range cover (the root code, or the cover-overflow fallback):
+    // every row is examined, in arrival order.
+    scan::FilterPoints(points_.data(), dims_, 0, rows_.size(), box.data(),
+                       [&](size_t id) { Emit(id, out); });
+    return rows_.size();
   }
   constexpr int kFineShift = 64 - kBucketBits;
   constexpr int kSummaryShift = 64 - kSummaryBits;
   constexpr uint32_t kChildren = 1u << (kBucketBits - kSummaryBits);
+  uint64_t examined = 0;
   const uint32_t s_hi = SummaryBucket(kr.hi);
   for (size_t si = summary_.LowerBound(SummaryBucket(kr.lo));
        si < summary_.size() && summary_.id_at(si) <= s_hi; ++si) {
@@ -174,7 +154,7 @@ void BitmapIndexBackend::ScanRange(const KeyRange& kr, RowConsumer& out) const {
     if (kr.lo <= s_start && s_end <= kr.hi) {
       // Wholly covered summary bucket: one bitmap stands in for its 64
       // children — the hierarchical pruning win.
-      EmitAll(summary_.map_at(si), out);
+      examined += EmitMatches(summary_.map_at(si), box, nullptr, out);
       continue;
     }
     const uint32_t f_lo = std::max(FineBucket(kr.lo), s * kChildren);
@@ -185,39 +165,47 @@ void BitmapIndexBackend::ScanRange(const KeyRange& kr, RowConsumer& out) const {
       if (fi + 1 < fine_.size()) scan::PrefetchRead(&fine_.map_at(fi + 1));
       const uint64_t b_start = uint64_t{fine_.id_at(fi)} << kFineShift;
       const uint64_t b_end = b_start | ((uint64_t{1} << kFineShift) - 1);
-      if (kr.lo <= b_start && b_end <= kr.hi) {
-        EmitAll(fine_.map_at(fi), out);
-      } else {
-        // Range endpoint inside the bucket (cover_len finer than the bucket
-        // grid): per-row key check. Never taken with default knobs, where
-        // cover ranges are bucket-aligned.
-        EmitFiltered(fine_.map_at(fi), kr, out);
-      }
+      // A range endpoint inside the bucket (cover_len finer than the bucket
+      // grid) needs the per-row key check. Never taken with default knobs,
+      // where cover ranges are bucket-aligned.
+      const bool whole = kr.lo <= b_start && b_end <= kr.hi;
+      examined += EmitMatches(fine_.map_at(fi), box, whole ? nullptr : &kr,
+                              out);
     }
   }
+  return examined;
 }
 
 void BitmapIndexBackend::ScanAllRows(RowConsumer& out) const {
-  scan::SweepRows(rows_, 0, rows_.size(),
-                  [&out](const StoredRow& r) { out.Consume(r); });
+  for (size_t id = 0; id < rows_.size(); ++id) Emit(id, out);
 }
 
 Status BitmapIndexBackend::ValidateInvariants(const CutTree& cuts, int code_len,
                                               uint64_t expect_bytes) const {
 #if MIND_VALIDATORS_ENABLED
+  // The columns are parallel to the rows: the filter reads the points and
+  // bucket checks read the keys by row id, so any drift returns wrong rows.
+  MIND_VALIDATE(keys_.size() == rows_.size(),
+                "bitmap-index: key column holds " << keys_.size()
+                                                  << " keys for "
+                                                  << rows_.size() << " rows");
+  MIND_VALIDATE(points_.size() == rows_.size() * dims_,
+                "bitmap-index: point column holds "
+                    << points_.size() << " values for " << rows_.size()
+                    << " rows of " << dims_ << " dims");
   uint64_t bytes = 0;
+  Point point(dims_);
   for (size_t i = 0; i < rows_.size(); ++i) {
     const StoredRow& r = rows_[i];
-    const BitCode code = cuts.CodeForPoint(r.tuple.point, code_len);
-    const uint64_t expect =
-        code.empty() ? 0 : code.bits() << (64 - code.length());
-    MIND_VALIDATE(r.key == expect,
-                  "bitmap-index: row " << i << " (origin " << r.tuple.origin
-                                       << " seq " << r.tuple.seq << ") keyed "
-                                       << r.key << " but its point codes to "
-                                       << expect
+    std::copy_n(points_.data() + i * dims_, dims_, point.begin());
+    const uint64_t expect = CodeKey(cuts.CodeForPoint(point, code_len));
+    MIND_VALIDATE(keys_[i] == expect,
+                  "bitmap-index: row " << i << " (origin " << r.origin
+                                       << " seq " << r.seq << ") keyed "
+                                       << keys_[i]
+                                       << " but its point codes to " << expect
                                        << " under the installed cut tree");
-    bytes += r.tuple.WireBytes() + kRowOverheadBytes;
+    bytes += StoredRowBytes(dims_, r);
   }
   MIND_VALIDATE(bytes == expect_bytes,
                 "bitmap-index: approx_bytes_ is "
@@ -257,11 +245,11 @@ Status BitmapIndexBackend::ValidateInvariants(const CutTree& cuts, int code_len,
                                                  << " beyond the "
                                                  << rows_.size()
                                                  << " stored rows");
-      MIND_VALIDATE(FineBucket(rows_[id].key) == b,
+      MIND_VALIDATE(FineBucket(keys_[id]) == b,
                     "bitmap-index: fine bucket "
                         << b << " lists row " << id << " (key "
-                        << rows_[id].key << ") that buckets to "
-                        << FineBucket(rows_[id].key));
+                        << keys_[id] << ") that buckets to "
+                        << FineBucket(keys_[id]));
       ++fine_seen[id];
     }
     child_cards[b >> (kBucketBits - kSummaryBits)] += bm.cardinality();
@@ -274,7 +262,7 @@ Status BitmapIndexBackend::ValidateInvariants(const CutTree& cuts, int code_len,
                                                    << " stored rows");
   for (size_t i = 0; i < fine_seen.size(); ++i) {
     MIND_VALIDATE(fine_seen[i] == 1,
-                  "bitmap-index: row " << i << " (key " << rows_[i].key
+                  "bitmap-index: row " << i << " (key " << keys_[i]
                                        << ") appears in " << int{fine_seen[i]}
                                        << " fine buckets instead of exactly "
                                           "its own");
@@ -290,7 +278,7 @@ Status BitmapIndexBackend::ValidateInvariants(const CutTree& cuts, int code_len,
                       << child_cards[s]);
     decode(bm);
     for (uint64_t id : ids) {
-      MIND_VALIDATE(id < rows_.size() && SummaryBucket(rows_[id].key) == s,
+      MIND_VALIDATE(id < rows_.size() && SummaryBucket(keys_[id]) == s,
                     "bitmap-index: summary bucket "
                         << s << " lists row " << id
                         << " that does not summarize to it");

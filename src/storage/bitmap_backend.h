@@ -1,7 +1,9 @@
 // Hierarchical compressed-bitmap backend (DESIGN.md §13, docs/BACKENDS.md).
 //
-// Rows are kept in arrival order in one flat vector; the index is a two-level
-// directory of word-aligned run-length-compressed bitmaps over the key space:
+// Rows are kept in arrival order: the carried rows in one flat vector, with
+// a parallel key column and a dims-stride point column. The index is a
+// two-level directory of word-aligned run-length-compressed bitmaps over the
+// key space:
 //
 //   fine level     top kBucketBits (12) key bits -> bitmap of row ids
 //   summary level  top kSummaryBits (6) key bits -> union of its 64 children
@@ -9,12 +11,15 @@
 // Appending a row sets one bit in its fine bucket and one in its summary
 // bucket — O(1) always, no re-sort and no merge, which is why this layout
 // wins ingest-heavy churn. A range scan walks the (sparse, ordered) bucket
-// directories: summary buckets wholly inside the range are emitted from the
+// directories: summary buckets wholly inside the range are decoded from the
 // single summary bitmap, partially covered ones descend to fine buckets, and
-// only fine buckets straddling a range endpoint re-check row keys. With the
-// default cover granularity (cover_len == kBucketBits) every merged cover
-// range is fine-bucket aligned, so that straddle path never runs and the
-// rows visited are exactly the rows a sorted-run scan would visit.
+// only fine buckets straddling a range endpoint re-check row keys. Each
+// decoded row id is tested against the query box in the point column
+// (scan::PointInBox, the kernel the sorted runs use); only matches are
+// emitted. With the default cover granularity (cover_len == kBucketBits)
+// every merged cover range is fine-bucket aligned, so that straddle path
+// never runs and the rows examined are exactly the rows a sorted-run scan
+// examines.
 #ifndef MIND_STORAGE_BITMAP_BACKEND_H_
 #define MIND_STORAGE_BITMAP_BACKEND_H_
 
@@ -141,15 +146,15 @@ class BitmapIndexBackend final : public IndexBackend {
 
   // A null registry leaves behavior and digests identical (docs/BACKENDS.md).
   // mind-lint: allow(backend-purity): optional counters per docs/BACKENDS.md
-  explicit BitmapIndexBackend(telemetry::MetricsRegistry* metrics);
+  BitmapIndexBackend(size_t dims, telemetry::MetricsRegistry* metrics);
 
   IndexBackendKind kind() const override { return IndexBackendKind::kBitmap; }
-  void Append(StoredRow row) override;
+  void Append(uint64_t key, const Value* point, StoredRow row) override;
   /// Bitmaps are append-final: nothing to merge, nothing to re-sort.
   void Compact() override {}
   size_t size() const override { return rows_.size(); }
-  uint64_t overhead_bytes() const override;
-  void ScanRange(const KeyRange& kr, RowConsumer& out) const override;
+  uint64_t ScanRange(const KeyRange& kr, const scan::Box& box,
+                     RowConsumer& out) const override;
   void ScanAllRows(RowConsumer& out) const override;
   Status ValidateInvariants(const CutTree& cuts, int code_len,
                             uint64_t expect_bytes) const override;
@@ -167,11 +172,19 @@ class BitmapIndexBackend final : public IndexBackend {
     return static_cast<uint32_t>(key >> (64 - kSummaryBits));
   }
 
-  void EmitAll(const RleBitmap& bm, RowConsumer& out) const;
-  void EmitFiltered(const RleBitmap& bm, const KeyRange& kr,
-                    RowConsumer& out) const;
+  // Emits the rows of `bm` whose points lie inside `box` and returns how
+  // many rows it examined; with `kr`, rows keyed outside it are skipped
+  // unexamined (the straddle path).
+  uint64_t EmitMatches(const RleBitmap& bm, const scan::Box& box,
+                       const KeyRange* kr, RowConsumer& out) const;
+  void Emit(uint64_t id, RowConsumer& out) const;
 
-  std::vector<StoredRow> rows_;  // arrival order; bitmaps hold row ids
+  size_t dims_;
+  // Arrival order, parallel: row id i is keys_[i], the dims coordinates at
+  // points_[i * dims_], and rows_[i]. Bitmaps hold row ids.
+  std::vector<StoredRow> rows_;
+  scan::KeyColumn keys_;
+  scan::PointColumn points_;
   // Sparse ordered directories: only non-empty buckets exist, and ordered
   // iteration gives range scans and validation a deterministic walk.
   BucketDirectory fine_;

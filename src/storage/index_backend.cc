@@ -78,15 +78,15 @@ IndexBackendKind ChooseIndexBackend(const BackendWorkloadStats& stats) {
 }
 
 std::unique_ptr<IndexBackend> MakeIndexBackend(
-    IndexBackendKind kind, const TupleStoreOptions& options,
+    IndexBackendKind kind, const TupleStoreOptions& options, size_t dims,
     telemetry::MetricsRegistry* metrics) {
   switch (kind) {
     case IndexBackendKind::kSortedRuns:
       return std::make_unique<SortedRunsBackend>(
-          options.compaction, options.compact_min_delta, options.compact_ratio,
-          metrics);
+          dims, options.compaction, options.compact_min_delta,
+          options.compact_ratio, metrics);
     case IndexBackendKind::kBitmap:
-      return std::make_unique<BitmapIndexBackend>(metrics);
+      return std::make_unique<BitmapIndexBackend>(dims, metrics);
     case IndexBackendKind::kAdaptive:
       break;
   }

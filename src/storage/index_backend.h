@@ -2,20 +2,31 @@
 //
 // A TupleStore owns exactly one IndexBackend: the physical layout holding its
 // rows. The facade keeps everything layout-independent — cover computation
-// (and the shared CoverCache), rectangle filtering, scan-efficiency counters,
-// digests, histograms, byte accounting — while the backend answers one
-// question fast: "which stored rows have keys inside this range?".
+// (and the shared CoverCache), scan-efficiency counters, digests,
+// histograms, byte accounting — while the backend answers one question fast:
+// "which stored rows have keys inside this range and points inside this
+// box?".
+//
+// A backend stores each row as three parts: its key and its indexed point,
+// held in the backend's own key column and dims-stride point column
+// (scan::KeyColumn / scan::PointColumn, in the backend's order), and the
+// carried part (StoredRow: origin, seq, extra). Scans hand out RowViews over
+// those columns; only rows that pass the filter ever become a Tuple.
 //
 // The contract every backend must honor (docs/BACKENDS.md spells out the
 // obligations in full):
 //
-//   * ScanRange(kr) visits each row whose key lies in [kr.lo, kr.hi] exactly
-//     once, and no row outside it. Visit ORDER is backend-private: everything
-//     downstream (reply assembly, digests, histogram mass, query-processing
-//     latency) is order-independent by construction, so a backend may emit
-//     key order, arrival order, or bucket order.
-//   * ScanAllRows visits every row exactly once (fallback scans, digests,
-//     histograms).
+//   * ScanRange(kr, box) emits each row whose key lies in [kr.lo, kr.hi] and
+//     whose point lies inside `box` exactly once, and no other row. It
+//     returns the number of rows whose key lies in the range — "rows
+//     examined" — which is a property of the stored keys, not of the layout,
+//     so every backend returns the same count. Emit ORDER is
+//     backend-private: everything downstream (reply assembly, digests,
+//     histogram mass, query-processing latency) is order-independent by
+//     construction, so a backend may emit key order, arrival order, or
+//     bucket order.
+//   * ScanAllRows visits every row exactly once (digests, histograms,
+//     snapshots).
 //   * Compact() is layout-only: results, counts and digests are identical
 //     whether or not it ever runs.
 //   * Digest transparency: because the facade folds digests from ScanAllRows
@@ -27,9 +38,11 @@
 
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "space/cut_tree.h"
 #include "storage/cover_cache.h"
+#include "storage/scan_kernels.h"
 #include "storage/tuple.h"
 
 namespace mind {
@@ -60,17 +73,38 @@ const char* IndexBackendKindName(IndexBackendKind kind);
 /// directly always defaults to kSortedRuns regardless of the environment.
 IndexBackendKind DefaultIndexBackendKind();
 
-/// A stored tuple and its left-aligned data-space code key — the unit every
-/// backend stores and every scan visits.
+/// The carried (non-indexed) part of a stored tuple. The key and the point
+/// live in the backend's columns; keeping them out of the row keeps rows
+/// out of every sort and merge, and keeps the filter off the heap.
 struct StoredRow {
-  uint64_t key;  // left-aligned code bits (CodeKey of the insert code)
-  Tuple tuple;
+  std::vector<Value> extra;
+  int origin = -1;
+  uint64_t seq = 0;
 };
+
+/// One stored row as a scan sees it: the key, the row's `dims` coordinates
+/// inside the backend's point column, and the carried part. Valid only
+/// during the RowConsumer call that receives it.
+struct RowView {
+  uint64_t key;
+  const Value* point;
+  const StoredRow& row;
+};
+
+/// The full key range: a cover-overflow fallback scan asks for it, and
+/// backends may short-circuit it (every row's key lies inside).
+inline constexpr KeyRange kFullKeyRange{0, UINT64_MAX};
 
 /// Fixed per-row overhead charged to approx_bytes() on top of the tuple's
 /// wire size (key + bookkeeping; backend-independent so byte accounting and
 /// capacity gauges never depend on the layout choice).
 inline constexpr uint64_t kRowOverheadBytes = 16;
+
+/// What approx_bytes() charges for one stored row of a `dims`-coordinate
+/// point: the tuple's wire size plus kRowOverheadBytes.
+inline uint64_t StoredRowBytes(size_t dims, const StoredRow& row) {
+  return Tuple::WireBytesFor(dims, row.extra.size()) + kRowOverheadBytes;
+}
 
 /// Ingest/query tallies a closing store hands to its successor at version
 /// freeze — the evidence base for the adaptive backend choice. All fields are
@@ -98,12 +132,13 @@ BackendCostEstimate EstimateBackendCosts(const BackendWorkloadStats& stats);
 /// on cold stats or a tie. Pure and deterministic; never returns kAdaptive.
 IndexBackendKind ChooseIndexBackend(const BackendWorkloadStats& stats);
 
-/// Type-erased per-row visitor. Implemented by a stack adapter in the facade
-/// (RowConsumerAdapter) so the scan hot path pays one virtual call per row
-/// and never allocates.
+/// Type-erased visitor for emitted rows. Implemented by a stack adapter in
+/// the facade (RowConsumerAdapter) so the scan hot path pays one virtual
+/// call per *matching* row — the filter runs inside the backend — and never
+/// allocates.
 class RowConsumer {
  public:
-  virtual void Consume(const StoredRow& row) = 0;
+  virtual void Consume(const RowView& row) = 0;
 
  protected:
   ~RowConsumer() = default;
@@ -113,7 +148,7 @@ template <typename Fn>
 class RowConsumerAdapter final : public RowConsumer {
  public:
   explicit RowConsumerAdapter(Fn& fn) : fn_(fn) {}
-  void Consume(const StoredRow& row) override { fn_(row); }
+  void Consume(const RowView& row) override { fn_(row); }
 
  private:
   Fn& fn_;
@@ -128,39 +163,41 @@ class IndexBackend {
   virtual IndexBackendKind kind() const = 0;
   const char* name() const { return IndexBackendKindName(kind()); }
 
-  /// Adds one row. Keys arrive in any order; amortized O(1) is the target.
-  virtual void Append(StoredRow row) = 0;
+  /// Adds one row: its key, its `dims` coordinates at `point` (copied into
+  /// the point column) and its carried part. Keys arrive in any order;
+  /// amortized O(1) is the target.
+  virtual void Append(uint64_t key, const Value* point, StoredRow row) = 0;
 
   /// Version-freeze / maintenance hook. Layout-only by contract.
   virtual void Compact() = 0;
 
   virtual size_t size() const = 0;
 
-  /// Bytes of index structure beyond the tuples themselves (bitmap words,
-  /// bucket directories, ...). Telemetry-facing only: never part of
-  /// approx_bytes(), digests, or anything the sim's timing can see.
-  virtual uint64_t overhead_bytes() const = 0;
-
-  /// Visits exactly the rows whose key lies in [kr.lo, kr.hi], each once.
-  virtual void ScanRange(const KeyRange& kr, RowConsumer& out) const = 0;
+  /// Emits exactly the rows whose key lies in [kr.lo, kr.hi] and whose point
+  /// lies inside `box` (scan::PointInBox), each once. Returns the number of
+  /// rows whose key lies in the range, matched or not ("rows examined").
+  virtual uint64_t ScanRange(const KeyRange& kr, const scan::Box& box,
+                             RowConsumer& out) const = 0;
 
   /// Visits every row exactly once.
   virtual void ScanAllRows(RowConsumer& out) const = 0;
 
   /// Backend-structure invariants (run order, bitmap shape, bucket
-  /// membership), plus the shared obligations: every row's key equals its
-  /// point's code under `cuts` at `code_len` bits, and the rows' wire bytes
-  /// (+ kRowOverheadBytes each) sum to `expect_bytes`. Returns OK trivially
-  /// when MIND_VALIDATORS is off.
+  /// membership), plus the shared obligations: the key and point columns
+  /// hold one entry (one dims-stride point) per stored row, every key
+  /// equals its point's code under `cuts` at `code_len` bits, and the rows'
+  /// wire bytes (+ kRowOverheadBytes each) sum to `expect_bytes`. Returns OK
+  /// trivially when MIND_VALIDATORS is off.
   virtual Status ValidateInvariants(const CutTree& cuts, int code_len,
                                     uint64_t expect_bytes) const = 0;
 };
 
-/// Constructs a concrete backend. `kind` must not be kAdaptive (resolve it
-/// first with ChooseIndexBackend). `metrics` may be null; backends register
-/// their storage.* counters against it otherwise.
+/// Constructs a concrete backend for points of `dims` coordinates. `kind`
+/// must not be kAdaptive (resolve it first with ChooseIndexBackend).
+/// `metrics` may be null; backends register their storage.* counters against
+/// it otherwise.
 std::unique_ptr<IndexBackend> MakeIndexBackend(
-    IndexBackendKind kind, const TupleStoreOptions& options,
+    IndexBackendKind kind, const TupleStoreOptions& options, size_t dims,
     telemetry::MetricsRegistry* metrics);
 
 }  // namespace mind

@@ -2,7 +2,7 @@
 //
 // The motivating observation ("Fast Query Processing by Distributing an
 // Index over CPU Caches", PAPERS.md) is that a range probe's cost is cache
-// misses, not comparisons. Three techniques, all layout-transparent:
+// misses, not comparisons. Four techniques, all layout-transparent:
 //
 //  * branch-free binary search: the classic base += (probe < key) ? half : 0
 //    form compiles to a conditional move, so the probe loop has no
@@ -10,15 +10,19 @@
 //    can be prefetched before the current compare resolves;
 //  * parallel key columns: backends search a contiguous uint64_t array
 //    (8 keys per cache line, 64-byte aligned via AlignedAlloc) instead of
-//    striding through 70-byte StoredRow structs — the last three probe
-//    levels of a 4k-row run share one line instead of touching three;
+//    striding through row structs — the last three probe levels of a
+//    4k-row run share one line instead of touching three;
 //  * two-bound range scans: one LowerBound for kr.lo plus one UpperBound
-//    for kr.hi turn the emit loop into a pure [begin, end) sweep with no
-//    per-row hi check, and the sweep prefetches rows a fixed distance ahead.
+//    for kr.hi turn the filter loop into a pure [begin, end) sweep with no
+//    per-row hi check;
+//  * inline point columns: each backend keeps its rows' indexed points as
+//    one dims-stride Value column, so the rectangle filter (PointInBox)
+//    reads fixed-width coordinates sequentially instead of chasing a heap
+//    vector per row. Only rows that pass become tuples.
 //
 // Prefetch is a pure hint: it never changes a result, only which lines are
-// in flight. The micro-benches BM_CoverProbe and BM_ScanRangeSorted time
-// these kernels in isolation.
+// in flight. The micro-benches BM_CoverProbe, BM_ScanRangeSorted and
+// BM_ScanRangeBitmap time these kernels in isolation.
 #ifndef MIND_STORAGE_SCAN_KERNELS_H_
 #define MIND_STORAGE_SCAN_KERNELS_H_
 
@@ -34,11 +38,6 @@ namespace scan {
 /// Cache-line size assumed by the aligned allocator and the prefetch
 /// distance math. 64 bytes everywhere this project runs.
 inline constexpr std::size_t kCacheLineBytes = 64;
-
-/// How many rows ahead of the emit cursor a range sweep prefetches. StoredRow
-/// is ~two cache lines, so 8 rows keeps roughly a dozen lines in flight —
-/// enough to hide a DRAM miss without thrashing L1.
-inline constexpr std::size_t kEmitPrefetchDistance = 8;
 
 /// Read-prefetch with high temporal locality. A plain function (not a macro)
 /// so call sites stay greppable; compiles to one prefetcht0 / prfm.
@@ -116,15 +115,37 @@ inline std::pair<std::size_t, std::size_t> RangeBounds(const K* keys,
   return {b, e};
 }
 
-/// Sweeps rows[begin, end) through `emit` with a fixed prefetch distance.
-/// `rows` only needs operator[]; `emit` receives a const reference.
-template <typename Rows, typename Emit>
-inline void SweepRows(const Rows& rows, std::size_t begin, std::size_t end,
-                      Emit&& emit) {
-  for (std::size_t i = begin; i < end; ++i) {
-    const std::size_t ahead = i + kEmitPrefetchDistance;
-    if (ahead < end) PrefetchRead(&rows[ahead]);
-    emit(rows[i]);
+/// Dims-stride column of indexed points: row i's coordinates are
+/// [i * dims, (i + 1) * dims). Same aligned layout as the key column.
+using PointColumn = std::vector<uint64_t, AlignedAlloc<uint64_t>>;
+
+/// A query rectangle as the point filter reads it: per dimension d,
+/// box[2d] is the interval's lo and box[2d + 1] its width hi - lo.
+using Box = std::vector<uint64_t>;
+
+/// True if the `dims` coordinates at `p` lie inside `box`. One unsigned
+/// compare per dimension: a coordinate below lo wraps to a huge offset and
+/// fails the width test, so there is no separate lo check and no branch
+/// inside the loop.
+inline bool PointInBox(const uint64_t* p, const uint64_t* box,
+                       std::size_t dims) {
+  bool in = true;
+  for (std::size_t d = 0; d < dims; ++d) {
+    in &= (p[d] - box[2 * d]) <= box[2 * d + 1];
+  }
+  return in;
+}
+
+/// Sweeps rows [begin, end) of a point column and calls emit(i) for each
+/// row whose point lies inside `box`. Sequential reads: the hardware
+/// prefetcher streams the column, so the loop carries no software hint.
+template <typename Emit>
+inline void FilterPoints(const uint64_t* points, std::size_t dims,
+                         std::size_t begin, std::size_t end,
+                         const uint64_t* box, Emit&& emit) {
+  const uint64_t* p = points + begin * dims;
+  for (std::size_t i = begin; i < end; ++i, p += dims) {
+    if (PointInBox(p, box, dims)) emit(i);
   }
 }
 

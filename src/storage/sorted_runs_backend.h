@@ -2,18 +2,25 @@
 // IndexBackend seam.
 //
 // A large *base* run that is always in key order absorbs compactions; a small
-// *delta* run absorbs inserts and is sorted lazily, so an insert between
-// queries costs a delta re-sort of a few rows, never a full re-sort. A range
-// scan binary-searches both runs. Compaction merges the delta into the base
-// when it exceeds a size ratio of the base, and at daily version freeze
-// (IndexVersions::AddVersion → TupleStore::Compact).
+// *delta* run absorbs inserts. A range scan binary-searches both runs.
+// Compaction merges the delta into the base when it exceeds a size ratio of
+// the base, and at daily version freeze (IndexVersions::AddVersion →
+// TupleStore::Compact).
 //
-// Each run carries a parallel cache-line-aligned key column
-// (scan::KeyColumn): range probes run the branch-free prefetching binary
-// search over 8-keys-per-line data instead of striding through ~70-byte
-// StoredRow structs, and the emit loop is a pure [begin, end) sweep (see
-// storage/scan_kernels.h). The column is derived state — rebuilt after a
-// delta sort or a compaction — and never feeds digests.
+// A run is three parallel columns in key order: a cache-line-aligned key
+// column (scan::KeyColumn), a dims-stride point column (scan::PointColumn)
+// and the row id of each entry. The carried rows themselves sit in one
+// arrival-order vector and never move. Range probes run the branch-free
+// binary search over the key column, the rectangle filter sweeps the point
+// column between the two bounds (storage/scan_kernels.h), and only matching
+// rows are fetched by id.
+//
+// The delta keeps the length of its sorted prefix. Appends in key order grow
+// the prefix; a scan after out-of-order appends sorts only the unsorted tail
+// and merges it into the prefix from the back, so one late insert between
+// two queries shifts the entries above it instead of re-sorting the run.
+// Compact merges the delta's columns into the base's the same way. Equal
+// keys keep arrival order throughout.
 #ifndef MIND_STORAGE_SORTED_RUNS_BACKEND_H_
 #define MIND_STORAGE_SORTED_RUNS_BACKEND_H_
 
@@ -35,20 +42,17 @@ class SortedRunsBackend final : public IndexBackend {
   /// call always merges (the facade's compaction_enabled knob decides who
   /// calls it at version freeze). Layout-only either way.
   // mind-lint: allow(backend-purity): optional counters per docs/BACKENDS.md
-  SortedRunsBackend(bool compaction, size_t compact_min_delta,
+  SortedRunsBackend(size_t dims, bool compaction, size_t compact_min_delta,
                     size_t compact_ratio, telemetry::MetricsRegistry* metrics);
 
   IndexBackendKind kind() const override {
     return IndexBackendKind::kSortedRuns;
   }
-  void Append(StoredRow row) override;
+  void Append(uint64_t key, const Value* point, StoredRow row) override;
   void Compact() override;
-  size_t size() const override { return base_.size() + delta_.size(); }
-  /// The parallel key columns are the only structure beyond the rows.
-  uint64_t overhead_bytes() const override {
-    return (base_keys_.size() + delta_keys_.size()) * sizeof(uint64_t);
-  }
-  void ScanRange(const KeyRange& kr, RowConsumer& out) const override;
+  size_t size() const override { return rows_.size(); }
+  uint64_t ScanRange(const KeyRange& kr, const scan::Box& box,
+                     RowConsumer& out) const override;
   void ScanAllRows(RowConsumer& out) const override;
   Status ValidateInvariants(const CutTree& cuts, int code_len,
                             uint64_t expect_bytes) const override;
@@ -59,23 +63,38 @@ class SortedRunsBackend final : public IndexBackend {
  private:
   friend class TupleStoreTestPeek;  // corruption injection in validator tests
 
+  // One run's parallel columns; entry i is keys[i], the dims coordinates at
+  // points[i * dims], and rows_[ids[i]].
+  struct Run {
+    scan::KeyColumn keys;
+    scan::PointColumn points;
+    std::vector<uint32_t> ids;
+    size_t size() const { return keys.size(); }
+    void clear() {
+      keys.clear();
+      points.clear();
+      ids.clear();
+    }
+  };
+
   void MaybeCompact();
   void EnsureDeltaSorted() const;
-  static void RebuildKeys(const std::vector<StoredRow>& run,
-                          scan::KeyColumn* keys);
-  void ScanRun(const std::vector<StoredRow>& run, const scan::KeyColumn& keys,
-               const KeyRange& kr, RowConsumer& out) const;
+  // Merges the key-sorted `tail` into the key-sorted `run`, back to front;
+  // on equal keys the run's entries stay first.
+  void MergeInto(Run* run, const Run& tail) const;
+  // Emits the entries of run[begin, end) whose points lie inside `box`.
+  void FilterRun(const Run& run, size_t begin, size_t end,
+                 const scan::Box& box, RowConsumer& out) const;
+  void Emit(const Run& run, size_t i, RowConsumer& out) const;
 
+  size_t dims_;
   bool compaction_;
   size_t compact_min_delta_;
   size_t compact_ratio_;
-  mutable std::vector<StoredRow> base_;   // always key-sorted
-  mutable std::vector<StoredRow> delta_;  // recent; sorted iff delta_sorted_
-  mutable bool delta_sorted_ = true;
-  // Parallel key columns, element i always mirroring run[i].key (appends
-  // push both; a lazy delta re-sort rebuilds). Derived, never digested.
-  mutable scan::KeyColumn base_keys_;
-  mutable scan::KeyColumn delta_keys_;
+  std::vector<StoredRow> rows_;  // arrival order; runs refer to them by id
+  Run base_;                     // always key-sorted
+  mutable Run delta_;            // recent; key-sorted below delta_sorted_len_
+  mutable size_t delta_sorted_len_ = 0;
   // storage.compaction.* counters; null without a registry.
   // mind-lint: allow(backend-purity): optional counter per docs/BACKENDS.md
   telemetry::Counter* compactions_ = nullptr;

@@ -28,8 +28,9 @@ struct Tuple {
   uint64_t seq = 0;
 
   /// Approximate wire size, used for simulated transmission delays.
-  size_t WireBytes() const {
-    return 24 + 8 * (point.size() + extra.size());
+  size_t WireBytes() const { return WireBytesFor(point.size(), extra.size()); }
+  static size_t WireBytesFor(size_t point_values, size_t extra_values) {
+    return 24 + 8 * (point_values + extra_values);
   }
 
   friend bool operator==(const Tuple& a, const Tuple& b) {

@@ -29,7 +29,7 @@ TupleStore::TupleStore(CutTreeRef cuts, TupleStoreConfig config)
           .Inc();
     }
   }
-  backend_ = MakeIndexBackend(kind, opts_, config.metrics);
+  backend_ = MakeIndexBackend(kind, opts_, dims(), config.metrics);
   if (cover_cache_ == nullptr) {
     // No shared per-node cache injected: memoize covers privately. Entries
     // are pure functions of (rect, pinned cuts, len), so this is invisible
@@ -52,17 +52,19 @@ TupleStore::TupleStore(CutTreeRef cuts, int code_len)
 
 void TupleStore::Insert(Tuple tuple) {
   BitCode code = cuts_->CodeForPoint(tuple.point, code_len_);
-  InsertRow(StoredRow{CodeKey(code), std::move(tuple)});
+  InsertRow(CodeKey(code), std::move(tuple));
 }
 
 void TupleStore::InsertCoded(Tuple tuple, const BitCode& code) {
   MIND_CHECK(code.length() >= code_len_);
-  InsertRow(StoredRow{CodeKey(code.Prefix(code_len_)), std::move(tuple)});
+  InsertRow(CodeKey(code.Prefix(code_len_)), std::move(tuple));
 }
 
-void TupleStore::InsertRow(StoredRow row) {
-  approx_bytes_ += row.tuple.WireBytes() + kRowOverheadBytes;
-  backend_->Append(std::move(row));
+void TupleStore::InsertRow(uint64_t key, Tuple tuple) {
+  MIND_CHECK_EQ(tuple.point.size(), dims());
+  approx_bytes_ += tuple.WireBytes() + kRowOverheadBytes;
+  backend_->Append(key, tuple.point.data(),
+                   StoredRow{std::move(tuple.extra), tuple.origin, tuple.seq});
 }
 
 void TupleStore::Compact() { backend_->Compact(); }
@@ -97,30 +99,46 @@ void TupleStore::ForEachRow(Fn&& fn) const {
   backend_->ScanAllRows(sink);
 }
 
+Tuple TupleStore::ToTuple(const RowView& r) const {
+  Tuple t;
+  t.point.assign(r.point, r.point + dims());
+  t.extra = r.row.extra;
+  t.origin = r.row.origin;
+  t.seq = r.row.seq;
+  return t;
+}
+
 template <typename Fn>
 void TupleStore::Scan(const Rect& rect, Fn&& fn) const {
+  MIND_CHECK_EQ(static_cast<size_t>(rect.dims()), dims());
   const int len = std::min(opts_.cover_len, code_len_);
   const CoverRanges* cover =
       cover_cache_->GetOrCompute(rect, cuts_, len, opts_.max_cover_codes);
   ++scan_queries_;
-  auto visit = [&](const StoredRow& r) {
-    ++scan_rows_examined_;
-    if (rect.Contains(r.tuple.point)) {
-      ++scan_rows_matched_;
-      fn(r.tuple);
-    }
+  scan::Box box(2 * dims());
+  for (size_t d = 0; d < dims(); ++d) {
+    const Interval& iv = rect.interval(static_cast<int>(d));
+    box[2 * d] = iv.lo;
+    box[2 * d + 1] = iv.hi - iv.lo;
+  }
+  auto visit = [&](const RowView& r) {
+    ++scan_rows_matched_;
+    fn(r);
   };
   RowConsumerAdapter<decltype(visit)> sink(visit);
   if (cover->fallback) {
-    // Pathologically wide query: walk every row as it sits — a scan that
-    // visits everything gains nothing from key pruning.
+    // Pathologically wide query: the full key range, which every backend
+    // walks as it sits — a scan that visits everything gains nothing from
+    // key pruning.
     if (cover_fallbacks_ != nullptr) cover_fallbacks_->Inc();
     ++scan_cover_ranges_;  // the full scan counts as one maximal range
-    backend_->ScanAllRows(sink);
+    scan_rows_examined_ += backend_->ScanRange(kFullKeyRange, box, sink);
     return;
   }
   scan_cover_ranges_ += cover->ranges.size();
-  for (const KeyRange& kr : cover->ranges) backend_->ScanRange(kr, sink);
+  for (const KeyRange& kr : cover->ranges) {
+    scan_rows_examined_ += backend_->ScanRange(kr, box, sink);
+  }
 }
 
 std::vector<Tuple> TupleStore::Query(const Rect& rect) const {
@@ -130,12 +148,12 @@ std::vector<Tuple> TupleStore::Query(const Rect& rect) const {
 }
 
 void TupleStore::QueryInto(const Rect& rect, std::vector<Tuple>* out) const {
-  Scan(rect, [out](const Tuple& t) { out->push_back(t); });
+  Scan(rect, [this, out](const RowView& r) { out->push_back(ToTuple(r)); });
 }
 
 size_t TupleStore::Count(const Rect& rect) const {
   size_t n = 0;
-  Scan(rect, [&n](const Tuple&) { ++n; });
+  Scan(rect, [&n](const RowView&) { ++n; });
   return n;
 }
 
@@ -150,15 +168,15 @@ Status TupleStore::ValidateInvariants() const {
 
 void TupleStore::DigestInto(Fnv64* out) const {
   OrderIndependentAccumulator acc;
-  ForEachRow([&acc](const StoredRow& r) {
+  ForEachRow([this, &acc](const RowView& r) {
     Fnv64 h;
     h.Mix(r.key);
-    h.Mix(static_cast<uint64_t>(static_cast<int64_t>(r.tuple.origin)));
-    h.Mix(r.tuple.seq);
-    h.Mix(static_cast<uint64_t>(r.tuple.point.size()));
-    for (Value v : r.tuple.point) h.Mix(v);
-    h.Mix(static_cast<uint64_t>(r.tuple.extra.size()));
-    for (Value v : r.tuple.extra) h.Mix(v);
+    h.Mix(static_cast<uint64_t>(static_cast<int64_t>(r.row.origin)));
+    h.Mix(r.row.seq);
+    h.Mix(static_cast<uint64_t>(dims()));
+    for (size_t d = 0; d < dims(); ++d) h.Mix(r.point[d]);
+    h.Mix(static_cast<uint64_t>(r.row.extra.size()));
+    for (Value v : r.row.extra) h.Mix(v);
     acc.Add(h.value());
   });
   acc.DigestInto(out);
@@ -175,14 +193,14 @@ void TupleStore::SaveSnapshotState(SnapWriter* w) const {
   w->U64(scan_queries_);
   w->U64(scan_cover_ranges_);
   w->U64(backend_->size());
-  ForEachRow([w](const StoredRow& r) {
+  ForEachRow([this, w](const RowView& r) {
     w->U64(r.key);
-    w->U64(static_cast<uint64_t>(static_cast<int64_t>(r.tuple.origin)));
-    w->U64(r.tuple.seq);
-    w->U32(static_cast<uint32_t>(r.tuple.point.size()));
-    for (Value v : r.tuple.point) w->U64(v);
-    w->U32(static_cast<uint32_t>(r.tuple.extra.size()));
-    for (Value v : r.tuple.extra) w->U64(v);
+    w->U64(static_cast<uint64_t>(static_cast<int64_t>(r.row.origin)));
+    w->U64(r.row.seq);
+    w->U32(static_cast<uint32_t>(dims()));
+    for (size_t d = 0; d < dims(); ++d) w->U64(r.point[d]);
+    w->U32(static_cast<uint32_t>(r.row.extra.size()));
+    for (Value v : r.row.extra) w->U64(v);
   });
 }
 
@@ -194,24 +212,24 @@ Status TupleStore::LoadSnapshotState(SnapReader* r) {
   uint64_t rows;
   MIND_ASSIGN_OR_RETURN(rows, r->U64("store.row_count"));
   for (uint64_t i = 0; i < rows; ++i) {
-    StoredRow row;
-    MIND_ASSIGN_OR_RETURN(row.key, r->U64("store.row.key"));
+    uint64_t key;
+    MIND_ASSIGN_OR_RETURN(key, r->U64("store.row.key"));
+    Tuple tuple;
     uint64_t origin;
     MIND_ASSIGN_OR_RETURN(origin, r->U64("store.row.origin"));
-    row.tuple.origin = static_cast<int>(static_cast<int64_t>(origin));
-    MIND_ASSIGN_OR_RETURN(row.tuple.seq, r->U64("store.row.seq"));
+    tuple.origin = static_cast<int>(static_cast<int64_t>(origin));
+    MIND_ASSIGN_OR_RETURN(tuple.seq, r->U64("store.row.seq"));
     uint32_t point_len;
     MIND_ASSIGN_OR_RETURN(point_len, r->U32("store.row.point_len"));
-    const uint32_t dims = static_cast<uint32_t>(cuts_->schema().dims());
-    if (point_len != dims) {
+    if (point_len != dims()) {
       return r->FieldError("store.row.point_len",
                            "row " + std::to_string(i) + " has " +
                                std::to_string(point_len) +
                                " coordinates, schema has " +
-                               std::to_string(dims));
+                               std::to_string(dims()));
     }
-    row.tuple.point.resize(point_len);
-    for (Value& v : row.tuple.point) {
+    tuple.point.resize(point_len);
+    for (Value& v : tuple.point) {
       MIND_ASSIGN_OR_RETURN(v, r->U64("store.row.point"));
     }
     uint32_t extra_len;
@@ -221,11 +239,11 @@ Status TupleStore::LoadSnapshotState(SnapReader* r) {
                                                   "count " +
                                                       std::to_string(extra_len));
     }
-    row.tuple.extra.resize(extra_len);
-    for (Value& v : row.tuple.extra) {
+    tuple.extra.resize(extra_len);
+    for (Value& v : tuple.extra) {
       MIND_ASSIGN_OR_RETURN(v, r->U64("store.row.extra"));
     }
-    InsertRow(std::move(row));
+    InsertRow(key, std::move(tuple));
   }
   return Status::OK();
 }
@@ -233,23 +251,22 @@ Status TupleStore::LoadSnapshotState(SnapReader* r) {
 std::vector<Tuple> TupleStore::AllTuples() const {
   std::vector<Tuple> out;
   out.reserve(size());
-  ForEachRow([&out](const StoredRow& r) { out.push_back(r.tuple); });
+  ForEachRow([this, &out](const RowView& r) { out.push_back(ToTuple(r)); });
   return out;
 }
 
 Histogram TupleStore::BuildHistogram(int bins_per_dim, int time_attr,
                                      Value time_shift) const {
   Histogram h(cuts_->schema(), bins_per_dim);
-  if (time_attr < 0 || time_shift == 0) {
-    ForEachRow([&h](const StoredRow& r) { h.Add(r.tuple.point); });
-    return h;
-  }
-  const Value max = cuts_->schema().attr(time_attr).max;
-  Point p;
-  ForEachRow([&](const StoredRow& r) {
-    p = r.tuple.point;
-    Value shifted = p[time_attr] + time_shift;
-    p[time_attr] = (shifted < p[time_attr] || shifted > max) ? max : shifted;
+  const bool shift = time_attr >= 0 && time_shift != 0;
+  const Value max = shift ? cuts_->schema().attr(time_attr).max : 0;
+  Point p(dims());
+  ForEachRow([&](const RowView& r) {
+    p.assign(r.point, r.point + dims());
+    if (shift) {
+      Value shifted = p[time_attr] + time_shift;
+      p[time_attr] = (shifted < p[time_attr] || shifted > max) ? max : shifted;
+    }
     h.Add(p);
   });
   return h;

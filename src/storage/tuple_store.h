@@ -7,8 +7,10 @@
 // buckets (kBitmap), or a per-store adaptive choice between the two from the
 // previous version's workload stats (kAdaptive). A rectangle query narrows to
 // the merged key ranges of its covering codes (optionally through a shared
-// CoverCache) and asks the backend for each range. The backend choice is
-// digest-transparent: results, counts, timings and replay digests are
+// CoverCache) and asks the backend for each range together with the query
+// box; the backend filters on its inline point column and hands back only
+// the matching rows, which the facade turns into tuples. The backend choice
+// is digest-transparent: results, counts, timings and replay digests are
 // bit-identical across every backend (the facade owns everything a digest or
 // the simulation can see; the backend only owns the physical layout).
 #ifndef MIND_STORAGE_TUPLE_STORE_H_
@@ -125,17 +127,20 @@ class TupleStore {
 
   const CutTreeRef& cuts() const { return cuts_; }
 
-  /// Cumulative scan-efficiency counters (rows visited vs. rows matched over
-  /// every Query/Count so far). Callers snapshot before/after a query and
-  /// record the deltas (`storage.scan.*` histograms).
+  /// Cumulative scan-efficiency counters over every Query/Count so far:
+  /// rows examined (rows whose key lies in a cover range — every row on
+  /// cover fallback — as the backends report it) vs. rows matched (rows
+  /// inside the rectangle). Callers snapshot before/after a query and record
+  /// the deltas (`storage.scan.*` histograms).
   uint64_t scan_rows_examined() const { return scan_rows_examined_; }
   uint64_t scan_rows_matched() const { return scan_rows_matched_; }
 
   /// Checks storage consistency: the backend's structural invariants (run
   /// order for sorted runs; bucket membership, cardinalities and word shape
-  /// for bitmaps), every row's key equal to its point's code under the
-  /// installed cut tree, the byte accounting matching the stored rows, and
-  /// the cut tree itself well-formed. Returns OK trivially when
+  /// for bitmaps), its key and point columns mirroring the stored rows,
+  /// every key equal to its point's code under the installed cut tree, the
+  /// byte accounting matching the stored rows, and the cut tree itself
+  /// well-formed. Returns OK trivially when
   /// MIND_VALIDATORS is off.
   Status ValidateInvariants() const;
 
@@ -163,13 +168,18 @@ class TupleStore {
  private:
   friend class TupleStoreTestPeek;  // corruption injection in validator tests
 
-  void InsertRow(StoredRow row);
-  // Invokes fn on every tuple inside rect.
+  size_t dims() const { return static_cast<size_t>(cuts_->schema().dims()); }
+  void InsertRow(uint64_t key, Tuple tuple);
+  // Invokes fn on the RowView of every stored row inside rect; the backend
+  // filters, so fn sees matches only.
   template <typename Fn>
   void Scan(const Rect& rect, Fn&& fn) const;
-  // Invokes fn on every stored row, layout order (digests, histograms).
+  // Invokes fn on the RowView of every stored row, layout order (digests,
+  // histograms, snapshots).
   template <typename Fn>
   void ForEachRow(Fn&& fn) const;
+  // Materializes a matched row.
+  Tuple ToTuple(const RowView& r) const;
 
   // mind-digest: skip(shared cut-tree handle; derived row keys are digested)
   CutTreeRef cuts_;

@@ -2,6 +2,10 @@
 
 #include <algorithm>
 #include <memory>
+#include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "sim/time.h"
 #include "space/cut_tree.h"
@@ -12,6 +16,7 @@
 #include "storage/version_manager.h"
 #include "telemetry/metrics.h"
 #include "util/rng.h"
+#include "util/snapio.h"
 
 namespace mind {
 namespace {
@@ -494,6 +499,209 @@ TEST(IndexBackendTest, AdaptiveHandsWorkloadStatsAcrossVersionFreeze) {
   EXPECT_TRUE(v.ValidateInvariants().ok());
 }
 
+// ------------------------------------------------- columnar scan property
+//
+// Both backends filter inside their point columns and the sorted runs merge
+// an unsorted delta tail into its sorted prefix; this sweep checks every
+// query against brute force over the inserted tuples. "Examined" has its own
+// reference: the rows whose key lies in the query's cover ranges (every row
+// on cover fallback), which is what the backend contract defines it as.
+
+Schema DimsSchema(int dims) {
+  std::vector<AttributeDef> attrs;
+  for (int d = 0; d < dims; ++d) {
+    std::string name = "a";
+    name += std::to_string(d);
+    attrs.push_back({name, 0, 999});
+  }
+  return Schema(attrs);
+}
+
+struct PropertyConfig {
+  int dims;
+  int code_len;
+  int cover_len;
+  bool compaction;
+  size_t max_cover_codes;
+};
+
+TupleStoreConfig PropertyStoreConfig(const PropertyConfig& pc,
+                                     IndexBackendKind kind) {
+  TupleStoreConfig cfg;
+  cfg.code_len = pc.code_len;
+  cfg.options.backend = kind;
+  cfg.options.compaction = pc.compaction;
+  cfg.options.compact_min_delta = 16;  // small runs: compactions do happen
+  cfg.options.cover_len = pc.cover_len;
+  cfg.options.max_cover_codes = pc.max_cover_codes;
+  return cfg;
+}
+
+std::vector<std::pair<int, uint64_t>> Ids(const std::vector<Tuple>& ts) {
+  std::vector<std::pair<int, uint64_t>> ids;
+  for (const Tuple& t : ts) ids.emplace_back(t.origin, t.seq);
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
+
+// Runs one randomized insert/query/compact sequence on both backends.
+void RunColumnarProperty(const PropertyConfig& pc, uint64_t seed) {
+  SCOPED_TRACE(::testing::Message()
+               << "dims=" << pc.dims << " code_len=" << pc.code_len
+               << " cover_len=" << pc.cover_len
+               << " compaction=" << pc.compaction
+               << " max_cover_codes=" << pc.max_cover_codes);
+  Rng rng(seed);
+  auto cuts = std::make_shared<CutTree>(CutTree::Even(DimsSchema(pc.dims)));
+  TupleStore sorted(cuts,
+                    PropertyStoreConfig(pc, IndexBackendKind::kSortedRuns));
+  TupleStore bitmap(cuts, PropertyStoreConfig(pc, IndexBackendKind::kBitmap));
+  std::vector<Tuple> all;
+  const int len = std::min(pc.cover_len, pc.code_len);
+
+  auto random_rect = [&]() {
+    std::vector<Interval> ivs;
+    for (int d = 0; d < pc.dims; ++d) {
+      const Value a = rng.Uniform(1000), b = rng.Uniform(1000);
+      ivs.push_back(rng.Bernoulli(0.3) ? Interval{0, 999}
+                                       : Interval{std::min(a, b),
+                                                  std::max(a, b)});
+    }
+    return Rect(ivs);
+  };
+  auto check = [&](const Rect& q) {
+    SCOPED_TRACE(q.ToString());
+    std::vector<Tuple> expect;
+    for (const Tuple& t : all) {
+      if (q.Contains(t.point)) expect.push_back(t);
+    }
+    const CoverRanges cover =
+        ComputeCoverRanges(*cuts, q, len, pc.max_cover_codes);
+    uint64_t expect_examined = 0;
+    for (const Tuple& t : all) {
+      const uint64_t key = CodeKey(cuts->CodeForPoint(t.point, pc.code_len));
+      expect_examined +=
+          cover.fallback ||
+          std::any_of(cover.ranges.begin(), cover.ranges.end(),
+                      [key](const KeyRange& kr) {
+                        return kr.lo <= key && key <= kr.hi;
+                      });
+    }
+    for (TupleStore* store : {&sorted, &bitmap}) {
+      SCOPED_TRACE(store->backend_name());
+      const uint64_t examined0 = store->scan_rows_examined();
+      const uint64_t matched0 = store->scan_rows_matched();
+      std::vector<Tuple> got = store->Query(q);
+      EXPECT_EQ(Ids(got), Ids(expect));
+      for (const Tuple& t : got) {
+        // The materialized tuple carries its own point and carried values.
+        const Tuple& src = all[t.seq];
+        EXPECT_EQ(t, src);
+      }
+      EXPECT_EQ(store->Count(q), expect.size());
+      EXPECT_EQ(store->scan_rows_examined() - examined0, 2 * expect_examined);
+      EXPECT_EQ(store->scan_rows_matched() - matched0, 2 * expect.size());
+    }
+  };
+
+  check(random_rect());  // empty store
+  Point last(static_cast<size_t>(pc.dims), 0);
+  for (uint64_t seq = 0; seq < 300; ++seq) {
+    Tuple t;
+    const double u = rng.UniformDouble();
+    if (u < 0.15 && !all.empty()) {
+      t.point = all[rng.Uniform(all.size())].point;  // an equal-key tie
+    } else if (u < 0.45) {
+      // Ascending runs keep the delta's sorted prefix growing.
+      for (Value& v : last) v = std::min<Value>(999, v + rng.Uniform(8));
+      t.point = last;
+    } else {
+      t.point.resize(static_cast<size_t>(pc.dims));
+      for (Value& v : t.point) v = rng.Uniform(1000);
+    }
+    t.extra.assign(rng.Uniform(3), seq * 7);
+    t.origin = static_cast<int>(rng.Uniform(4));
+    t.seq = seq;
+    sorted.Insert(t);
+    bitmap.Insert(t);
+    all.push_back(std::move(t));
+    if (rng.Bernoulli(0.2)) check(random_rect());
+    if (rng.Bernoulli(0.02)) {
+      sorted.Compact();
+      bitmap.Compact();
+      check(random_rect());  // a query right after Compact
+    }
+  }
+  check(Rect::FullSpace(cuts->schema()));
+  EXPECT_EQ(sorted.scan_rows_examined(), bitmap.scan_rows_examined());
+  EXPECT_EQ(sorted.scan_rows_matched(), bitmap.scan_rows_matched());
+  Fnv64 d_sorted, d_bitmap;
+  sorted.DigestInto(&d_sorted);
+  bitmap.DigestInto(&d_bitmap);
+  EXPECT_EQ(d_sorted.value(), d_bitmap.value());
+  EXPECT_EQ(Ids(sorted.AllTuples()), Ids(all));
+  EXPECT_TRUE(sorted.ValidateInvariants().ok());
+  EXPECT_TRUE(bitmap.ValidateInvariants().ok());
+}
+
+TEST(ColumnarScanPropertyTest, BothBackendsMatchBruteForce) {
+  uint64_t seed = 60;
+  for (int dims = 1; dims <= 6; ++dims) {
+    for (int variant = 0; variant < 8; ++variant) {
+      PropertyConfig pc;
+      pc.dims = dims;
+      // code_len 8 packs many points per key (ties across distinct points);
+      // cover_len 16 is finer than the bitmap's bucket grid (its straddle
+      // path); max_cover_codes 2 forces the full-scan fallback.
+      pc.code_len = (variant & 1) != 0 ? 8 : 24;
+      pc.cover_len = (variant & 2) != 0 ? 16 : 12;
+      pc.compaction = (variant & 4) == 0;
+      pc.max_cover_codes = variant == 3 || variant == 6 ? 2 : 4096;
+      RunColumnarProperty(pc, ++seed);
+    }
+  }
+}
+
+// A snapshot taken while the sorted delta still has an unsorted tail must
+// restore the same rows and answer the same queries.
+TEST(ColumnarScanPropertyTest, SnapshotRoundTripWithUnsortedDeltaTail) {
+  for (IndexBackendKind kind :
+       {IndexBackendKind::kSortedRuns, IndexBackendKind::kBitmap}) {
+    SCOPED_TRACE(IndexBackendKindName(kind));
+    Rng rng(71);
+    auto cuts = EvenCuts();
+    TupleStoreConfig cfg = BackendConfig(kind);
+    cfg.options.compaction = false;
+    TupleStore store(cuts, cfg);
+    for (int i = 0; i < 40; ++i) store.Insert(MakeTuple(i * 200, i * 200, 0, i));
+    (void)store.Count(Rect({{0, 9999}, {0, 9999}}));  // sorts the delta
+    // Descending inserts after the last scan: an unsorted tail.
+    for (int i = 40; i < 80; ++i) {
+      store.Insert(MakeTuple(9999 - rng.Uniform(5000), rng.Uniform(10000), 1, i));
+    }
+    std::stringstream buf;
+    SnapWriter w(&buf);
+    store.SaveSnapshotState(&w);
+    ASSERT_TRUE(w.status().ok());
+    TupleStore restored(cuts, cfg);
+    SnapReader r(&buf);
+    ASSERT_TRUE(restored.LoadSnapshotState(&r).ok());
+    EXPECT_EQ(restored.size(), store.size());
+    EXPECT_EQ(restored.approx_bytes(), store.approx_bytes());
+    Fnv64 d_store, d_restored;
+    store.DigestInto(&d_store);
+    restored.DigestInto(&d_restored);
+    EXPECT_EQ(d_store.value(), d_restored.value());
+    for (int iter = 0; iter < 20; ++iter) {
+      Value x1 = rng.Uniform(10000), x2 = rng.Uniform(10000);
+      Rect q({{std::min(x1, x2), std::max(x1, x2)}, {0, 9999}});
+      EXPECT_EQ(Ids(restored.Query(q)), Ids(store.Query(q))) << q.ToString();
+    }
+    EXPECT_EQ(restored.scan_rows_examined(), store.scan_rows_examined());
+    EXPECT_TRUE(restored.ValidateInvariants().ok());
+  }
+}
+
 // ---------------------------------------------------------------- Versions
 
 TEST(IndexVersionsTest, AddAndLookupByTime) {
@@ -608,6 +816,46 @@ TEST(ScanKernelTest, KeyColumnsAreCacheLineAligned) {
   keys.resize(100);
   EXPECT_EQ(reinterpret_cast<uintptr_t>(keys.data()) % scan::kCacheLineBytes,
             0u);
+}
+
+// The point filter against Interval::Contains on the values where the
+// unsigned-wrap form could go wrong: the domain ends, just outside each
+// bound, and full-domain intervals whose width is UINT64_MAX.
+TEST(ScanKernelTest, PointInBoxMatchesIntervalContains) {
+  const std::vector<Interval> ivs = {
+      {0, 0}, {0, UINT64_MAX}, {5, 9}, {UINT64_MAX, UINT64_MAX},
+      {1, UINT64_MAX - 1}};
+  const std::vector<Value> probes = {0, 1, 4, 5, 9, 10, UINT64_MAX - 1,
+                                     UINT64_MAX};
+  for (const Interval& a : ivs) {
+    for (const Interval& b : ivs) {
+      const scan::Box box = {a.lo, a.hi - a.lo, b.lo, b.hi - b.lo};
+      for (Value x : probes) {
+        for (Value y : probes) {
+          const Value p[2] = {x, y};
+          EXPECT_EQ(scan::PointInBox(p, box.data(), 2),
+                    a.Contains(x) && b.Contains(y))
+              << "[" << a.lo << "," << a.hi << "]x[" << b.lo << "," << b.hi
+              << "] at (" << x << "," << y << ")";
+        }
+      }
+    }
+  }
+}
+
+TEST(ScanKernelTest, FilterPointsEmitsMatchingIndicesInOrder) {
+  // Three-dimensional column; rows 1, 3 and 4 lie inside the box.
+  const scan::PointColumn points = {9, 0, 0,  2, 2, 2,  2, 9, 2,
+                                    1, 1, 1,  3, 3, 3,  0, 0, 0};
+  const scan::Box box = {1, 2, 0, 3, 1, 2};  // [1,3] x [0,3] x [1,3]
+  std::vector<size_t> hits;
+  scan::FilterPoints(points.data(), 3, 0, 6, box.data(),
+                     [&hits](size_t i) { hits.push_back(i); });
+  EXPECT_EQ(hits, (std::vector<size_t>{1, 3, 4}));
+  hits.clear();
+  scan::FilterPoints(points.data(), 3, 2, 4, box.data(),
+                     [&hits](size_t i) { hits.push_back(i); });
+  EXPECT_EQ(hits, (std::vector<size_t>{3}));
 }
 
 }  // namespace

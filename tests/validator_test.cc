@@ -7,6 +7,7 @@
 // which is exactly what proves the validator bodies compile out.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <utility>
@@ -52,11 +53,26 @@ class TupleStoreTestPeek {
   }
   static auto& base(TupleStore& s) { return sorted(s).base_; }
   static auto& delta(TupleStore& s) { return sorted(s).delta_; }
-  static bool& delta_sorted(TupleStore& s) { return sorted(s).delta_sorted_; }
-  static auto& base_keys(TupleStore& s) { return sorted(s).base_keys_; }
-  static auto& delta_keys(TupleStore& s) { return sorted(s).delta_keys_; }
+  static size_t& delta_sorted_len(TupleStore& s) {
+    return sorted(s).delta_sorted_len_;
+  }
+  static auto& delta_keys(TupleStore& s) { return sorted(s).delta_.keys; }
+  static auto& delta_points(TupleStore& s) { return sorted(s).delta_.points; }
+  static auto& delta_ids(TupleStore& s) { return sorted(s).delta_.ids; }
+  // Swaps entries i and j of a sorted run in all three columns at once, so
+  // the run stays internally consistent and only its order is wrong.
+  template <typename Run>
+  static void SwapEntries(TupleStore& s, Run& run, size_t i, size_t j) {
+    const size_t dims = sorted(s).dims_;
+    std::swap(run.keys[i], run.keys[j]);
+    std::swap(run.ids[i], run.ids[j]);
+    std::swap_ranges(run.points.begin() + i * dims,
+                     run.points.begin() + (i + 1) * dims,
+                     run.points.begin() + j * dims);
+  }
   static uint64_t& approx_bytes(TupleStore& s) { return s.approx_bytes_; }
-  static auto& rows(BitmapIndexBackend& b) { return b.rows_; }
+  static auto& keys(BitmapIndexBackend& b) { return b.keys_; }
+  static auto& points(BitmapIndexBackend& b) { return b.points_; }
   static auto& fine(BitmapIndexBackend& b) { return b.fine_; }
   static auto& summary(BitmapIndexBackend& b) { return b.summary_; }
   static auto& dir_ids(BucketDirectory& d) { return d.ids_; }
@@ -211,7 +227,9 @@ TEST(TupleStoreValidatorTest, CleanStorePasses) {
 TEST(TupleStoreValidatorTest, DetectsKeyPointMismatch) {
   TupleStore store(std::make_shared<CutTree>(CutTree::Even(TwoDimSchema())), 24);
   store.Insert(TwoDimTuple(100, 200, 1));  // fresh inserts land in the delta
-  TupleStoreTestPeek::delta(store)[0].key ^= uint64_t{1} << 63;
+  // Move the point across the root cut: the filter would now test a point
+  // the key no longer describes.
+  TupleStoreTestPeek::delta_points(store)[0] = 9000;
   ExpectViolation(store.ValidateInvariants(), "under the installed cut tree");
 }
 
@@ -224,11 +242,11 @@ TEST(TupleStoreValidatorTest, DetectsBaseRunOutOfOrder) {
   store.Compact();
   auto& base = TupleStoreTestPeek::base(store);
   ASSERT_GE(base.size(), 2u);
-  // Find two adjacent rows with distinct keys; swapping them must trip the
-  // unconditional base-run order check.
+  // Find two adjacent entries with distinct keys; swapping them must trip
+  // the unconditional base-run order check.
   for (size_t i = 1; i < base.size(); ++i) {
-    if (base[i - 1].key != base[i].key) {
-      std::swap(base[i - 1], base[i]);
+    if (base.keys[i - 1] != base.keys[i]) {
+      TupleStoreTestPeek::SwapEntries(store, base, i - 1, i);
       ExpectViolation(store.ValidateInvariants(), "base run claims sorted");
       return;
     }
@@ -242,9 +260,11 @@ TEST(TupleStoreValidatorTest, DetectsDeltaFalselyClaimingSorted) {
   store.Insert(TwoDimTuple(9000, 9100, 2));
   auto& delta = TupleStoreTestPeek::delta(store);
   ASSERT_EQ(delta.size(), 2u);
-  ASSERT_NE(delta[0].key, delta[1].key);
-  if (delta[0].key < delta[1].key) std::swap(delta[0], delta[1]);
-  TupleStoreTestPeek::delta_sorted(store) = true;  // the lie under test
+  ASSERT_NE(delta.keys[0], delta.keys[1]);
+  if (delta.keys[0] < delta.keys[1]) {
+    TupleStoreTestPeek::SwapEntries(store, delta, 0, 1);
+  }
+  TupleStoreTestPeek::delta_sorted_len(store) = 2;  // the lie under test
   ExpectViolation(store.ValidateInvariants(), "delta run claims sorted");
 }
 
@@ -258,8 +278,8 @@ TEST(TupleStoreValidatorTest, DetectsByteAccountingDrift) {
 TEST(TupleStoreValidatorTest, DetectsKeyColumnDrift) {
   TupleStore store(std::make_shared<CutTree>(CutTree::Even(TwoDimSchema())), 24);
   store.Insert(TwoDimTuple(100, 200, 1));
-  // Probes search the derived key column while emits read the rows; a column
-  // out of sync with its run returns wrong rows silently.
+  // Probes search the key column while the filter reads the point column; a
+  // key out of sync with its point returns wrong rows silently.
   TupleStoreTestPeek::delta_keys(store)[0] ^= uint64_t{1} << 62;
   ExpectViolation(store.ValidateInvariants(), "key column entry");
 }
@@ -270,6 +290,34 @@ TEST(TupleStoreValidatorTest, DetectsKeyColumnLengthDrift) {
   store.Insert(TwoDimTuple(300, 400, 2));
   TupleStoreTestPeek::delta_keys(store).pop_back();
   ExpectViolation(store.ValidateInvariants(), "key column holds");
+}
+
+TEST(TupleStoreValidatorTest, DetectsPointColumnLengthDrift) {
+  TupleStore store(std::make_shared<CutTree>(CutTree::Even(TwoDimSchema())), 24);
+  store.Insert(TwoDimTuple(100, 200, 1));
+  store.Insert(TwoDimTuple(300, 400, 2));
+  // One coordinate short: every later point would be read at the wrong
+  // stride.
+  TupleStoreTestPeek::delta_points(store).pop_back();
+  ExpectViolation(store.ValidateInvariants(), "point column holds");
+}
+
+TEST(TupleStoreValidatorTest, DetectsRowIdDrift) {
+  TupleStore store(std::make_shared<CutTree>(CutTree::Even(TwoDimSchema())), 24);
+  store.Insert(TwoDimTuple(100, 200, 1));
+  store.Insert(TwoDimTuple(300, 400, 2));
+  // Two entries naming one row: a match would return the wrong carried
+  // values, and the other row could never be returned.
+  auto& ids = TupleStoreTestPeek::delta_ids(store);
+  ids[1] = ids[0];
+  ExpectViolation(store.ValidateInvariants(), "already indexed");
+}
+
+TEST(TupleStoreValidatorTest, DetectsSortedPrefixOverrun) {
+  TupleStore store(std::make_shared<CutTree>(CutTree::Even(TwoDimSchema())), 24);
+  store.Insert(TwoDimTuple(100, 200, 1));
+  TupleStoreTestPeek::delta_sorted_len(store) = 2;  // one past the delta's end
+  ExpectViolation(store.ValidateInvariants(), "sorted prefix");
 }
 
 // -------------------------------------------------------- bitmap backend
@@ -301,9 +349,32 @@ TEST(BitmapBackendValidatorTest, DetectsKeyPointMismatch) {
   TupleStore store(std::make_shared<CutTree>(CutTree::Even(TwoDimSchema())),
                    BitmapConfig());
   FillStore(store, 4);
-  auto& rows = TupleStoreTestPeek::rows(TupleStoreTestPeek::bitmap(store));
-  rows[2].key ^= uint64_t{1} << 40;
+  auto& keys = TupleStoreTestPeek::keys(TupleStoreTestPeek::bitmap(store));
+  keys[2] ^= uint64_t{1} << 40;
   ExpectViolation(store.ValidateInvariants(), "under the installed cut tree");
+}
+
+TEST(BitmapBackendValidatorTest, DetectsPointColumnDrift) {
+  TupleStore store(std::make_shared<CutTree>(CutTree::Even(TwoDimSchema())),
+                   BitmapConfig());
+  FillStore(store, 4);
+  auto& points = TupleStoreTestPeek::points(TupleStoreTestPeek::bitmap(store));
+  ASSERT_EQ(points.size(), 8u);
+  // Row 2's x is 398; move it across the root cut.
+  points[2 * 2] = 9000;
+  ExpectViolation(store.ValidateInvariants(), "under the installed cut tree");
+}
+
+TEST(BitmapBackendValidatorTest, DetectsColumnLengthDrift) {
+  TupleStore store(std::make_shared<CutTree>(CutTree::Even(TwoDimSchema())),
+                   BitmapConfig());
+  FillStore(store, 4);
+  auto& bm = TupleStoreTestPeek::bitmap(store);
+  TupleStoreTestPeek::points(bm).pop_back();
+  ExpectViolation(store.ValidateInvariants(), "point column holds");
+  TupleStoreTestPeek::points(bm).push_back(0);
+  TupleStoreTestPeek::keys(bm).pop_back();
+  ExpectViolation(store.ValidateInvariants(), "key column holds");
 }
 
 // 70 rows at one point share one fine bucket; their ids 0..69 cross the
