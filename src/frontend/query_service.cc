@@ -163,7 +163,8 @@ void QueryService::Dispatch(uint64_t ticket) {
         tm_.deadline_cancels->Inc();
         const NodeId h = clients_[pit->second.client].home;
         // Reclaims the core-side trackers now; the core callback fires
-        // inline with complete=false and lands in OnCoreResult.
+        // with complete=false at the end of this instant (MindNode::Query)
+        // and lands in OnCoreResult.
         (void)net_->node(h).CancelQuery(pit->second.core_query_id);
       });
 }

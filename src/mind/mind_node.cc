@@ -791,7 +791,11 @@ void MindNode::FinalizeQuery(uint64_t query_id, bool complete) {
   result.nodes_visited = pq.visited.size();
   QueryCallback cb = std::move(pq.callback);
   queries_.erase(it);
-  if (cb) cb(result);
+  if (cb) {
+    sim_->Deliver(query_id, [cb = std::move(cb), result = std::move(result)] {
+      cb(result);
+    });
+  }
 }
 
 // --------------------------------------------------------------- histograms
@@ -891,11 +895,12 @@ void MindNode::Crash() {
   // them (complete=false) rather than just dropping the map: the Query()
   // contract is that the callback fires exactly once, and a front-end holding
   // per-query state on top of us would otherwise leak it until ITS timeout.
-  // Sorted ids — finalization runs callbacks, an ordered-emit hazard.
+  // Sorted ids — finalization records telemetry and, for a crash issued
+  // between runs, runs callbacks inline: an ordered-emit hazard.
   for (uint64_t qid : SortedKeys(queries_)) {
     FinalizeQuery(qid, /*complete=*/false);
   }
-  queries_.clear();  // anything a finalization callback re-submitted mid-crash
+  queries_.clear();  // anything an inline callback re-submitted mid-crash
   // Volatile state is lost. Cached covers pin their cut trees, so dropping
   // the stores here would otherwise keep those trees alive via the cache.
   indices_.clear();

@@ -124,6 +124,17 @@ class MindNode {
 
   /// Issues a multi-dimensional range query. Returns the query id; the
   /// callback fires exactly once (completion, timeout or cancellation).
+  ///
+  /// The callback always runs in serial context (DESIGN.md §9): under the
+  /// parallel engine on the orchestrating thread at the barrier of the
+  /// window the query finalized in, never on a shard worker; under the
+  /// sequential engine at the end of the instant it finalized at. Results
+  /// that finalize at one sim instant are delivered in query-id order, so
+  /// the delivered stream — order, latencies, tuples — is identical under
+  /// every engine, thread count and shard count. A cancellation or crash
+  /// issued between runs delivers before returning. Under the parallel
+  /// engine a callback may only record: scheduling or cancelling work from
+  /// it fails a MIND_CHECK.
   Result<uint64_t> Query(const std::string& index, const Rect& rect,
                          QueryCallback callback);
 

@@ -131,6 +131,7 @@ bool EventQueue::PeekTime(SimTime* t) {
 }
 
 size_t EventQueue::Run(size_t limit) {
+  const bool was_running = std::exchange(running_, true);
   size_t fired = 0;
   while (fired < limit) {
     uint32_t slot = PopNextSlot();
@@ -146,11 +147,13 @@ size_t EventQueue::Run(size_t limit) {
     MaybeValidate();
     ++fired;
   }
+  running_ = was_running;
   if (run_counter_ != nullptr) run_counter_->Inc(fired);
   return fired;
 }
 
 size_t EventQueue::RunUntil(SimTime t) {
+  const bool was_running = std::exchange(running_, true);
   size_t fired = 0;
   SimTime next;
   while (PeekTime(&next) && next <= t) {
@@ -165,12 +168,14 @@ size_t EventQueue::RunUntil(SimTime t) {
     MaybeValidate();
     ++fired;
   }
+  running_ = was_running;
   if (t > now_) now_ = t;
   if (run_counter_ != nullptr) run_counter_->Inc(fired);
   return fired;
 }
 
 size_t EventQueue::RunUntilBefore(SimTime t) {
+  const bool was_running = std::exchange(running_, true);
   size_t fired = 0;
   SimTime next;
   while (PeekTime(&next) && next < t) {
@@ -185,6 +190,7 @@ size_t EventQueue::RunUntilBefore(SimTime t) {
     MaybeValidate();
     ++fired;
   }
+  running_ = was_running;
   // The clock is left at the last fired event; the engine advances every
   // shard to a common barrier time afterwards (AdvanceTo), so a window that
   // overshoots the run target never drags the clock past it.
@@ -200,7 +206,9 @@ bool EventQueue::Step() {
   slots_[slot].live = false;
   --live_count_;
   Release(slot);
+  const bool was_running = std::exchange(running_, true);
   fn();
+  running_ = was_running;
   MaybeValidate();
   if (run_counter_ != nullptr) run_counter_->Inc();
   return true;

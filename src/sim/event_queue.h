@@ -46,11 +46,14 @@ class EventQueue {
 
   /// Ordering bands within one timestamp (ScheduleAtKeyed): a host's local
   /// timers, then message deliveries, then send-failure notifications, then
-  /// local work that must observe every same-instant network event.
+  /// local work that must observe every same-instant network event, then
+  /// the hand-over of the instant's query results to client code
+  /// (Simulator::Deliver).
   static constexpr uint8_t kBandLocal = 0;
   static constexpr uint8_t kBandDelivery = 1;
   static constexpr uint8_t kBandNotify = 2;
   static constexpr uint8_t kBandSettle = 3;
+  static constexpr uint8_t kBandResults = 4;
 
   /// Schedules `fn` to run at absolute virtual time `t` (>= now).
   EventId ScheduleAt(SimTime t, EventFn fn) {
@@ -104,6 +107,14 @@ class EventQueue {
 
   bool empty() const { return live_count_ == 0; }
   size_t pending() const { return live_count_; }
+
+  /// Events scheduled over the queue's lifetime (cancelled ones included).
+  uint64_t scheduled_count() const { return next_seq_; }
+
+  /// True while Run, RunUntil, RunUntilBefore or Step is firing events:
+  /// code reached from an event handler sees true, code calling in between
+  /// runs sees false.
+  bool running() const { return running_; }
 
   /// Introspection for the memory-regression tests: physical sizes of the
   /// slot array and the heap (live + not-yet-reclaimed dead entries).
@@ -202,6 +213,8 @@ class EventQueue {
   }
 
   SimTime now_ = 0;
+  // mind-digest: skip(run-loop reentrancy flag; false whenever state is digested)
+  bool running_ = false;
   // mind-digest: skip(tie-break allocator; its order is visible via heap_/slots_)
   uint64_t next_seq_ = 0;
   size_t live_count_ = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>  // mind-lint: allow(wall-clock): barrier-wait diagnostics only, never fed back into simulation state
+#include <iterator>
 
 #include "sim/network.h"
 #include "telemetry/metrics.h"
@@ -49,6 +50,15 @@ inline void BumpLog2(std::array<uint64_t, N>& hist, uint64_t v) {
 }
 }  // namespace
 
+void RunDeliveries(std::vector<Delivery>* batch) {
+  std::sort(batch->begin(), batch->end(),
+            [](const Delivery& a, const Delivery& b) {
+              return a.t != b.t ? a.t < b.t : a.key < b.key;
+            });
+  for (Delivery& d : *batch) d.fn();
+  batch->clear();
+}
+
 int ParallelEngine::current_shard() { return tls_shard; }
 
 int ParallelEngine::DefaultShardCount() {
@@ -88,6 +98,43 @@ void ParallelEngine::ScheduleKeyed(NodeId owner, SimTime t, uint8_t band,
   } else {
     queues_[dst]->ScheduleAtKeyed(t, band, ukey, std::move(fn));
   }
+}
+
+void ParallelEngine::Defer(uint64_t key, std::function<void()> fn) {
+  MIND_CHECK_GE(tls_shard, 0) << "Defer outside a shard worker";
+  lanes_[tls_shard].deliveries.push_back(
+      Delivery{queues_[tls_shard]->now(), key, std::move(fn)});
+}
+
+void ParallelEngine::DrainDeliveries(SimTime bound) {
+  for (ShardLane& lane : lanes_) {
+    for (Delivery& d : lane.deliveries) held_.push_back(std::move(d));
+    lane.deliveries.clear();
+  }
+  auto ready_end = std::partition(
+      held_.begin(), held_.end(),
+      [bound](const Delivery& d) { return d.t < bound; });
+  if (ready_end == held_.begin()) return;
+  ready_.assign(std::make_move_iterator(held_.begin()),
+                std::make_move_iterator(ready_end));
+  held_.erase(held_.begin(), ready_end);
+  // Queue footprint: events ever scheduled, events pending. A delivery that
+  // schedules or cancels anything moves one of the two sums.
+  auto footprint = [this] {
+    std::array<uint64_t, 2> f{control_->scheduled_count(), control_->pending()};
+    for (const auto& q : queues_) {
+      f[0] += q->scheduled_count();
+      f[1] += q->pending();
+    }
+    return f;
+  };
+  const std::array<uint64_t, 2> before = footprint();
+  RunDeliveries(&ready_);
+  MIND_CHECK(footprint() == before)
+      << "a query callback scheduled or cancelled simulation work under the "
+         "parallel engine; callbacks run at the window barrier, after the "
+         "shard clocks have moved on, so under this engine they may only "
+         "record (DESIGN.md section 9)";
 }
 
 SimTime ParallelEngine::lookahead() {
@@ -285,6 +332,12 @@ size_t ParallelEngine::RunWindows(SimTime target, bool bounded, size_t limit) {
         any = true;
       }
     }
+    // With per-shard horizons, one window's completions are not all
+    // earlier than the next window's. A delivery is final once it lies
+    // below every shard's next event: nothing can still complete before it
+    // (or tie with it). A run that stops on an exhausted queue or on its
+    // RunUntil target therefore delivers everything it completed.
+    DrainDeliveries(any ? t_min : UINT64_MAX);
     if (!any || (bounded && t_min > target)) break;
 
     // Adaptive horizon cap: the window never reaches past

@@ -63,6 +63,17 @@ namespace mind {
 
 class Network;
 
+/// A result handed over to client code (a query callback), ordered by
+/// (sim time of the completion, key) — DESIGN.md §9.
+struct Delivery {
+  SimTime t = 0;
+  uint64_t key = 0;
+  std::function<void()> fn;
+};
+
+/// Runs every delivery of `batch` in (t, key) order, then empties it.
+void RunDeliveries(std::vector<Delivery>* batch);
+
 /// Aggregate engine statistics, all derived from simulation-deterministic
 /// quantities except the barrier-wait timings (wall-clock, diagnostic only).
 struct EngineStats {
@@ -136,8 +147,20 @@ class ParallelEngine {
   void ScheduleKeyed(NodeId owner, SimTime t, uint8_t band, uint64_t ukey,
                      EventFn fn);
 
+  /// Defers `fn`, a result delivery made by the calling shard worker, to
+  /// the orchestrator. At each window barrier the orchestrator runs, in
+  /// serial context and in (completion time, key) order, every held
+  /// delivery that lies before every shard's next event — so the order is
+  /// global and independent of which executor ran which shard. Shard
+  /// clocks already stand at the window end then, so a delivery may only
+  /// record: one that schedules or cancels an event fails a MIND_CHECK.
+  /// Requires a shard worker context.
+  void Defer(uint64_t key, std::function<void()> fn);
+
   /// Windowed equivalents of EventQueue::Run / RunUntil across all shards.
-  /// Run's `limit` is enforced at window granularity.
+  /// Run's `limit` is enforced at window granularity. When the queues run
+  /// dry or the RunUntil target is reached, every completed delivery has
+  /// run; a Run that stops on its limit may hold some for the next run.
   size_t Run(size_t limit);
   size_t RunUntil(SimTime t);
 
@@ -176,12 +199,13 @@ class ParallelEngine {
     EventFn fn;
   };
 
-  /// Per-shard per-window state, cache-line-padded: `outbox` and `fired` are
-  /// written by whichever executor claims the shard, `wend` is read-only
-  /// during the phase. Padding keeps two executors finishing adjacent shards
-  /// from bouncing one line.
+  /// Per-shard per-window state, cache-line-padded: `outbox`, `deliveries`
+  /// and `fired` are written by whichever executor claims the shard, `wend`
+  /// is read-only during the phase. Padding keeps two executors finishing
+  /// adjacent shards from bouncing one line.
   struct alignas(64) ShardLane {
     std::vector<Pending> outbox;  // cross-shard sends, drained at the barrier
+    std::vector<Delivery> deliveries;  // result deliveries, run at the barrier
     uint64_t fired = 0;           // events executed this window
     SimTime wend = 0;             // this shard's window end (exclusive)
     SimTime next_time = 0;        // earliest pending event (serial scratch)
@@ -196,6 +220,9 @@ class ParallelEngine {
   // helper thread.
   void RunShardsInWindow();
   void RunOneShard(int s);
+  // Collects every shard's new deliveries and runs, in serial context and
+  // (t, key) order, the held ones with t < bound (Defer).
+  void DrainDeliveries(SimTime bound);
   void EnsureWorkers();
   void WorkerLoop();
   // Releases helpers for one window and waits for them to finish, recording
@@ -210,6 +237,8 @@ class ParallelEngine {
   int threads_;
   std::vector<std::unique_ptr<EventQueue>> queues_;
   std::vector<ShardLane> lanes_;  // indexed by shard
+  std::vector<Delivery> held_;    // deferred deliveries not yet final
+  std::vector<Delivery> ready_;   // DrainDeliveries scratch, reused
   // Minimum host-to-host latency from shard r to shard s at r*S+s;
   // UINT64_MAX where no host pair exists. Recomputed with lookahead_.
   std::vector<SimTime> latency_matrix_;

@@ -35,6 +35,26 @@ Simulator::Simulator(SimulatorOptions options)
 
 Simulator::~Simulator() { ClearLogClock(this); }
 
+void Simulator::Deliver(uint64_t key, std::function<void()> fn) {
+  if (engine_ != nullptr && ParallelEngine::current_shard() >= 0) {
+    engine_->Defer(key, std::move(fn));
+    return;
+  }
+  if (engine_ != nullptr || !events_.running()) {
+    fn();
+    return;
+  }
+  if (deliveries_.empty()) {
+    events_.ScheduleAtKeyed(events_.now(), EventQueue::kBandResults, 0,
+                            [this] {
+                              std::vector<Delivery> batch;
+                              batch.swap(deliveries_);
+                              RunDeliveries(&batch);
+                            });
+  }
+  deliveries_.push_back(Delivery{events_.now(), key, std::move(fn)});
+}
+
 size_t Simulator::pending_events() const {
   size_t n = events_.pending();
   if (engine_ != nullptr) {

@@ -4,6 +4,7 @@
 #define MIND_SIM_SIMULATOR_H_
 
 #include <memory>
+#include <vector>
 
 #include "sim/event_queue.h"
 #include "sim/failure_injector.h"
@@ -91,6 +92,15 @@ class Simulator {
     return queue_for(owner)->ScheduleAt(at, std::move(fn));
   }
 
+  /// Hands a result to client code (DESIGN.md §9): `fn` runs in serial
+  /// context, and the deliveries of one instant run in `key` order under
+  /// both engines. The parallel engine defers a shard worker's deliveries
+  /// to the window barrier (ParallelEngine::Defer); the sequential engine
+  /// defers those made inside a run to one kBandResults event at the end of
+  /// the current instant. A call made in between runs gets `fn` run at
+  /// once.
+  void Deliver(uint64_t key, std::function<void()> fn);
+
   /// Mixes the engine-independent (time, band, ukey) triples of every
   /// pending event — across all shard queues, sorted — into `out`.
   void DigestEventsKeyed(Fnv64* out) const;
@@ -107,6 +117,9 @@ class Simulator {
   std::unique_ptr<Network> network_;
   std::unique_ptr<FailureInjector> failures_;
   std::unique_ptr<ParallelEngine> engine_;
+  // Sequential engine: the current instant's deliveries, awaiting the
+  // kBandResults event that runs them.
+  std::vector<Delivery> deliveries_;
 };
 
 }  // namespace mind

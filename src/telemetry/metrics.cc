@@ -132,6 +132,7 @@ void SimHistogram::Reset() {
 }
 
 Counter& MetricsRegistry::counter(const std::string& name) {
+  std::lock_guard<std::mutex> lock(lookup_mu_);
   auto it = counters_.find(name);
   if (it == counters_.end()) {
     it = counters_.emplace(name, std::unique_ptr<Counter>(new Counter(&enabled_)))
@@ -142,6 +143,7 @@ Counter& MetricsRegistry::counter(const std::string& name) {
 }
 
 Gauge& MetricsRegistry::gauge(const std::string& name) {
+  std::lock_guard<std::mutex> lock(lookup_mu_);
   auto it = gauges_.find(name);
   if (it == gauges_.end()) {
     it = gauges_.emplace(name, std::unique_ptr<Gauge>(new Gauge(&enabled_)))
@@ -152,6 +154,7 @@ Gauge& MetricsRegistry::gauge(const std::string& name) {
 
 SimHistogram& MetricsRegistry::histogram(const std::string& name,
                                          HistogramOptions opts) {
+  std::lock_guard<std::mutex> lock(lookup_mu_);
   auto it = histograms_.find(name);
   if (it == histograms_.end()) {
     it = histograms_

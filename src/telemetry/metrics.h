@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -169,6 +170,11 @@ class SimHistogram {
 /// Owner of all named instruments of one run (usually one per Simulator;
 /// benches may also hold a standalone registry for run-level aggregates).
 /// Instrument references stay valid for the registry's lifetime.
+///
+/// counter(), gauge() and histogram() may be called from concurrent shard
+/// workers: a store opened lazily, or a query tracker created, inside a
+/// parallel window looks its instruments up there, and the first lookup of
+/// a name inserts it. The rest of the interface is serial-context only.
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
@@ -216,6 +222,7 @@ class MetricsRegistry {
   bool enabled_ = true;
 #endif
   int shard_slots_ = 0;  // 0 = unsharded
+  std::mutex lookup_mu_;  // guards the maps against concurrent lookups
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<SimHistogram>> histograms_;

@@ -6,10 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <memory>
 #include <set>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -496,6 +498,186 @@ TEST(ParallelEngineTest, AdaptiveLookaheadIsDeterministic) {
     EXPECT_EQ(par.max_multiplier, base.max_multiplier)
         << "threads=" << threads;
   }
+}
+
+// ------------------------------------------------ result delivery order
+
+// One delivered QueryResult as the client saw it, plus the shard context
+// its callback ran in.
+struct Delivered {
+  uint64_t query_id = 0;
+  bool complete = false;
+  SimTime latency = 0;
+  size_t tuples = 0;
+  int shard = 0;  // ParallelEngine::current_shard() inside the callback
+
+  bool operator==(const Delivered& o) const {
+    return query_id == o.query_id && complete == o.complete &&
+           latency == o.latency && tuples == o.tuples && shard == o.shard;
+  }
+};
+
+void PrintTo(const Delivered& d, std::ostream* os) {
+  *os << "{query " << d.query_id << ", complete " << d.complete
+      << ", latency " << d.latency << " us, " << d.tuples << " tuples, shard "
+      << d.shard << "}";
+}
+
+// Originators of the two queries. With the shard count pinned to 8 they sit
+// on shards 2 and 7, and their completions share a parallel window.
+constexpr size_t kOriginators[2] = {2, 7};
+constexpr size_t kDeliveryFleet = 12;
+
+// Twelve nodes (8 shards under the parallel engine) holding 60 tuples.
+// `spread` places them around the globe, so link latencies — and with them
+// the per-shard window horizons — differ widely.
+std::unique_ptr<MindNet> DeliveryNet(int threads, SimTime query_timeout,
+                                     bool spread = false) {
+  MindNetOptions opts;
+  opts.sim.seed = 0x5aa5;
+  opts.sim.threads = threads;
+  opts.sim.shards = threads > 0 ? 8 : 0;
+  opts.mind.query_timeout = query_timeout;
+  for (size_t i = 0; spread && i < kDeliveryFleet; ++i) {
+    const double k = static_cast<double>(i);
+    opts.positions.push_back(GeoPoint{-50.0 + 9.0 * k, -170.0 + 31.0 * k});
+  }
+  auto net = std::make_unique<MindNet>(kDeliveryFleet, opts);
+  EXPECT_TRUE(net->Build().ok());
+  IndexDef def = ParallelIndexDef();
+  EXPECT_TRUE(net->CreateIndexEverywhere(
+                     def, std::make_shared<CutTree>(CutTree::Even(def.schema)),
+                     1, 0)
+                  .ok());
+  Rng rng(7);
+  for (uint64_t i = 0; i < 60; ++i) {
+    Tuple t = ParallelTuple(&rng, kDeliveryFleet, i);
+    size_t src = rng.Uniform(kDeliveryFleet);
+    EXPECT_TRUE(net->node(src).Insert("par_idx", std::move(t)).ok());
+    net->sim().RunFor(FromMillis(40));
+  }
+  net->sim().RunFor(FromSeconds(30));
+  return net;
+}
+
+// Records a result into `out`, after stalling `stall_ms` of wall clock.
+MindNode::QueryCallback Recorder(std::vector<Delivered>* out, int stall_ms) {
+  return [out, stall_ms](const QueryResult& r) {
+    if (stall_ms > 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(stall_ms));
+    }
+    out->push_back(Delivered{r.query_id, r.complete, r.latency,
+                             r.tuples.size(), ParallelEngine::current_shard()});
+  };
+}
+
+// The two originators query at one instant, node 7 first. Returns the
+// callback stream in delivery order. The callback of query `slow` (0 or 1;
+// -1 for none) stalls for 20 ms of wall clock before it records — under a
+// delivery that ran callbacks on the shard executors, that stall lets the
+// other shard's result overtake it. `query_timeout` short enough makes both
+// queries time out at one instant: the cross-originator tie.
+std::vector<Delivered> RunTwoQueries(int threads, int slow,
+                                     SimTime query_timeout) {
+  std::unique_ptr<MindNet> net = DeliveryNet(threads, query_timeout);
+  const Rect rects[2] = {Rect({{0, 4999}, {0, UINT64_MAX}, {0, 9999}}),
+                         Rect({{0, 9999}, {1010, 1050}, {2000, 8000}})};
+  std::vector<Delivered> out;
+  for (int q : {1, 0}) {
+    MindNode::QueryCallback record = Recorder(&out, q == slow ? 20 : 0);
+    EXPECT_TRUE(
+        net->node(kOriginators[q]).Query("par_idx", rects[q], record).ok());
+  }
+  net->sim().RunFor(FromSeconds(60));
+  EXPECT_EQ(out.size(), 2u);
+  return out;
+}
+
+// Every node of the spread fleet queries at one instant. Per-shard horizons
+// let one shard run ahead of another within a window, so completions of
+// consecutive windows interleave in sim time: delivery must follow
+// completion time globally, not window by window.
+std::vector<Delivered> RunQueryVolley(int threads) {
+  std::unique_ptr<MindNet> net =
+      DeliveryNet(threads, FromSeconds(45), /*spread=*/true);
+  Rng rng(21);
+  std::vector<Delivered> out;
+  for (size_t n = 0; n < kDeliveryFleet; ++n) {
+    Value x = rng.Uniform(10000);
+    Value y = rng.Uniform(10000);
+    Rect rect({{0, x}, {0, UINT64_MAX}, {y / 2, y}});
+    EXPECT_TRUE(net->node(n).Query("par_idx", rect, Recorder(&out, 0)).ok());
+  }
+  net->sim().RunFor(FromSeconds(60));
+  EXPECT_EQ(out.size(), kDeliveryFleet);
+  return out;
+}
+
+// Callbacks run in serial context, in (completion time, query id) order,
+// under every engine: a wall-clock stall in the earlier completion's
+// callback cannot let the other shard's result overtake it.
+TEST(ParallelEngineTest, QueryResultsDeliveredInSequentialOrder) {
+  std::vector<Delivered> serial = RunTwoQueries(0, -1, FromSeconds(45));
+  ASSERT_EQ(serial.size(), 2u);
+  EXPECT_TRUE(serial[0].complete);
+  EXPECT_TRUE(serial[1].complete);
+  EXPECT_LT(serial[0].latency, serial[1].latency)
+      << "the two queries must complete at different instants";
+  // Stall whichever query completes first.
+  const int slow = serial[0].query_id >> 32 == kOriginators[0] ? 0 : 1;
+  for (int threads : {2, 4}) {
+    EXPECT_EQ(RunTwoQueries(threads, slow, FromSeconds(45)), serial)
+        << "threads=" << threads;
+  }
+}
+
+TEST(ParallelEngineTest, QueryVolleyDeliveredInCompletionOrder) {
+  std::vector<Delivered> serial = RunQueryVolley(0);
+  ASSERT_EQ(serial.size(), kDeliveryFleet);
+  for (size_t i = 1; i < serial.size(); ++i) {
+    EXPECT_LE(serial[i - 1].latency, serial[i].latency) << "delivery " << i;
+  }
+  for (int threads : {1, 2, 4}) {
+    EXPECT_EQ(RunQueryVolley(threads), serial) << "threads=" << threads;
+  }
+}
+
+// Two queries issued at one instant from different originators both time
+// out at one instant. The tie is delivered in query-id order under both
+// engines, not in the order the timeouts were scheduled (node 7 first).
+TEST(ParallelEngineTest, SameInstantTimeoutsDeliveredInQueryIdOrder) {
+  std::vector<Delivered> serial = RunTwoQueries(0, -1, FromMillis(1));
+  ASSERT_EQ(serial.size(), 2u);
+  EXPECT_FALSE(serial[0].complete);
+  EXPECT_FALSE(serial[1].complete);
+  EXPECT_EQ(serial[0].latency, serial[1].latency);
+  EXPECT_EQ(serial[0].query_id >> 32, kOriginators[0]);
+  EXPECT_EQ(serial[1].query_id >> 32, kOriginators[1]);
+  // Stall node 2's callback, the one query-id order puts first.
+  for (int threads : {2, 4}) {
+    EXPECT_EQ(RunTwoQueries(threads, 0, FromMillis(1)), serial)
+        << "threads=" << threads;
+  }
+}
+
+// At the barrier the shard clocks stand at the window end, so work a
+// delivery starts would be stamped later than under the sequential engine:
+// the engine refuses it instead.
+TEST(ParallelEngineDeathTest, DeliveryThatSchedulesWorkAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  auto run = [] {
+    SimulatorOptions opts;
+    opts.threads = 2;
+    Simulator sim(opts);
+    TestHost a, b;
+    sim.network().AddHost(&a);
+    sim.network().AddHost(&b);
+    sim.ScheduleOn(0, 100, [&sim] {
+      sim.Deliver(1, [&sim] { sim.ScheduleOn(1, sim.now() + 1, [] {}); });
+    });
+    sim.Run();
+  };
+  EXPECT_DEATH(run(), "under this engine they may only record");
 }
 
 TEST(ParallelEngineTest, ValidatorsRunAtBarriers) {

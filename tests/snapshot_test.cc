@@ -8,6 +8,7 @@
 // and truncated streams, each with a precise field-level error.
 #include <cstdint>
 #include <memory>
+#include <ostream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -20,6 +21,7 @@
 #include "sim/simulator.h"
 #include "traffic/indices.h"
 #include "traffic/topology.h"
+#include "util/digest.h"
 #include "util/rng.h"
 
 namespace mind {
@@ -96,11 +98,24 @@ struct Phase2Result {
   size_t tuples = 0;
   std::vector<size_t> query_sizes;
 
-  bool operator==(const Phase2Result& o) const {
-    return digest == o.digest && tuples == o.tuples &&
-           query_sizes == o.query_sizes;
+  // An AssertionResult rather than a bool, so that a failing
+  // EXPECT_TRUE(a == b) reports both arms, not only its streamed context.
+  ::testing::AssertionResult operator==(const Phase2Result& o) const {
+    if (digest == o.digest && tuples == o.tuples &&
+        query_sizes == o.query_sizes) {
+      return ::testing::AssertionSuccess();
+    }
+    return ::testing::AssertionFailure()
+           << ::testing::PrintToString(*this) << " vs "
+           << ::testing::PrintToString(o);
   }
 };
+
+void PrintTo(const Phase2Result& r, std::ostream* os) {
+  *os << "{digest " << DigestToHex(r.digest) << ", " << r.tuples
+      << " tuples, query_sizes " << ::testing::PrintToString(r.query_sizes)
+      << "}";
+}
 
 /// The post-snapshot workload both arms run: more inserts, two range
 /// queries, settle. Uses its own RNG so the straight-through and restored

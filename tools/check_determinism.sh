@@ -24,10 +24,16 @@
 #   (f) the pinned digest fails to survive an MSN1 snapshot save/load cycle
 #       (`--snapshot-roundtrip`: the restore's internal digest gate plus the
 #       printed pre-snapshot digest), serial and parallel -- week-long
-#       campaigns must resume bit-identically.
+#       campaigns must resume bit-identically, or
+#   (g) any closed-loop leg prints a different `result_digest` -- the digest
+#       of the query results delivered to the client, in delivery order --
+#       or it drifts from its pinned value. The state digest does not see
+#       the output clients see (which results arrive, in what order, with
+#       what latency and tuples); this does.
 #
-# There is one delivery semantics, so there is one pinned closed-loop digest:
-# every engine, telemetry setting, backend and snapshot leg must print it.
+# There is one delivery semantics, so there is one pinned closed-loop digest
+# and one pinned result digest: every engine, telemetry setting, backend and
+# snapshot leg must print both.
 #
 # Usage: tools/check_determinism.sh [build-dir]   (default: build-determinism)
 set -euo pipefail
@@ -35,15 +41,35 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 BUILD="${1:-build-determinism}"
 
-digest() {  # digest <binary> [flags...]  -> prints the hex digest
+probe() {  # probe <binary> [flags...] -> "<state_digest> <result_digest>"
   local bin="$1"; shift
-  local out
-  out="$("${bin}" "$@" | grep '^state_digest ' | awk '{print $2}')"
-  if [[ -z "${out}" ]]; then
+  local out state result
+  out="$("${bin}" "$@")"
+  state="$(awk '/^state_digest /{print $2}' <<<"${out}")"
+  result="$(awk '/^result_digest /{print $2}' <<<"${out}")"
+  if [[ -z "${state}" ]]; then
     echo "error: ${bin} $* printed no state_digest" >&2
     exit 1
   fi
-  echo "${out}"
+  echo "${state} ${result:-none}"
+}
+
+digest() {  # digest <binary> [flags...]  -> prints the state digest
+  local both
+  both="$(probe "$@")"
+  echo "${both% *}"
+}
+
+# Every closed-loop leg must deliver this result stream.
+PINNED_RESULTS="85eee60e37694036"
+check_result() {  # check_result <leg label> <"state result" pair>
+  local result="${2#* }"
+  if [[ "${result}" != "${PINNED_RESULTS}" ]]; then
+    echo "FAIL: ${1} delivered result stream ${result} != pinned" \
+         "${PINNED_RESULTS} -- clients saw different results, order or" \
+         "latencies" >&2
+    fail=1
+  fi
 }
 
 echo "== configure + build (telemetry ON) =="
@@ -54,15 +80,22 @@ echo "== configure + build (telemetry OFF) =="
 cmake -B "${BUILD}/off" -S . -DMIND_TELEMETRY=OFF >/dev/null
 cmake --build "${BUILD}/off" --target determinism_probe -j >/dev/null
 
-run1="$(digest "${BUILD}/on/tools/determinism_probe")"
-run2="$(digest "${BUILD}/on/tools/determinism_probe")"
-run_off="$(digest "${BUILD}/off/tools/determinism_probe")"
+fail=0
+out="$(probe "${BUILD}/on/tools/determinism_probe")"
+check_result "run 1" "${out}"
+run1="${out% *}"
+out="$(probe "${BUILD}/on/tools/determinism_probe")"
+check_result "run 2" "${out}"
+run2="${out% *}"
+out="$(probe "${BUILD}/off/tools/determinism_probe")"
+check_result "run 3 (telemetry off)" "${out}"
+run_off="${out% *}"
 
 echo "run 1 (telemetry on):  ${run1}"
 echo "run 2 (telemetry on):  ${run2}"
 echo "run 3 (telemetry off): ${run_off}"
+echo "result stream:         ${out#* }"
 
-fail=0
 if [[ "${run1}" != "${run2}" ]]; then
   echo "FAIL: two runs of the same binary diverged -- the simulation is" \
        "nondeterministic (run tools/run_analyze.sh; check recent unordered iteration)" >&2
@@ -108,8 +141,10 @@ if [[ "${run1}" != "${PINNED}" ]]; then
   fail=1
 fi
 for b in sorted bitmap adaptive; do
-  db="$(MIND_BACKEND="${b}" digest "${BUILD}/on/tools/determinism_probe")"
-  echo "MIND_BACKEND=${b}:  ${db}"
+  out="$(MIND_BACKEND="${b}" probe "${BUILD}/on/tools/determinism_probe")"
+  check_result "MIND_BACKEND=${b}" "${out}"
+  db="${out% *}"
+  echo "MIND_BACKEND=${b}:  ${db}  results ${out#* }"
   if [[ "${db}" != "${run1}" ]]; then
     echo "FAIL: backend '${b}' diverged from the default replay digest --" \
          "an IndexBackend leaked layout into simulation-visible state" \
@@ -120,10 +155,12 @@ done
 
 echo
 echo "== engine identity (sequential engine vs parallel thread counts) =="
-probe="${BUILD}/on/tools/determinism_probe"
+probe_bin="${BUILD}/on/tools/determinism_probe"
 for t in 1 2 4 8; do
-  dt="$(digest "${probe}" --threads="${t}")"
-  echo "threads=${t}:           ${dt}"
+  out="$(probe "${probe_bin}" --threads="${t}")"
+  check_result "threads=${t}" "${out}"
+  dt="${out% *}"
+  echo "threads=${t}:           ${dt}  results ${out#* }"
   if [[ "${dt}" != "${run1}" ]]; then
     echo "FAIL: parallel engine at ${t} thread(s) diverged from the" \
          "sequential digest -- a shard executed something the" \
@@ -135,8 +172,10 @@ done
 echo
 echo "== snapshot roundtrip (MSN1 save/load must preserve the digest) =="
 for flags in "" "--threads=4"; do
-  snap="$(digest "${probe}" ${flags} --snapshot-roundtrip)"
-  echo "${flags:-serial} through save/load:  ${snap}"
+  out="$(probe "${probe_bin}" ${flags} --snapshot-roundtrip)"
+  check_result "${flags:-serial} snapshot leg" "${out}"
+  snap="${out% *}"
+  echo "${flags:-serial} through save/load:  ${snap}  results ${out#* }"
   if [[ "${snap}" != "${PINNED}" ]]; then
     echo "FAIL: digest ${snap} != pinned ${PINNED} after a ${flags:-serial}" \
          "snapshot save/load cycle -- the MSN1 format dropped or distorted" \
@@ -150,4 +189,4 @@ if [[ "${fail}" -ne 0 ]]; then
 fi
 echo
 echo "OK: deterministic replay verified (closed loop ${run1}," \
-     "frontend ${fe1})"
+     "results ${PINNED_RESULTS}, frontend ${fe1})"

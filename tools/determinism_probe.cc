@@ -2,7 +2,12 @@
 // scenario — the 34-node Abilene+GEANT deployment, a two-minute trace slice
 // of inserts, and a handful of range queries — with periodic invariant
 // validation piggybacked on the event loop, then prints the final state
-// digest on stdout as `state_digest <hex16>`.
+// digest on stdout as `state_digest <hex16>`. The closed-loop scenario also
+// prints `result_digest <hex16>`, a digest of the QueryResults delivered to
+// the client in delivery order (id, completeness, latency, every tuple):
+// the output clients see, which the state digest does not cover. It
+// includes a volley of concurrent queries run after the state digest is
+// taken.
 //
 // tools/check_determinism.sh runs this binary repeatedly (across processes
 // and across MIND_TELEMETRY settings) and fails on any digest mismatch. The
@@ -30,7 +35,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <sstream>
+#include <vector>
 
 #include "bench/common.h"
 #include "frontend/frontend.h"
@@ -39,6 +46,20 @@ using namespace mind;
 using namespace mind::bench;
 
 namespace {
+
+// Folds one delivered result into the result-stream digest.
+void MixResult(const QueryResult& r, Fnv64* out) {
+  out->Mix(r.query_id);
+  out->Mix(static_cast<uint64_t>(r.complete));
+  out->Mix(r.latency);
+  out->Mix(static_cast<uint64_t>(r.tuples.size()));
+  for (const Tuple& t : r.tuples) {
+    out->Mix(static_cast<uint64_t>(t.origin));
+    out->Mix(t.seq);
+    for (Value v : t.point) out->Mix(v);
+    for (Value v : t.extra) out->Mix(v);
+  }
+}
 
 // Frontend-driven scenario: the same 34-node deployment, but the two-minute
 // trace slice streams through the ingest pipeline (batched InsertBatch
@@ -164,9 +185,13 @@ int main(int argc, char** argv) {
 
   Rng qrng(99);
   const IndexDef def = MakeIndex1({});
+  Fnv64 results;  // delivered results, in delivery order
   for (size_t i = 0; i < 5; ++i) {
     Rect rect = RandomMonitoringQuery(&qrng, def, 39600 + 120);
-    (void)RunQueryBlocking(net, i % net.size(), "index1_fanout", rect);
+    std::optional<QueryResult> r =
+        RunQueryBlocking(net, i % net.size(), "index1_fanout", rect);
+    results.Mix(static_cast<uint64_t>(r.has_value()));
+    if (r) MixResult(*r, &results);
   }
   net.sim().RunFor(FromSeconds(30));
 
@@ -177,6 +202,23 @@ int main(int argc, char** argv) {
     return 1;
   }
   const uint64_t final_digest = net.StateDigest();
+
+  // A volley after the pinned digest (so it cannot move it): every node
+  // queries at one instant, so completions on different shards share
+  // parallel windows, and shards that run ahead complete queries in one
+  // window that are later than others completed in the next. The delivery
+  // order would show either if callbacks ran on the shard workers or in
+  // window order.
+  std::vector<QueryResult> volley;
+  for (size_t i = 0; i < net.size(); ++i) {
+    Rect rect = RandomMonitoringQuery(&qrng, def, 39600 + 120);
+    (void)net.node(i).Query(
+        "index1_fanout", rect,
+        [&volley](const QueryResult& r) { volley.push_back(r); });
+  }
+  net.sim().RunFor(FromSeconds(60));
+  results.Mix(static_cast<uint64_t>(volley.size()));
+  for (const QueryResult& r : volley) MixResult(r, &results);
 
   if (snapshot_roundtrip) {
     // Quiescence is a window (heartbeat messages are periodically in
@@ -216,5 +258,6 @@ int main(int argc, char** argv) {
   }
 
   std::printf("state_digest %s\n", DigestToHex(final_digest).c_str());
+  std::printf("result_digest %s\n", DigestToHex(results.value()).c_str());
   return 0;
 }
