@@ -2,13 +2,8 @@
 // for random monitoring queries over all three indices on the baseline
 // 34-node deployment. Paper: over 90% of queries involve 4 nodes or fewer.
 //
-// The whole experiment runs once per index backend (sorted runs /
-// hierarchical bitmaps / adaptive). Backends are physical layout only
-// (docs/BACKENDS.md), so every run must produce identical query costs and an
-// identical deployment digest — the bench asserts that and exits nonzero on
-// divergence, or when no query returns any tuple. Per-backend results export as bench.fig09.<backend>.*; the
-// unprefixed bench.fig09.* names stay on the sorted run for continuity with
-// older BENCH_fig09_query_cost.json files.
+// The bench prints the deployment digest and exits nonzero when no query
+// returns any tuple.
 #include <cstdio>
 #include <map>
 #include <string>
@@ -28,19 +23,15 @@ struct Fig09Outcome {
   uint64_t digest = 0;
 };
 
-Fig09Outcome RunFig09(IndexBackendKind backend,
-                      telemetry::MetricsRegistry& bench_metrics,
-                      bool legacy_names) {
-  const std::string prefix =
-      std::string("bench.fig09.") + IndexBackendKindName(backend) + ".";
+Fig09Outcome RunFig09(telemetry::MetricsRegistry& bench_metrics) {
+  const std::string prefix = "bench.fig09.";
   Topology topo = Topology::AbileneGeant();
   FlowGeneratorOptions gopts;
   gopts.peak_flows_per_router_sec = 80;
   gopts.seed = 909;
   FlowGenerator gen(topo, gopts);
 
-  auto net = MakeDeployment(topo, {.replication = 1, .seed = 9090,
-                                   .backend = backend});
+  auto net = MakeDeployment(topo, {.replication = 1, .seed = 9090});
   CreatePaperIndices(*net);
 
   // Balanced cuts from the previous day's distribution (§3.7): these give
@@ -88,14 +79,6 @@ Fig09Outcome RunFig09(IndexBackendKind backend,
     retrieval_h.Record(static_cast<double>(result->positive_responders));
     resolver_h.Record(static_cast<double>(result->responders));
     visit_h.Record(static_cast<double>(visits));
-    if (legacy_names) {
-      bench_metrics.histogram("bench.fig09.retrieval_cost_nodes")
-          .Record(static_cast<double>(result->positive_responders));
-      bench_metrics.histogram("bench.fig09.resolver_cost_nodes")
-          .Record(static_cast<double>(result->responders));
-      bench_metrics.histogram("bench.fig09.visit_cost_nodes")
-          .Record(static_cast<double>(visits));
-    }
     ++out.total;
     if (!result->tuples.empty()) ++out.with_tuples;
     if (result->positive_responders <= 4) ++out.le4_retrieval;
@@ -112,14 +95,6 @@ Fig09Outcome RunFig09(IndexBackendKind backend,
       .Inc(static_cast<uint64_t>(out.total));
   bench_metrics.counter(prefix + "queries_with_tuples")
       .Inc(static_cast<uint64_t>(out.with_tuples));
-  if (legacy_names) {
-    bench_metrics.gauge("bench.fig09.le4_retrieval_pct")
-        .Set(100.0 * static_cast<double>(out.le4_retrieval) / denom);
-    bench_metrics.gauge("bench.fig09.le4_resolver_pct")
-        .Set(100.0 * static_cast<double>(out.le4_resolver) / denom);
-    bench_metrics.counter("bench.fig09.queries_complete")
-        .Inc(static_cast<uint64_t>(out.total));
-  }
   return out;
 }
 
@@ -127,15 +102,7 @@ Fig09Outcome RunFig09(IndexBackendKind backend,
 
 int main() {
   telemetry::MetricsRegistry bench_metrics;
-  const IndexBackendKind kBackends[] = {IndexBackendKind::kSortedRuns,
-                                        IndexBackendKind::kBitmap,
-                                        IndexBackendKind::kAdaptive};
-  std::map<IndexBackendKind, Fig09Outcome> runs;
-  for (IndexBackendKind b : kBackends) {
-    runs[b] = RunFig09(b, bench_metrics,
-                       /*legacy_names=*/b == IndexBackendKind::kSortedRuns);
-  }
-  const Fig09Outcome& base = runs[IndexBackendKind::kSortedRuns];
+  const Fig09Outcome base = RunFig09(bench_metrics);
 
   std::printf("=== Figure 9: query cost distribution (nodes visited) ===\n");
   std::printf("inserted: %zu tuples across the three indices\n\n", base.inserted);
@@ -159,31 +126,14 @@ int main() {
   std::printf("queries resolved by <= 4 nodes: %.1f%%\n",
               100.0 * static_cast<double>(base.le4_resolver) /
                   static_cast<double>(base.total));
-  std::printf("queries returning tuples: %zu of %zu\n\n", base.with_tuples,
+  std::printf("queries returning tuples: %zu of %zu\n", base.with_tuples,
               base.total);
+  std::printf("%zu queries complete, digest %016llx\n", base.total,
+              static_cast<unsigned long long>(base.digest));
   // A query window that misses every stored timestamp makes every cost
-  // above trivially small and the backend comparison below vacuous.
-  bool failed = false;
-  if (base.with_tuples == 0) {
-    std::fprintf(stderr, "FAIL: no query returned any tuple\n");
-    failed = true;
-  }
-
-  // Backend transparency: identical query costs and deployment digest.
-  for (IndexBackendKind b : kBackends) {
-    const Fig09Outcome& o = runs[b];
-    std::printf("backend %-7s: %zu queries complete, digest %016llx\n",
-                IndexBackendKindName(b), o.total,
-                static_cast<unsigned long long>(o.digest));
-    if (o.retrieval_hist != base.retrieval_hist ||
-        o.resolver_hist != base.resolver_hist ||
-        o.visit_hist != base.visit_hist || o.total != base.total ||
-        o.with_tuples != base.with_tuples || o.digest != base.digest) {
-      std::fprintf(stderr, "FAIL: backend %s diverged from sorted baseline\n",
-                   IndexBackendKindName(b));
-      failed = true;
-    }
-  }
+  // above trivially small.
+  const bool failed = base.with_tuples == 0;
+  if (failed) std::fprintf(stderr, "FAIL: no query returned any tuple\n");
 
   telemetry::RunMeta meta;
   meta.bench = "fig09_query_cost";
@@ -191,7 +141,6 @@ int main() {
   meta.topology = "abilene_geant";
   meta.nodes = static_cast<int>(Topology::AbileneGeant().size());
   meta.extra["queries"] = "150";
-  meta.extra["backends"] = "sorted,bitmap,adaptive";
   ExportBench(bench_metrics, meta);
   return failed ? 1 : 0;
 }

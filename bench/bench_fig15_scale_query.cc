@@ -2,13 +2,6 @@
 // omits for space: query latency is qualitatively similar to insertion
 // latency, ~90% of queries visit fewer than 5 nodes, and no query visits
 // more than 12.
-//
-// Runs once per index backend (sorted runs / hierarchical bitmaps /
-// adaptive). Backends are digest-transparent physical layout
-// (docs/BACKENDS.md): every run must produce identical latencies, costs and
-// deployment digest, asserted here with a nonzero exit on divergence.
-// Per-backend instruments export as bench.fig15.<backend>.*; the unprefixed
-// names stay on the sorted run for continuity.
 #include <cstdio>
 #include <map>
 #include <string>
@@ -28,18 +21,14 @@ struct Fig15Outcome {
   uint64_t digest = 0;
 };
 
-Fig15Outcome RunFig15(IndexBackendKind backend,
-                      telemetry::MetricsRegistry& bench_metrics,
-                      bool legacy_names) {
-  const std::string prefix =
-      std::string("bench.fig15.") + IndexBackendKindName(backend) + ".";
+Fig15Outcome RunFig15(telemetry::MetricsRegistry& bench_metrics) {
+  const std::string prefix = "bench.fig15.";
   const size_t kNodes = 102;
   MindNetOptions mopts;
   mopts.sim.seed = 15150;
   mopts.sim.network.jitter_mu_ln_ms = 4.0;
   mopts.sim.network.jitter_sigma_ln = 1.0;
   mopts.mind.replication = 1;
-  mopts.mind.store_backend = backend;
   MindNet net(kNodes, mopts);
   if (!net.Build().ok()) std::abort();
   CreatePaperIndices(net, {}, true, false, false);
@@ -84,12 +73,6 @@ Fig15Outcome RunFig15(IndexBackendKind backend,
     size_t cost = result->responders;
     out.cost_hist[cost]++;
     cost_h.Record(static_cast<double>(cost));
-    if (legacy_names) {
-      bench_metrics.histogram("bench.fig15.query_latency_ms")
-          .Record(ToSeconds(result->latency) * 1e3);
-      bench_metrics.histogram("bench.fig15.resolver_cost_nodes")
-          .Record(static_cast<double>(cost));
-    }
     out.max_cost = std::max(out.max_cost, net.QueryVisitCount(result->query_id));
     if (cost < 5) ++out.le5;
     ++out.total;
@@ -104,14 +87,6 @@ Fig15Outcome RunFig15(IndexBackendKind backend,
       .Set(static_cast<double>(out.max_cost));
   bench_metrics.counter(prefix + "queries_complete")
       .Inc(static_cast<uint64_t>(out.total));
-  if (legacy_names) {
-    bench_metrics.gauge("bench.fig15.lt5_resolver_pct")
-        .Set(100.0 * static_cast<double>(out.le5) / denom);
-    bench_metrics.gauge("bench.fig15.max_nodes_visited")
-        .Set(static_cast<double>(out.max_cost));
-    bench_metrics.counter("bench.fig15.queries_complete")
-        .Inc(static_cast<uint64_t>(out.total));
-  }
   return out;
 }
 
@@ -119,15 +94,7 @@ Fig15Outcome RunFig15(IndexBackendKind backend,
 
 int main() {
   telemetry::MetricsRegistry bench_metrics;
-  const IndexBackendKind kBackends[] = {IndexBackendKind::kSortedRuns,
-                                        IndexBackendKind::kBitmap,
-                                        IndexBackendKind::kAdaptive};
-  std::map<IndexBackendKind, Fig15Outcome> runs;
-  for (IndexBackendKind b : kBackends) {
-    runs[b] = RunFig15(b, bench_metrics,
-                       /*legacy_names=*/b == IndexBackendKind::kSortedRuns);
-  }
-  const Fig15Outcome& base = runs[IndexBackendKind::kSortedRuns];
+  const Fig15Outcome base = RunFig15(bench_metrics);
 
   std::printf("=== Figure 15 (§4.3): query cost & latency at 102-node scale ===\n");
   std::printf("stored tuples: %zu; completed queries: %zu\n\n", base.stored,
@@ -146,24 +113,8 @@ int main() {
                   static_cast<double>(base.total),
               base.max_cost);
   PrintLatencyRow("query latency", base.lat);
-  std::printf("\n");
-
-  // Backend transparency: identical latencies, costs and deployment digest.
-  bool diverged = false;
-  for (IndexBackendKind b : kBackends) {
-    const Fig15Outcome& o = runs[b];
-    std::printf("backend %-7s: %zu queries complete, digest %016llx\n",
-                IndexBackendKindName(b), o.total,
-                static_cast<unsigned long long>(o.digest));
-    if (o.lat != base.lat || o.cost_hist != base.cost_hist ||
-        o.le5 != base.le5 || o.total != base.total ||
-        o.max_cost != base.max_cost || o.stored != base.stored ||
-        o.digest != base.digest) {
-      std::fprintf(stderr, "FAIL: backend %s diverged from sorted baseline\n",
-                   IndexBackendKindName(b));
-      diverged = true;
-    }
-  }
+  std::printf("\n%zu queries complete, digest %016llx\n", base.total,
+              static_cast<unsigned long long>(base.digest));
 
   telemetry::RunMeta meta;
   meta.bench = "fig15_scale_query";
@@ -171,7 +122,6 @@ int main() {
   meta.topology = "flat";
   meta.nodes = 102;
   meta.extra["queries"] = "200";
-  meta.extra["backends"] = "sorted,bitmap,adaptive";
   ExportBench(bench_metrics, meta);
-  return diverged ? 1 : 0;
+  return 0;
 }

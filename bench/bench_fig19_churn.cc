@@ -7,15 +7,11 @@
 //  * store churn: one large TupleStore driven with a bulk-ingest phase and
 //    then interleaved single inserts and rectangle queries (the headline
 //    `store_churn_ops_per_sec`); this is the isolated per-node query path,
-//    no network. The section runs once per index backend (sorted runs /
-//    hierarchical bitmaps / adaptive, docs/BACKENDS.md), asserts that every
-//    backend returns the same matches and store digest, and exports
-//    per-backend `bench.fig19.<backend>.*` numbers — the ingest phase is
-//    where the append-only bitmaps beat the merge-paying sorted runs.
+//    no network. It prints the matches and the store digest, and exports
+//    the bulk-ingest phase as `ingest_rows_per_sec`.
 //  * deployment churn: a flat MindNet preloaded through InsertBatch trains,
 //    then driven with interleaved singles and monitoring queries
-//    (`net_queries_per_sec_wall`), the end-to-end view; its backend follows
-//    MIND_BACKEND and is recorded in the export metadata.
+//    (`net_queries_per_sec_wall`), the end-to-end view.
 //
 // Duty cycle: MIND_BENCH_DUTY=<percent> (or argv[1]) follows the fig18
 // 1k-node convention and scales the whole workload (store size, preload,
@@ -24,7 +20,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <map>
 #include <string>
 
 #include "bench/common.h"
@@ -68,12 +63,11 @@ double Secs(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-// One store-churn leg: bulk-ingest kStoreRows rows (timed — the phase the
-// append-only bitmap layout wins), then kChurnRounds tight insert->query
-// alternations (timed — the transition that defeats a lazily-sorted flat
-// row vector: every insert invalidates the order, every following query
-// pays the re-sort). Matches and the store digest are returned so the
-// caller can assert backend transparency.
+// The store-churn section: bulk-ingest kStoreRows rows (timed), then
+// kChurnRounds tight insert->query alternations (timed — the transition that
+// defeats a lazily-sorted flat row vector: every insert invalidates the
+// order, every following query pays the re-sort). Matches and the store
+// digest are returned for the report.
 struct StoreChurnOutcome {
   double ingest_wall = 0;
   double churn_wall = 0;
@@ -81,14 +75,11 @@ struct StoreChurnOutcome {
   uint64_t digest = 0;
 };
 
-StoreChurnOutcome RunStoreChurn(IndexBackendKind backend, size_t store_rows,
-                                size_t churn_rounds, int queries_per_round) {
+StoreChurnOutcome RunStoreChurn(size_t store_rows, size_t churn_rounds,
+                                int queries_per_round) {
   Schema schema = ChurnSchema();
   auto cuts = std::make_shared<CutTree>(CutTree::Even(schema));
-  TupleStoreConfig cfg;
-  cfg.code_len = 32;
-  cfg.options.backend = backend;
-  TupleStore store(cuts, cfg);
+  TupleStore store(cuts, /*code_len=*/32);
   Rng rng(0x19191919);
   StoreChurnOutcome out;
 
@@ -128,46 +119,28 @@ int main(int argc, char** argv) {
   const int duty = DutyPercent(argc, argv);
 
   // ---------------------------------------------------------- store churn
-  // One store at the size a busy node reaches late in a day, swept across
-  // the three index backends.
+  // One store at the size a busy node reaches late in a day.
   const size_t kStoreRows = std::max<size_t>(5000, 200000 * duty / 100);
   const size_t kChurnRounds = 256;
   const int kQueriesPerRound = 4;
   const size_t churn_ops = kChurnRounds * (1 + kQueriesPerRound);
 
-  const IndexBackendKind kBackends[] = {IndexBackendKind::kSortedRuns,
-                                        IndexBackendKind::kBitmap,
-                                        IndexBackendKind::kAdaptive};
-  std::map<IndexBackendKind, StoreChurnOutcome> churn;
-  for (IndexBackendKind b : kBackends) {
-    churn[b] = RunStoreChurn(b, kStoreRows, kChurnRounds, kQueriesPerRound);
-  }
-  const StoreChurnOutcome& base = churn[IndexBackendKind::kSortedRuns];
-  const double store_wall = base.churn_wall;
+  const StoreChurnOutcome churn =
+      RunStoreChurn(kStoreRows, kChurnRounds, kQueriesPerRound);
+  const double store_wall = churn.churn_wall;
   const double store_ops_per_sec = store_wall > 0 ? churn_ops / store_wall : 0;
-  const size_t churn_matches = base.churn_matches;
+  const double ingest_rows_per_sec =
+      churn.ingest_wall > 0 ? kStoreRows / churn.ingest_wall : 0;
 
   std::printf("=== Figure 19: mixed insert/query churn (duty %d%%) ===\n\n", duty);
   std::printf("store churn: %zu rows, %zu ops (%zu inserts + %zu queries, %zu matches)\n",
               kStoreRows + kChurnRounds, churn_ops, kChurnRounds,
-              kChurnRounds * kQueriesPerRound, churn_matches);
-  bool diverged = false;
-  for (IndexBackendKind b : kBackends) {
-    const StoreChurnOutcome& o = churn[b];
-    std::printf(
-        "store %-7s: ingest %.3f s (%.0f rows/s), churn %.3f s (%.0f ops/s), "
-        "digest %016llx\n",
-        IndexBackendKindName(b), o.ingest_wall,
-        o.ingest_wall > 0 ? kStoreRows / o.ingest_wall : 0, o.churn_wall,
-        o.churn_wall > 0 ? churn_ops / o.churn_wall : 0,
-        static_cast<unsigned long long>(o.digest));
-    if (o.churn_matches != base.churn_matches || o.digest != base.digest) {
-      std::fprintf(stderr, "FAIL: backend %s diverged from sorted baseline\n",
-                   IndexBackendKindName(b));
-      diverged = true;
-    }
-  }
-  std::printf("\n");
+              kChurnRounds * kQueriesPerRound, churn.churn_matches);
+  std::printf(
+      "store: ingest %.3f s (%.0f rows/s), churn %.3f s (%.0f ops/s), "
+      "digest %016llx\n\n",
+      churn.ingest_wall, ingest_rows_per_sec, store_wall, store_ops_per_sec,
+      static_cast<unsigned long long>(churn.digest));
 
   // ------------------------------------------------------ deployment churn
   // A flat deployment preloaded to fig19-scale stores, then driven with the
@@ -276,17 +249,8 @@ int main(int argc, char** argv) {
   sm.gauge("bench.fig19.store_churn_ops_per_sec").Set(store_ops_per_sec);
   sm.gauge("bench.fig19.store_churn_wall_seconds").Set(store_wall);
   sm.gauge("bench.fig19.store_rows").Set(static_cast<double>(kStoreRows));
-  for (IndexBackendKind b : kBackends) {
-    const StoreChurnOutcome& o = churn[b];
-    const std::string prefix =
-        std::string("bench.fig19.") + IndexBackendKindName(b) + ".";
-    sm.gauge(prefix + "ingest_rows_per_sec")
-        .Set(o.ingest_wall > 0 ? kStoreRows / o.ingest_wall : 0);
-    sm.gauge(prefix + "ingest_wall_seconds").Set(o.ingest_wall);
-    sm.gauge(prefix + "store_churn_ops_per_sec")
-        .Set(o.churn_wall > 0 ? churn_ops / o.churn_wall : 0);
-    sm.gauge(prefix + "store_churn_wall_seconds").Set(o.churn_wall);
-  }
+  sm.gauge("bench.fig19.ingest_rows_per_sec").Set(ingest_rows_per_sec);
+  sm.gauge("bench.fig19.ingest_wall_seconds").Set(churn.ingest_wall);
   sm.gauge("bench.fig19.net_wall_seconds").Set(net_wall);
   sm.gauge("bench.fig19.net_events_per_sec_wall")
       .Set(net_wall > 0 ? events / net_wall : 0);
@@ -303,8 +267,6 @@ int main(int argc, char** argv) {
   meta.extra["drive_seconds"] = std::to_string(drive_sec);
   meta.extra["preload_per_node"] = std::to_string(kPreloadPerNode);
   meta.extra["store_rows"] = std::to_string(kStoreRows);
-  meta.extra["backends"] = "sorted,bitmap,adaptive";
-  meta.extra["net_backend"] = IndexBackendKindName(dopts.backend);
   ExportBench(sm, meta);
-  return diverged ? 1 : 0;
+  return 0;
 }

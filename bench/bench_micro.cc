@@ -13,8 +13,7 @@
 #include "space/cut_tree.h"
 #include "space/histogram.h"
 #include "space/mismatch.h"
-#include "storage/bitmap_backend.h"
-#include "storage/index_backend.h"
+#include "storage/sorted_runs_backend.h"
 #include "storage/scan_kernels.h"
 #include "storage/tuple_store.h"
 #include "traffic/flow_generator.h"
@@ -109,14 +108,9 @@ void BM_BalancedCutConstruction(benchmark::State& state) {
 }
 BENCHMARK(BM_BalancedCutConstruction)->Arg(6)->Arg(10);
 
-// arg 0 selects the index backend: 0 = sorted runs, 1 = bitmap
-// (docs/BACKENDS.md) — same workload, different physical layout.
 void BM_TupleStoreInsert(benchmark::State& state) {
   auto cuts = std::make_shared<CutTree>(CutTree::Even(Schema3()));
-  TupleStoreConfig cfg;
-  cfg.code_len = 32;
-  cfg.options.backend = static_cast<IndexBackendKind>(state.range(0));
-  TupleStore store(cuts, cfg);
+  TupleStore store(cuts, /*code_len=*/32);
   auto pts = RandomPoints(4096, 7);
   size_t i = 0;
   for (auto _ : state) {
@@ -126,18 +120,11 @@ void BM_TupleStoreInsert(benchmark::State& state) {
     store.Insert(std::move(t));
   }
 }
-BENCHMARK(BM_TupleStoreInsert)
-    ->ArgNames({"backend"})
-    ->Arg(0)
-    ->Arg(1);
+BENCHMARK(BM_TupleStoreInsert);
 
-// args: {stored rows, backend (0 = sorted, 1 = bitmap)}
 void BM_TupleStoreQuery(benchmark::State& state) {
   auto cuts = std::make_shared<CutTree>(CutTree::Even(Schema3()));
-  TupleStoreConfig cfg;
-  cfg.code_len = 32;
-  cfg.options.backend = static_cast<IndexBackendKind>(state.range(1));
-  TupleStore store(cuts, cfg);
+  TupleStore store(cuts, /*code_len=*/32);
   for (const auto& p : RandomPoints(static_cast<size_t>(state.range(0)), 8)) {
     Tuple t;
     t.point = p;
@@ -148,17 +135,12 @@ void BM_TupleStoreQuery(benchmark::State& state) {
     benchmark::DoNotOptimize(store.Count(q));
   }
 }
-BENCHMARK(BM_TupleStoreQuery)
-    ->ArgNames({"rows", "backend"})
-    ->Args({10000, 0})
-    ->Args({10000, 1})
-    ->Args({100000, 0})
-    ->Args({100000, 1});
+BENCHMARK(BM_TupleStoreQuery)->ArgName("rows")->Arg(10000)->Arg(100000);
 
 // ------------------------------------------------------- scan kernels
 //
-// The cache-conscious primitives under both index backends, benchmarked at
-// the kernel layer with the same instantiation the backends use.
+// The cache-conscious primitives under the store layout, benchmarked at the
+// kernel layer with the same instantiation the sorted runs use.
 
 scan::KeyColumn SortedKeys(size_t n, uint64_t seed) {
   Rng rng(seed);
@@ -235,43 +217,13 @@ void BM_ScanRangeSorted(benchmark::State& state) {
 }
 BENCHMARK(BM_ScanRangeSorted)->ArgName("rows")->Arg(100000)->Arg(1000000);
 
-// RLE bitmap decode + point-column filter by row id: the bitmap backend's
-// emission path (ids arrive in increasing order, spread over the column).
-void BM_ScanRangeBitmap(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  constexpr size_t kDims = 3;
-  Rng rng(25);
-  RleBitmap bm;
-  scan::PointColumn points = RandomPointColumn(n, kDims, 27);
-  const scan::Box box = QuarterBox(kDims);
-  std::vector<StoredRow> rows(n);
-  for (size_t id = 0; id < n; ++id) {
-    rows[id].seq = id * 2 + 1;
-    if (rng.Uniform(4) == 0) bm.Set(id);  // ~25% density
-  }
-  uint64_t sink = 0;
-  for (auto _ : state) {
-    bm.ForEachSet([&](uint64_t id) {
-      if (scan::PointInBox(points.data() + id * kDims, box.data(), kDims)) {
-        sink += rows[id].seq;
-      }
-    });
-    benchmark::DoNotOptimize(sink);
-  }
-}
-BENCHMARK(BM_ScanRangeBitmap)->ArgName("rows")->Arg(100000)->Arg(1000000);
-
 // One out-of-order insert, then one query, on a store of ~6k rows: the shape
 // of one churn48 node's store, where every query follows a fresh insert.
 // The store is rebuilt (untimed) every 2048 iterations to hold its size.
-// arg 0 selects the index backend: 0 = sorted runs, 1 = bitmap.
 void BM_TupleStoreChurn(benchmark::State& state) {
   const Schema schema({{"dst", 0, 0xFFFFFFFFull}, {"ts", 0, 86400},
                        {"v", 0, 1 << 20}});
   auto cuts = std::make_shared<CutTree>(CutTree::Even(schema));
-  TupleStoreConfig cfg;
-  cfg.code_len = 32;
-  cfg.options.backend = static_cast<IndexBackendKind>(state.range(0));
   Rng rng(28);
   auto random_tuple = [&rng](uint64_t seq) {
     Tuple t;
@@ -289,7 +241,7 @@ void BM_TupleStoreChurn(benchmark::State& state) {
   for (auto _ : state) {
     if (seq % kRefresh == 0) {
       state.PauseTiming();
-      store = std::make_unique<TupleStore>(cuts, cfg);
+      store = std::make_unique<TupleStore>(cuts, /*code_len=*/32);
       for (uint64_t i = 0; i < kPreload; ++i) store->Insert(random_tuple(i));
       state.ResumeTiming();
     }
@@ -301,7 +253,7 @@ void BM_TupleStoreChurn(benchmark::State& state) {
     benchmark::DoNotOptimize(out.data());
   }
 }
-BENCHMARK(BM_TupleStoreChurn)->ArgName("backend")->Arg(0)->Arg(1);
+BENCHMARK(BM_TupleStoreChurn);
 
 // ------------------------------------------------------------ event queue
 //

@@ -70,10 +70,6 @@ struct DeploymentOptions {
   /// Heartbeats on for failure experiments; off keeps static runs light.
   SimTime heartbeat_interval = FromSeconds(5);
   uint64_t seed = 0x5eed;
-  /// Physical index layout for every per-node store. Digest-transparent
-  /// (docs/BACKENDS.md), so sweeping it changes wall-clock cost only; the
-  /// default honours MIND_BACKEND like any other run.
-  IndexBackendKind backend = DefaultIndexBackendKind();
   /// Build pacing overrides for very large fleets (0 = MindNetOptions
   /// defaults). fig22's 10k-node build outruns the default 3600 s sim
   /// deadline at the default 300 ms stagger.
@@ -89,7 +85,6 @@ inline std::unique_ptr<MindNet> MakeDeployment(const Topology& topo,
   mopts.sim.seed = opts.seed;
   mopts.overlay.heartbeat_interval = opts.heartbeat_interval;
   mopts.mind.replication = opts.replication;
-  mopts.mind.store_backend = opts.backend;
   mopts.positions = topo.Positions();
   auto net = std::make_unique<MindNet>(topo.size(), mopts);
   Status st = net->Build();
@@ -107,7 +102,6 @@ inline std::unique_ptr<MindNet> MakeFlatDeployment(size_t n,
   mopts.sim.seed = opts.seed;
   mopts.overlay.heartbeat_interval = opts.heartbeat_interval;
   mopts.mind.replication = opts.replication;
-  mopts.mind.store_backend = opts.backend;
   if (opts.join_stagger > 0) mopts.join_stagger = opts.join_stagger;
   if (opts.build_deadline > 0) mopts.build_deadline = opts.build_deadline;
   auto net = std::make_unique<MindNet>(n, mopts);

@@ -116,7 +116,7 @@ void MindNode::SendTuplesAsReplicas(NodeId to, const BitCode* region) {
       for (const auto& v : chain->Versions()) {
         const TupleStore* store = chain->Store(v.id);
         if (store == nullptr) continue;
-        // Canonical send order: layout order differs between backends.
+        // Canonical send order: layout order depends on compaction timing.
         std::vector<Tuple> tuples = store->AllTuples();
         std::sort(tuples.begin(), tuples.end(),
                   [](const Tuple& a, const Tuple& b) {
@@ -189,7 +189,6 @@ TupleStoreConfig MindNode::StoreConfig() {
   TupleStoreConfig config;
   config.code_len = options_.insert_code_len;
   config.options.compaction = options_.store_compaction;
-  config.options.backend = options_.store_backend;
   config.metrics = &sim_->metrics();
   config.cover_cache = &cover_cache_;
   return config;

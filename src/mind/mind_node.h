@@ -28,6 +28,10 @@
 
 namespace mind {
 
+// Kept only because perfbench/main.cc names them; the store has one layout.
+enum class IndexBackendKind { kSortedRuns };
+inline const char* IndexBackendKindName(IndexBackendKind) { return "sorted"; }
+
 struct MindOptions {
   /// Bits of data-space code computed for inserts/queries; must exceed any
   /// node code length (overlay depth), 64 max.
@@ -56,11 +60,8 @@ struct MindOptions {
   /// trigger and at version freeze). Layout-only: results, timings and
   /// digests are identical on or off.
   bool store_compaction = true;
-  /// Index backend behind every store this node opens (DESIGN.md §13):
-  /// kSortedRuns, kBitmap, or kAdaptive (per-store choice from the previous
-  /// version's workload). Digest-transparent: results, timings and digests
-  /// are identical for every choice. Defaults from MIND_BACKEND when set.
-  IndexBackendKind store_backend = DefaultIndexBackendKind();
+  /// Kept only because perfbench/main.cc names it; the store has one layout.
+  IndexBackendKind store_backend = IndexBackendKind::kSortedRuns;
   uint64_t seed = 0x31337;
 };
 

@@ -25,6 +25,8 @@ QueryTracker::QueryTracker(Rect rect, BitCode root, CutTreeRef cuts,
   if (metrics != nullptr) {
     replies_counter_ = &metrics->counter("mind.query.replies");
     dup_tuples_counter_ = &metrics->counter("mind.query.duplicate_tuples");
+    budget_exhausted_counter_ =
+        &metrics->counter("mind.query.cover_budget_exhausted");
   }
 }
 
@@ -46,11 +48,14 @@ void QueryTracker::AddReply(NodeId resolver, const BitCode& code,
 
 bool QueryTracker::IsComplete() const {
   int budget = kCoverBudget;
-  return CoveredRec(root_, rect_, &budget);
+  const bool complete = CoveredRec(root_, &budget);
+  if (budget < 0 && budget_exhausted_counter_ != nullptr) {
+    budget_exhausted_counter_->Inc();
+  }
+  return complete;
 }
 
-bool QueryTracker::CoveredRec(const BitCode& code, const Rect& region,
-                              int* budget) const {
+bool QueryTracker::CoveredRec(const BitCode& code, int* budget) const {
   if (--(*budget) < 0) return false;
   for (const auto& c : covered_) {
     if (c.IsPrefixOf(code)) return true;
@@ -58,8 +63,7 @@ bool QueryTracker::CoveredRec(const BitCode& code, const Rect& region,
   auto rect = cuts_->RectForCode(code);
   if (!rect.has_value() || !rect->Intersects(rect_)) return true;  // vacuous
   if (code.length() >= max_split_len_) return false;
-  return CoveredRec(code.Child(0), region, budget) &&
-         CoveredRec(code.Child(1), region, budget);
+  return CoveredRec(code.Child(0), budget) && CoveredRec(code.Child(1), budget);
 }
 
 }  // namespace mind

@@ -23,7 +23,8 @@ class QueryTracker {
   /// `root` is the minimal containing code the query was routed to; `cuts`
   /// the embedding of the queried version; `max_split_len` bounds how deep
   /// the resolvers may have split. `metrics`, when non-null, receives
-  /// per-reply counters (`mind.query.replies`, `mind.query.duplicate_tuples`).
+  /// per-reply counters (`mind.query.replies`, `mind.query.duplicate_tuples`)
+  /// and `mind.query.cover_budget_exhausted`.
   QueryTracker(Rect rect, BitCode root, CutTreeRef cuts, int max_split_len,
                telemetry::MetricsRegistry* metrics = nullptr);
 
@@ -34,7 +35,9 @@ class QueryTracker {
                 bool authoritative = true);
 
   /// True once the received codes cover every part of the root region that
-  /// intersects the query rectangle.
+  /// intersects the query rectangle. The check explores a bounded number of
+  /// codes; a call that runs out of that budget answers false and counts
+  /// `mind.query.cover_budget_exhausted`.
   bool IsComplete() const;
 
   const std::vector<Tuple>& tuples() const { return tuples_; }
@@ -49,7 +52,7 @@ class QueryTracker {
   const BitCode& root() const { return root_; }
 
  private:
-  bool CoveredRec(const BitCode& code, const Rect& region, int* budget) const;
+  bool CoveredRec(const BitCode& code, int* budget) const;
 
   Rect rect_;
   BitCode root_;
@@ -63,6 +66,7 @@ class QueryTracker {
   size_t replies_ = 0;
   telemetry::Counter* replies_counter_ = nullptr;
   telemetry::Counter* dup_tuples_counter_ = nullptr;
+  telemetry::Counter* budget_exhausted_counter_ = nullptr;
 };
 
 }  // namespace mind

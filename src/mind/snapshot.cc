@@ -10,7 +10,7 @@
 // Layout (all little-endian, via SnapWriter/SnapReader; the trailer carries
 // a running FNV-1a 64 checksum of every preceding byte):
 //
-//   "MSN1"  u16 version(2)
+//   "MSN1"  u16 version(3)
 //   u64 node_count  u64 sim_now  u64 state_digest
 //   rng(simulator root)
 //   [network section]
@@ -43,9 +43,10 @@ std::string Hex64(uint64_t v) {
   return buf;
 }
 
-// Version 1 streams carried an engine-mode flag and legacy insertion
-// sequence numbers; they are refused as unsupported.
-constexpr uint16_t kSnapshotVersion = 2;
+// Older streams are refused as unsupported: version 1 carried an
+// engine-mode flag and legacy insertion sequence numbers, version 2 an index
+// layout byte and layout-selection evidence per version-chain entry.
+constexpr uint16_t kSnapshotVersion = 3;
 
 uint64_t IdBits(NodeId id) {
   return static_cast<uint64_t>(static_cast<int64_t>(id));

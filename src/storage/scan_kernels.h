@@ -1,4 +1,4 @@
-// Cache-conscious scan primitives shared by the index backends.
+// Cache-conscious scan primitives under the sorted-runs store layout.
 //
 // The motivating observation ("Fast Query Processing by Distributing an
 // Index over CPU Caches", PAPERS.md) is that a range probe's cost is cache
@@ -8,21 +8,21 @@
 //    form compiles to a conditional move, so the probe loop has no
 //    mispredicted branch and the next iteration's two candidate midpoints
 //    can be prefetched before the current compare resolves;
-//  * parallel key columns: backends search a contiguous uint64_t array
+//  * parallel key columns: runs are searched as a contiguous uint64_t array
 //    (8 keys per cache line, 64-byte aligned via AlignedAlloc) instead of
 //    striding through row structs — the last three probe levels of a
 //    4k-row run share one line instead of touching three;
 //  * two-bound range scans: one LowerBound for kr.lo plus one UpperBound
 //    for kr.hi turn the filter loop into a pure [begin, end) sweep with no
 //    per-row hi check;
-//  * inline point columns: each backend keeps its rows' indexed points as
+//  * inline point columns: each run keeps its rows' indexed points as
 //    one dims-stride Value column, so the rectangle filter (PointInBox)
 //    reads fixed-width coordinates sequentially instead of chasing a heap
 //    vector per row. Only rows that pass become tuples.
 //
 // Prefetch is a pure hint: it never changes a result, only which lines are
-// in flight. The micro-benches BM_CoverProbe, BM_ScanRangeSorted and
-// BM_ScanRangeBitmap time these kernels in isolation.
+// in flight. The micro-benches BM_CoverProbe and BM_ScanRangeSorted time
+// these kernels in isolation.
 #ifndef MIND_STORAGE_SCAN_KERNELS_H_
 #define MIND_STORAGE_SCAN_KERNELS_H_
 
@@ -43,8 +43,8 @@ inline constexpr std::size_t kCacheLineBytes = 64;
 /// so call sites stay greppable; compiles to one prefetcht0 / prfm.
 inline void PrefetchRead(const void* p) { __builtin_prefetch(p, 0, 3); }
 
-/// Minimal cache-line-aligned allocator: run key columns and bucket
-/// directories start on a line boundary, so key i and key i+7 never straddle
+/// Minimal cache-line-aligned allocator: run key and point columns start on a
+/// line boundary, so key i and key i+7 never straddle
 /// one avoidably.
 template <typename T>
 struct AlignedAlloc {

@@ -9,7 +9,7 @@
 
 namespace mind {
 
-// mind-lint: allow(backend-purity): optional counter wiring per docs/BACKENDS.md
+// mind-lint: allow(backend-purity): optional counter wiring per DESIGN.md §13
 SortedRunsBackend::SortedRunsBackend(size_t dims, bool compaction,
                                      size_t compact_min_delta,
                                      size_t compact_ratio,
@@ -113,44 +113,6 @@ void SortedRunsBackend::EnsureDeltaSorted() const {
   delta_sorted_len_ = n;
 }
 
-void SortedRunsBackend::Emit(const Run& run, size_t i,
-                             RowConsumer& out) const {
-  out.Consume(RowView{run.keys[i], run.points.data() + i * dims_,
-                      rows_[run.ids[i]]});
-}
-
-void SortedRunsBackend::FilterRun(const Run& run, size_t begin, size_t end,
-                                  const scan::Box& box,
-                                  RowConsumer& out) const {
-  scan::FilterPoints(run.points.data(), dims_, begin, end, box.data(),
-                     [&](size_t i) { Emit(run, i, out); });
-}
-
-uint64_t SortedRunsBackend::ScanRange(const KeyRange& kr, const scan::Box& box,
-                                      RowConsumer& out) const {
-  if (kr.lo == kFullKeyRange.lo && kr.hi == kFullKeyRange.hi) {
-    // Every key qualifies: filter both runs as they sit — a scan that visits
-    // everything gains nothing from restored key order.
-    FilterRun(base_, 0, base_.size(), box, out);
-    FilterRun(delta_, 0, delta_.size(), box, out);
-    return size();
-  }
-  EnsureDeltaSorted();
-  auto scan_run = [&](const Run& run) -> uint64_t {
-    const auto [b, e] =
-        scan::RangeBounds(run.keys.data(), run.size(), kr.lo, kr.hi);
-    FilterRun(run, b, e, box, out);
-    return e - b;
-  };
-  return scan_run(base_) + scan_run(delta_);
-}
-
-void SortedRunsBackend::ScanAllRows(RowConsumer& out) const {
-  // Walk both runs as they sit.
-  for (size_t i = 0; i < base_.size(); ++i) Emit(base_, i, out);
-  for (size_t i = 0; i < delta_.size(); ++i) Emit(delta_, i, out);
-}
-
 Status SortedRunsBackend::ValidateInvariants(const CutTree& cuts, int code_len,
                                              uint64_t expect_bytes) const {
 #if MIND_VALIDATORS_ENABLED
@@ -198,7 +160,7 @@ Status SortedRunsBackend::ValidateInvariants(const CutTree& cuts, int code_len,
                                     << r.seq << ") is " << run.keys[i]
                                     << " but its point codes to " << expect
                                     << " under the installed cut tree");
-      bytes += StoredRowBytes(dims_, r);
+      bytes += Tuple::WireBytesFor(dims_, r.extra.size()) + kRowOverheadBytes;
     }
     return Status::OK();
   };

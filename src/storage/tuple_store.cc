@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <string>
 
-#include "storage/sorted_runs_backend.h"
 #include "telemetry/metrics.h"
 #include "util/logging.h"
 #include "util/snapio.h"
@@ -11,25 +10,23 @@
 
 namespace mind {
 
+namespace {
+
+size_t SchemaDims(const CutTreeRef& cuts) {
+  MIND_CHECK(cuts != nullptr);
+  return static_cast<size_t>(cuts->schema().dims());
+}
+
+}  // namespace
+
 TupleStore::TupleStore(CutTreeRef cuts, TupleStoreConfig config)
     : cuts_(std::move(cuts)),
       code_len_(config.code_len),
       opts_(config.options),
+      runs_(SchemaDims(cuts_), opts_.compaction, opts_.compact_min_delta,
+            opts_.compact_ratio, config.metrics),
       cover_cache_(config.cover_cache) {
-  MIND_CHECK(cuts_ != nullptr);
   MIND_CHECK(code_len_ > 0 && code_len_ <= BitCode::kMaxLen);
-  MIND_CHECK(opts_.compact_ratio > 0);
-  IndexBackendKind kind = opts_.backend;
-  if (kind == IndexBackendKind::kAdaptive) {
-    kind = ChooseIndexBackend(config.adaptive_stats);
-    if (config.metrics != nullptr) {
-      config.metrics
-          ->counter(std::string("storage.backend.adaptive.chose_") +
-                    IndexBackendKindName(kind))
-          .Inc();
-    }
-  }
-  backend_ = MakeIndexBackend(kind, opts_, dims(), config.metrics);
   if (cover_cache_ == nullptr) {
     // No shared per-node cache injected: memoize covers privately. Entries
     // are pure functions of (rect, pinned cuts, len), so this is invisible
@@ -38,17 +35,14 @@ TupleStore::TupleStore(CutTreeRef cuts, TupleStoreConfig config)
     cover_cache_ = owned_cover_cache_.get();
   }
   if (config.metrics != nullptr) {
-    config.metrics
-        ->counter(std::string("storage.backend.") + backend_->name() +
-                  ".opens")
-        .Inc();
+    config.metrics->counter("storage.backend.sorted.opens").Inc();
     cover_fallbacks_ = &config.metrics->counter("storage.cover.fallback");
   }
 }
 
 TupleStore::TupleStore(CutTreeRef cuts, int code_len)
     : TupleStore(std::move(cuts),
-                 TupleStoreConfig{code_len, {}, nullptr, nullptr, {}}) {}
+                 TupleStoreConfig{code_len, {}, nullptr, nullptr}) {}
 
 void TupleStore::Insert(Tuple tuple) {
   BitCode code = cuts_->CodeForPoint(tuple.point, code_len_);
@@ -63,40 +57,8 @@ void TupleStore::InsertCoded(Tuple tuple, const BitCode& code) {
 void TupleStore::InsertRow(uint64_t key, Tuple tuple) {
   MIND_CHECK_EQ(tuple.point.size(), dims());
   approx_bytes_ += tuple.WireBytes() + kRowOverheadBytes;
-  backend_->Append(key, tuple.point.data(),
-                   StoredRow{std::move(tuple.extra), tuple.origin, tuple.seq});
-}
-
-void TupleStore::Compact() { backend_->Compact(); }
-
-size_t TupleStore::base_size() const {
-  if (backend_->kind() == IndexBackendKind::kSortedRuns) {
-    return static_cast<const SortedRunsBackend*>(backend_.get())->base_size();
-  }
-  return backend_->size();
-}
-
-size_t TupleStore::delta_size() const {
-  if (backend_->kind() == IndexBackendKind::kSortedRuns) {
-    return static_cast<const SortedRunsBackend*>(backend_.get())->delta_size();
-  }
-  return 0;
-}
-
-BackendWorkloadStats TupleStore::workload_stats() const {
-  BackendWorkloadStats s;
-  s.rows = backend_->size();
-  s.queries = scan_queries_;
-  s.cover_ranges = scan_cover_ranges_;
-  s.rows_examined = scan_rows_examined_;
-  s.rows_matched = scan_rows_matched_;
-  return s;
-}
-
-template <typename Fn>
-void TupleStore::ForEachRow(Fn&& fn) const {
-  RowConsumerAdapter<Fn> sink(fn);
-  backend_->ScanAllRows(sink);
+  runs_.Append(key, tuple.point.data(),
+               StoredRow{std::move(tuple.extra), tuple.origin, tuple.seq});
 }
 
 Tuple TupleStore::ToTuple(const RowView& r) const {
@@ -114,7 +76,6 @@ void TupleStore::Scan(const Rect& rect, Fn&& fn) const {
   const int len = std::min(opts_.cover_len, code_len_);
   const CoverRanges* cover =
       cover_cache_->GetOrCompute(rect, cuts_, len, opts_.max_cover_codes);
-  ++scan_queries_;
   scan::Box box(2 * dims());
   for (size_t d = 0; d < dims(); ++d) {
     const Interval& iv = rect.interval(static_cast<int>(d));
@@ -125,19 +86,16 @@ void TupleStore::Scan(const Rect& rect, Fn&& fn) const {
     ++scan_rows_matched_;
     fn(r);
   };
-  RowConsumerAdapter<decltype(visit)> sink(visit);
   if (cover->fallback) {
-    // Pathologically wide query: the full key range, which every backend
-    // walks as it sits — a scan that visits everything gains nothing from
-    // key pruning.
+    // Pathologically wide query: the full key range, which the runs walk as
+    // they sit — a scan that visits everything gains nothing from key
+    // pruning.
     if (cover_fallbacks_ != nullptr) cover_fallbacks_->Inc();
-    ++scan_cover_ranges_;  // the full scan counts as one maximal range
-    scan_rows_examined_ += backend_->ScanRange(kFullKeyRange, box, sink);
+    scan_rows_examined_ += runs_.ScanRange(kFullKeyRange, box, visit);
     return;
   }
-  scan_cover_ranges_ += cover->ranges.size();
   for (const KeyRange& kr : cover->ranges) {
-    scan_rows_examined_ += backend_->ScanRange(kr, box, sink);
+    scan_rows_examined_ += runs_.ScanRange(kr, box, visit);
   }
 }
 
@@ -160,7 +118,7 @@ size_t TupleStore::Count(const Rect& rect) const {
 Status TupleStore::ValidateInvariants() const {
 #if MIND_VALIDATORS_ENABLED
   MIND_RETURN_NOT_OK(
-      backend_->ValidateInvariants(*cuts_, code_len_, approx_bytes_));
+      runs_.ValidateInvariants(*cuts_, code_len_, approx_bytes_));
   MIND_RETURN_NOT_OK(cuts_->ValidateInvariants());
 #endif  // MIND_VALIDATORS_ENABLED
   return Status::OK();
@@ -168,7 +126,7 @@ Status TupleStore::ValidateInvariants() const {
 
 void TupleStore::DigestInto(Fnv64* out) const {
   OrderIndependentAccumulator acc;
-  ForEachRow([this, &acc](const RowView& r) {
+  runs_.ScanAllRows([this, &acc](const RowView& r) {
     Fnv64 h;
     h.Mix(r.key);
     h.Mix(static_cast<uint64_t>(static_cast<int64_t>(r.row.origin)));
@@ -190,10 +148,8 @@ void TupleStore::DigestEmptyInto(Fnv64* out) {
 void TupleStore::SaveSnapshotState(SnapWriter* w) const {
   w->U64(scan_rows_examined_);
   w->U64(scan_rows_matched_);
-  w->U64(scan_queries_);
-  w->U64(scan_cover_ranges_);
-  w->U64(backend_->size());
-  ForEachRow([this, w](const RowView& r) {
+  w->U64(runs_.size());
+  runs_.ScanAllRows([this, w](const RowView& r) {
     w->U64(r.key);
     w->U64(static_cast<uint64_t>(static_cast<int64_t>(r.row.origin)));
     w->U64(r.row.seq);
@@ -207,8 +163,6 @@ void TupleStore::SaveSnapshotState(SnapWriter* w) const {
 Status TupleStore::LoadSnapshotState(SnapReader* r) {
   MIND_ASSIGN_OR_RETURN(scan_rows_examined_, r->U64("store.rows_examined"));
   MIND_ASSIGN_OR_RETURN(scan_rows_matched_, r->U64("store.rows_matched"));
-  MIND_ASSIGN_OR_RETURN(scan_queries_, r->U64("store.queries"));
-  MIND_ASSIGN_OR_RETURN(scan_cover_ranges_, r->U64("store.cover_ranges"));
   uint64_t rows;
   MIND_ASSIGN_OR_RETURN(rows, r->U64("store.row_count"));
   for (uint64_t i = 0; i < rows; ++i) {
@@ -251,7 +205,8 @@ Status TupleStore::LoadSnapshotState(SnapReader* r) {
 std::vector<Tuple> TupleStore::AllTuples() const {
   std::vector<Tuple> out;
   out.reserve(size());
-  ForEachRow([this, &out](const RowView& r) { out.push_back(ToTuple(r)); });
+  runs_.ScanAllRows(
+      [this, &out](const RowView& r) { out.push_back(ToTuple(r)); });
   return out;
 }
 
@@ -261,7 +216,7 @@ Histogram TupleStore::BuildHistogram(int bins_per_dim, int time_attr,
   const bool shift = time_attr >= 0 && time_shift != 0;
   const Value max = shift ? cuts_->schema().attr(time_attr).max : 0;
   Point p(dims());
-  ForEachRow([&](const RowView& r) {
+  runs_.ScanAllRows([&](const RowView& r) {
     p.assign(r.point, r.point + dims());
     if (shift) {
       Value shifted = p[time_attr] + time_shift;

@@ -1,18 +1,15 @@
 // Per-node, per-(index, version) tuple storage with rectangle queries.
 //
 // Replaces the paper's MySQL/JDBC backend (DESIGN.md §2). Tuples are keyed by
-// their data-space code (left-aligned in 64 bits) and held in one pluggable
-// IndexBackend (DESIGN.md §13, docs/BACKENDS.md): two sorted runs LSM-style
-// (kSortedRuns, the default), hierarchical compressed bitmaps over key
-// buckets (kBitmap), or a per-store adaptive choice between the two from the
-// previous version's workload stats (kAdaptive). A rectangle query narrows to
+// their data-space code (left-aligned in 64 bits) and held in two sorted runs,
+// LSM-style (SortedRunsBackend, DESIGN.md §13). A rectangle query narrows to
 // the merged key ranges of its covering codes (optionally through a shared
-// CoverCache) and asks the backend for each range together with the query
-// box; the backend filters on its inline point column and hands back only
-// the matching rows, which the facade turns into tuples. The backend choice
-// is digest-transparent: results, counts, timings and replay digests are
-// bit-identical across every backend (the facade owns everything a digest or
-// the simulation can see; the backend only owns the physical layout).
+// CoverCache) and asks the runs for each range together with the query box;
+// the runs filter on their inline point column and hand back only the
+// matching rows, which the store turns into tuples. The layout is
+// digest-transparent: results, counts, timings and replay digests never
+// depend on run boundaries or compaction timing (the store owns everything a
+// digest or the simulation can see; the runs only own the physical layout).
 #ifndef MIND_STORAGE_TUPLE_STORE_H_
 #define MIND_STORAGE_TUPLE_STORE_H_
 
@@ -24,7 +21,7 @@
 #include "space/histogram.h"
 #include "space/rect.h"
 #include "storage/cover_cache.h"
-#include "storage/index_backend.h"
+#include "storage/sorted_runs_backend.h"
 #include "storage/tuple.h"
 #include "util/digest.h"
 
@@ -33,23 +30,18 @@ namespace mind {
 struct TupleStoreOptions {
   /// Merge the delta run into the base run at the size-ratio trigger (and at
   /// version freeze). Off leaves every insert in the delta run. Layout-only:
-  /// query results, counts and digests are identical either way. Ignored by
-  /// backends without a compaction concept (kBitmap).
+  /// query results, counts and digests are identical either way.
   bool compaction = true;
   /// Compaction triggers once the delta holds at least this many rows...
   size_t compact_min_delta = 64;
   /// ...and delta * ratio exceeds the base size (amortizes the merge).
   size_t compact_ratio = 4;
   /// Query cover granularity: fine enough to prune, coarse enough to bound
-  /// the number of ranges. The default matches the bitmap backend's fine
-  /// bucket grid, keeping cover ranges bucket-aligned.
+  /// the number of ranges. Changing it moves scan_rows_examined, and with it
+  /// the storage.scan.* figures every bench reports.
   int cover_len = 12;
   /// Cover() code budget; overflow takes the full-scan fallback path.
   size_t max_cover_codes = 4096;
-  /// Physical layout behind the store (DESIGN.md §13). kAdaptive resolves to
-  /// kSortedRuns or kBitmap at construction from
-  /// TupleStoreConfig::adaptive_stats. Digest-transparent by contract.
-  IndexBackendKind backend = IndexBackendKind::kSortedRuns;
 };
 
 /// Everything a store needs besides its cut tree: key precision, layout
@@ -60,10 +52,6 @@ struct TupleStoreConfig {
   TupleStoreOptions options;
   telemetry::MetricsRegistry* metrics = nullptr;  // storage.* counters
   CoverCache* cover_cache = nullptr;              // shared, owned by the node
-  /// Workload evidence for options.backend == kAdaptive: IndexVersions copies
-  /// the closing store's workload_stats() here before opening the next
-  /// version, so each day's choice follows that index's observed mix.
-  BackendWorkloadStats adaptive_stats;
 };
 
 class TupleStore {
@@ -74,7 +62,7 @@ class TupleStore {
   /// Default config with the given key precision (tests, standalone use).
   TupleStore(CutTreeRef cuts, int code_len);
 
-  /// Adds a tuple (O(1) amortized; appends into the backend).
+  /// Adds a tuple (O(1) amortized; appends into the delta run).
   void Insert(Tuple tuple);
 
   /// Adds a tuple whose data-space code is already known (the insert message
@@ -82,26 +70,16 @@ class TupleStore {
   /// equal `cuts()->CodeForPoint(tuple.point, n)` for some n >= code_len.
   void InsertCoded(Tuple tuple, const BitCode& code);
 
-  /// Backend maintenance now (the version-freeze hook; the sorted-runs
-  /// backend merges its delta down, the bitmap backend has nothing to do).
+  /// Merges the delta run into the base run now (the version-freeze hook).
   /// Layout-only.
-  void Compact();
+  void Compact() { runs_.Compact(); }
 
-  size_t size() const { return backend_->size(); }
-  /// Sorted-runs layout detail, kept for tests and capacity introspection:
-  /// other backends report size()/0 (everything "base", nothing pending).
-  size_t base_size() const;
-  size_t delta_size() const;
+  size_t size() const { return runs_.size(); }
+  /// Run sizes, for tests and capacity introspection.
+  size_t base_size() const { return runs_.base_size(); }
+  size_t delta_size() const { return runs_.delta_size(); }
   uint64_t approx_bytes() const { return approx_bytes_; }
   bool compaction_enabled() const { return opts_.compaction; }
-
-  /// The resolved physical layout (never kAdaptive) and its stable name.
-  IndexBackendKind backend_kind() const { return backend_->kind(); }
-  const char* backend_name() const { return backend_->name(); }
-
-  /// Ingest/query tallies since construction — handed to the next version's
-  /// store as kAdaptive evidence. Sim-deterministic (telemetry-independent).
-  BackendWorkloadStats workload_stats() const;
 
   /// All tuples whose point lies inside `rect`.
   std::vector<Tuple> Query(const Rect& rect) const;
@@ -114,7 +92,7 @@ class TupleStore {
   /// Number of matching tuples without materializing them.
   size_t Count(const Rect& rect) const;
 
-  /// Every stored tuple, in backend layout order.
+  /// Every stored tuple, in layout order.
   std::vector<Tuple> AllTuples() const;
 
   /// Histogram of the stored points at the given granularity (input to the
@@ -129,24 +107,21 @@ class TupleStore {
 
   /// Cumulative scan-efficiency counters over every Query/Count so far:
   /// rows examined (rows whose key lies in a cover range — every row on
-  /// cover fallback — as the backends report it) vs. rows matched (rows
+  /// cover fallback) vs. rows matched (rows
   /// inside the rectangle). Callers snapshot before/after a query and record
   /// the deltas (`storage.scan.*` histograms).
   uint64_t scan_rows_examined() const { return scan_rows_examined_; }
   uint64_t scan_rows_matched() const { return scan_rows_matched_; }
 
-  /// Checks storage consistency: the backend's structural invariants (run
-  /// order for sorted runs; bucket membership, cardinalities and word shape
-  /// for bitmaps), its key and point columns mirroring the stored rows,
-  /// every key equal to its point's code under the installed cut tree, the
-  /// byte accounting matching the stored rows, and the cut tree itself
-  /// well-formed. Returns OK trivially when
+  /// Checks storage consistency: run order, the key and point columns
+  /// mirroring the stored rows, every key equal to its point's code under
+  /// the installed cut tree, the byte accounting matching the stored rows,
+  /// and the cut tree itself well-formed. Returns OK trivially when
   /// MIND_VALIDATORS is off.
   Status ValidateInvariants() const;
 
-  /// Folds the stored tuples into `out`, independent of row order *and* of
-  /// the physical layout (the digest must see neither compaction timing nor
-  /// the backend choice).
+  /// Folds the stored tuples into `out`, independent of row order (the
+  /// digest must not see compaction timing).
   void DigestInto(Fnv64* out) const;
 
   /// What DigestInto folds for a store with no rows. Version chains hold
@@ -155,11 +130,9 @@ class TupleStore {
   static void DigestEmptyInto(Fnv64* out);
 
   /// Serializes the scan counters and every stored row for the MSN1 snapshot
-  /// (DESIGN.md §14). The resolved backend kind is written by the caller
-  /// (IndexVersions), which must construct the restored store with that kind
-  /// before it can load. The physical base/delta layout is NOT preserved —
-  /// backends are digest- and timing-transparent by contract, so restore may
-  /// re-pack rows freely.
+  /// (DESIGN.md §14). The physical base/delta layout is NOT preserved — it is
+  /// digest- and timing-transparent by contract, so restore may re-pack rows
+  /// freely.
   void SaveSnapshotState(SnapWriter* w) const;
   /// Restores rows and counters written by SaveSnapshotState into this
   /// freshly constructed, empty store.
@@ -170,14 +143,10 @@ class TupleStore {
 
   size_t dims() const { return static_cast<size_t>(cuts_->schema().dims()); }
   void InsertRow(uint64_t key, Tuple tuple);
-  // Invokes fn on the RowView of every stored row inside rect; the backend
-  // filters, so fn sees matches only.
+  // Invokes fn on the RowView of every stored row inside rect; the runs
+  // filter, so fn sees matches only.
   template <typename Fn>
   void Scan(const Rect& rect, Fn&& fn) const;
-  // Invokes fn on the RowView of every stored row, layout order (digests,
-  // histograms, snapshots).
-  template <typename Fn>
-  void ForEachRow(Fn&& fn) const;
   // Materializes a matched row.
   Tuple ToTuple(const RowView& r) const;
 
@@ -187,11 +156,9 @@ class TupleStore {
   int code_len_;
   // mind-digest: skip(construction-time config, not evolving state)
   TupleStoreOptions opts_;
-  std::unique_ptr<IndexBackend> backend_;
+  SortedRunsBackend runs_;
   mutable uint64_t scan_rows_examined_ = 0;
   mutable uint64_t scan_rows_matched_ = 0;
-  mutable uint64_t scan_queries_ = 0;
-  mutable uint64_t scan_cover_ranges_ = 0;
   // mind-digest: skip(derived size estimate; recomputable from digested rows)
   uint64_t approx_bytes_ = 0;
   CoverCache* cover_cache_ = nullptr;  // never null after construction

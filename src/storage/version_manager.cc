@@ -26,41 +26,19 @@ Status IndexVersions::AddVersion(VersionId id, CutTreeRef cuts, SimTime start) {
         entries_.back().store->compaction_enabled()) {
       entries_.back().store->Compact();
     }
-    // Adaptive backend hand-off: the closing store's observed ingest/query
-    // mix is the evidence the next version's store resolves kAdaptive with
-    // (a cold chain starts on kSortedRuns; see ChooseIndexBackend). A lazy
-    // closing store saw no ingest and no queries: zero evidence, exactly
-    // what an eager empty store would report.
-    if (config_.options.backend == IndexBackendKind::kAdaptive) {
-      config_.adaptive_stats = entries_.back().store != nullptr
-                                   ? entries_.back().store->workload_stats()
-                                   : BackendWorkloadStats{};
-    }
   }
   Entry e;
   e.id = id;
   e.start = start;
   e.cuts = std::move(cuts);
-  e.adaptive_at_open = BoxEvidence(config_.adaptive_stats);
   entries_.push_back(std::move(e));
   ++epoch_;
   return Status::OK();
 }
 
-std::unique_ptr<const BackendWorkloadStats> IndexVersions::BoxEvidence(
-    const BackendWorkloadStats& stats) {
-  const bool zero = stats.rows == 0 && stats.queries == 0 &&
-                    stats.cover_ranges == 0 && stats.rows_examined == 0 &&
-                    stats.rows_matched == 0;
-  if (zero) return nullptr;
-  return std::make_unique<const BackendWorkloadStats>(stats);
-}
-
 TupleStore* IndexVersions::Materialize(Entry* e) {
   if (e->store == nullptr) {
-    TupleStoreConfig config = config_;
-    config.adaptive_stats = e->OpenEvidence();
-    e->store = std::make_unique<TupleStore>(e->cuts, config);
+    e->store = std::make_unique<TupleStore>(e->cuts, config_);
   }
   return e->store.get();
 }
@@ -172,17 +150,10 @@ void IndexVersions::SaveSnapshotState(
     w->U32(e.id);
     w->U64(e.start);
     w->U32(tree_index(e.cuts));
-    const BackendWorkloadStats ao = e.OpenEvidence();
-    w->U64(ao.rows);
-    w->U64(ao.queries);
-    w->U64(ao.cover_ranges);
-    w->U64(ao.rows_examined);
-    w->U64(ao.rows_matched);
     if (e.store == nullptr) {
       w->U8(0);  // lazy: the version has never been written
     } else {
       w->U8(1);
-      w->U8(static_cast<uint8_t>(e.store->backend_kind()));
       e.store->SaveSnapshotState(w);
     }
   }
@@ -214,14 +185,6 @@ Status IndexVersions::LoadSnapshotState(SnapReader* r,
                                std::to_string(trees.size()));
     }
     e.cuts = trees[tree_idx];
-    BackendWorkloadStats ao;
-    MIND_ASSIGN_OR_RETURN(ao.rows, r->U64("versions.ao.rows"));
-    MIND_ASSIGN_OR_RETURN(ao.queries, r->U64("versions.ao.queries"));
-    MIND_ASSIGN_OR_RETURN(ao.cover_ranges, r->U64("versions.ao.cover_ranges"));
-    MIND_ASSIGN_OR_RETURN(ao.rows_examined,
-                          r->U64("versions.ao.rows_examined"));
-    MIND_ASSIGN_OR_RETURN(ao.rows_matched, r->U64("versions.ao.rows_matched"));
-    e.adaptive_at_open = BoxEvidence(ao);
     if (!entries_.empty()) {
       if (e.id <= entries_.back().id) {
         return r->FieldError("versions.entry.id",
@@ -238,30 +201,10 @@ Status IndexVersions::LoadSnapshotState(SnapReader* r,
       return r->FieldError("versions.entry.materialized", "not a boolean");
     }
     if (materialized != 0) {
-      uint8_t kind;
-      MIND_ASSIGN_OR_RETURN(kind, r->U8("versions.entry.backend"));
-      if (kind != static_cast<uint8_t>(IndexBackendKind::kSortedRuns) &&
-          kind != static_cast<uint8_t>(IndexBackendKind::kBitmap)) {
-        return r->FieldError(
-            "versions.entry.backend",
-            "kind " + std::to_string(kind) +
-                " is not a resolved backend (0=sorted, 1=bitmap)");
-      }
-      // Reopen with the saved resolved kind: never re-run the adaptive
-      // choice at restore, or a chain snapshotted mid-history could flip
-      // its layout and (through scan counters) its future evidence.
-      TupleStoreConfig config = config_;
-      config.options.backend = static_cast<IndexBackendKind>(kind);
-      config.adaptive_stats = ao;
-      e.store = std::make_unique<TupleStore>(e.cuts, config);
+      e.store = std::make_unique<TupleStore>(e.cuts, config_);
       MIND_RETURN_NOT_OK(e.store->LoadSnapshotState(r));
     }
     entries_.push_back(std::move(e));
-  }
-  // AddVersion keeps config_.adaptive_stats equal to the newest entry's
-  // open-time evidence; restore the same relationship.
-  if (!entries_.empty()) {
-    config_.adaptive_stats = entries_.back().OpenEvidence();
   }
   return Status::OK();
 }

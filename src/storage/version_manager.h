@@ -106,9 +106,7 @@ class IndexVersions {
                              tree_index) const;
   /// Restores a chain written by SaveSnapshotState into this freshly
   /// constructed (empty) manager; `trees` is the deserialized interned tree
-  /// table. Materialized stores are reopened with their saved resolved
-  /// backend kind — never re-resolved, so a restore mid-history cannot flip
-  /// an adaptive choice.
+  /// table.
   Status LoadSnapshotState(SnapReader* r, const std::vector<CutTreeRef>& trees);
 
  private:
@@ -122,22 +120,9 @@ class IndexVersions {
     /// empty store; DigestInto folds the empty-store digest so lazy and
     /// materialized-but-empty chains are indistinguishable.
     std::unique_ptr<TupleStore> store;
-    /// kAdaptive evidence captured when this version opened, so a store
-    /// materializing late still resolves its backend exactly as an eager
-    /// store would have at AddVersion time. Null stands for zero evidence
-    /// (every non-adaptive chain, and a cold adaptive one): a node opens
-    /// one entry per chain per day, so the chain keeps the 40-byte record
-    /// only where it says something.
-    std::unique_ptr<const BackendWorkloadStats> adaptive_at_open;
-    BackendWorkloadStats OpenEvidence() const {
-      return adaptive_at_open ? *adaptive_at_open : BackendWorkloadStats{};
-    }
   };
-  /// The boxed form of `stats` for Entry::adaptive_at_open.
-  static std::unique_ptr<const BackendWorkloadStats> BoxEvidence(
-      const BackendWorkloadStats& stats);
   const Entry* Find(VersionId id) const;
-  /// Creates the entry's store on first write (config_ + adaptive_at_open).
+  /// Creates the entry's store on first write.
   TupleStore* Materialize(Entry* e);
 
   // mind-digest: skip(construction-time config, not evolving state)

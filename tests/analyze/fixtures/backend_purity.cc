@@ -1,7 +1,7 @@
-// Fixture: backend-purity. Classes deriving from IndexBackend must not
-// reference telemetry, Rng, EventQueue or other simulation-visible types;
+// Fixture: backend-purity. The store layout class (SortedRunsBackend) must
+// not reference telemetry, Rng, EventQueue or other simulation-visible types;
 // the sanctioned exception is an optional counter with a reasoned allow
-// (docs/BACKENDS.md).
+// (DESIGN.md §13). Each namespace below holds one variant of the class.
 
 namespace telemetry {
 class MetricsRegistry;
@@ -10,53 +10,57 @@ class Counter;
 
 namespace mind {
 
-class IndexBackend {
- public:
-  virtual ~IndexBackend() = default;
-  virtual void Append(int row) = 0;
-  virtual int size() const = 0;
-};
-
 // Clean: pure data structure.
-class PureBackend : public IndexBackend {
+namespace pure {
+class SortedRunsBackend {
  public:
-  void Append(int row) override { rows_ += row; }
-  int size() const override { return rows_; }
+  void Append(int row) { rows_ += row; }
+  int size() const { return rows_; }
 
  private:
   int rows_ = 0;
 };
+}  // namespace pure
 
-// Violation: names a telemetry type without a reasoned allow.
-class ChattyBackend : public IndexBackend {
+// Violations: a telemetry member without a reasoned allow, and a random
+// number generator inside an out-of-class method body.
+namespace chatty {
+class SortedRunsBackend {
  public:
-  void Append(int row) override { rows_ += row; }
-  int size() const override { return rows_; }
+  void Append(int row) { rows_ += row; }
+  void Compact();
 
  private:
   telemetry::Counter* appends_ = nullptr;  // analyze-expect: backend-purity
   int rows_ = 0;
 };
 
-// Transitive: deriving from a derived backend is still a backend.
-class GrandchildBackend : public ChattyBackend {
+void SortedRunsBackend::Compact() {
+  Rng rng(rows_);  // analyze-expect: backend-purity
+  rows_ = 0;
+}
+
+// Transitive: deriving from the layout class is still the layout.
+class GrandchildRuns : public SortedRunsBackend {
  private:
   telemetry::Counter* merges_ = nullptr;  // analyze-expect: backend-purity
 };
+}  // namespace chatty
 
 // Sanctioned: optional counter with the documented allow.
-class BlessedBackend : public IndexBackend {
+namespace blessed {
+class SortedRunsBackend {
  public:
-  void Append(int row) override { rows_ += row; }
-  int size() const override { return rows_; }
+  void Append(int row) { rows_ += row; }
 
  private:
-  // mind-lint: allow(backend-purity): optional counter per docs/BACKENDS.md
+  // mind-lint: allow(backend-purity): optional counter per DESIGN.md §13
   telemetry::Counter* appends_ = nullptr;
   int rows_ = 0;
 };
+}  // namespace blessed
 
-// Not a backend: free to reference telemetry.
+// Not the layout: free to reference telemetry.
 class Recorder {
  private:
   telemetry::Counter* events_ = nullptr;

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "mind/query_tracker.h"
 
 namespace mind {
@@ -110,6 +113,35 @@ TEST(QueryTrackerTest, IncompleteWideQueryStaysIncomplete) {
   EXPECT_FALSE(tracker.IsComplete());  // "111" unanswered
   tracker.AddReply(4, BitCode::FromString("111"), {});
   EXPECT_TRUE(tracker.IsComplete());
+}
+
+TEST(QueryTrackerTest, ExhaustedCoverBudgetIsCounted) {
+  // A line query through a 5-dimensional space: every fifth split level
+  // doubles the codes the line crosses and the other four each leave a
+  // vacuous sibling, so a completeness check explores ~10 codes per answered
+  // leaf. With the first 2500 leaves along the line answered, the check runs
+  // out of its exploration budget before it meets an unanswered one.
+  std::vector<AttributeDef> attrs;
+  for (int d = 0; d < 5; ++d) {
+    std::string name = "a";  // not "a" + ...: gcc 12 -Wrestrict false positive
+    name += std::to_string(d);
+    attrs.push_back({name, 0, (1u << 12) - 1});
+  }
+  auto cuts = std::make_shared<CutTree>(CutTree::Even(Schema(attrs)));
+  std::vector<Interval> ivs(5, Interval{0, 0});
+  ivs[0] = {0, (1u << 12) - 1};
+  telemetry::MetricsRegistry metrics;
+  QueryTracker tracker(Rect(ivs), BitCode(), cuts, 60, &metrics);
+  EXPECT_FALSE(tracker.IsComplete());  // stops at the first unanswered leaf
+  for (Value x = 0; x < 2500; ++x) {
+    Point p(5, 0);
+    p[0] = x;
+    tracker.AddReply(1, cuts->CodeForPoint(p, 60), {});
+  }
+  EXPECT_FALSE(tracker.IsComplete());
+#ifndef MIND_TELEMETRY_DISABLED
+  EXPECT_EQ(metrics.counter("mind.query.cover_budget_exhausted").value(), 1u);
+#endif
 }
 
 }  // namespace

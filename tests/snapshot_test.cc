@@ -2,10 +2,10 @@
 //
 // The contract under test: a net restored from a snapshot and run forward is
 // bit-identical — StateDigest and observable results — to the net that never
-// stopped. Serial and parallel, every index backend, across thread and shard
-// counts, with outage plans in force and heartbeat timers
-// live. Plus the refusal paths: non-quiescent saves, stale nets, corrupted
-// and truncated streams, each with a precise field-level error.
+// stopped. Serial and parallel, across thread and shard counts, with outage
+// plans in force and heartbeat timers live. Plus the refusal paths:
+// non-quiescent saves, stale nets, corrupted and truncated streams, each with
+// a precise field-level error.
 #include <cstdint>
 #include <memory>
 #include <ostream>
@@ -48,14 +48,11 @@ Tuple SnapTuple(Rng* rng, uint64_t seq) {
 }
 
 /// `threads == 0` is the sequential engine; > 0 the sharded parallel engine.
-MindNetOptions SnapOpts(int threads,
-                        IndexBackendKind backend = IndexBackendKind::kSortedRuns,
-                        int shards = 0) {
+MindNetOptions SnapOpts(int threads, int shards = 0) {
   MindNetOptions opts;
   opts.sim.seed = 0x5aa5;
   opts.sim.threads = threads;
   opts.sim.shards = shards;
-  opts.mind.store_backend = backend;
   // Live heartbeat timers at save time: the one event class the snapshot
   // layer re-arms, so every round trip here exercises that path.
   opts.overlay.heartbeat_interval = FromSeconds(5);
@@ -169,21 +166,15 @@ Phase2Result RunRestored(const MindNetOptions& opts,
 // ------------------------------------------------------------ round trips
 
 TEST(SnapshotTest, RoundTripAcrossBackendsSerialAndParallel) {
-  for (IndexBackendKind backend :
-       {IndexBackendKind::kSortedRuns, IndexBackendKind::kBitmap,
-        IndexBackendKind::kAdaptive}) {
-    std::string snap;
-    Phase2Result straight = RunStraight(SnapOpts(0, backend), &snap);
-    ASSERT_FALSE(snap.empty());
-    // Same engine restore, and the cross-engine promise: the same snapshot
-    // restores into the threads=4 engine with an identical digest.
-    Phase2Result serial = RunRestored(SnapOpts(0, backend), snap);
-    Phase2Result parallel = RunRestored(SnapOpts(4, backend), snap);
-    EXPECT_TRUE(straight == serial)
-        << "backend=" << static_cast<int>(backend);
-    EXPECT_TRUE(straight == parallel)
-        << "backend=" << static_cast<int>(backend);
-  }
+  std::string snap;
+  Phase2Result straight = RunStraight(SnapOpts(0), &snap);
+  ASSERT_FALSE(snap.empty());
+  // Same engine restore, and the cross-engine promise: the same snapshot
+  // restores into the threads=4 engine with an identical digest.
+  Phase2Result serial = RunRestored(SnapOpts(0), snap);
+  Phase2Result parallel = RunRestored(SnapOpts(4), snap);
+  EXPECT_TRUE(straight == serial);
+  EXPECT_TRUE(straight == parallel);
 }
 
 TEST(SnapshotTest, DisciplineRestoreAcrossThreadAndShardCounts) {
@@ -196,9 +187,7 @@ TEST(SnapshotTest, DisciplineRestoreAcrossThreadAndShardCounts) {
   }
   // Ordering keys are engine-independent, so even a different shard count
   // restores bit-identically.
-  Phase2Result resharded = RunRestored(SnapOpts(2, IndexBackendKind::kSortedRuns,
-                                                /*shards=*/5),
-                                       snap);
+  Phase2Result resharded = RunRestored(SnapOpts(2, /*shards=*/5), snap);
   EXPECT_TRUE(straight == resharded);
 }
 
@@ -364,9 +353,10 @@ TEST_F(SnapshotCorruptionTest, BadMagicNamesTheField) {
 }
 
 TEST_F(SnapshotCorruptionTest, UnsupportedVersionNamesTheField) {
-  // 1 is the retired format (it carried an engine-mode flag and legacy
-  // insertion sequence numbers); 9 was never written.
-  for (char version : {1, 9}) {
+  // 1 and 2 are retired formats (1 carried an engine-mode flag and legacy
+  // insertion sequence numbers, 2 an index layout byte and layout-selection
+  // evidence per version-chain entry); 9 was never written.
+  for (char version : {1, 2, 9}) {
     std::string bad = snap_;
     bad[4] = version;  // u16 version field, little-endian low byte
     Status st = Load(bad);

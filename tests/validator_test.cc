@@ -18,7 +18,6 @@
 #include "sim/event_queue.h"
 #include "space/cut_tree.h"
 #include "space/histogram.h"
-#include "storage/bitmap_backend.h"
 #include "storage/sorted_runs_backend.h"
 #include "storage/tuple_store.h"
 #include "storage/version_manager.h"
@@ -43,14 +42,7 @@ class CutTreeTestPeek {
 
 class TupleStoreTestPeek {
  public:
-  static SortedRunsBackend& sorted(TupleStore& s) {
-    EXPECT_EQ(s.backend_kind(), IndexBackendKind::kSortedRuns);
-    return static_cast<SortedRunsBackend&>(*s.backend_);
-  }
-  static BitmapIndexBackend& bitmap(TupleStore& s) {
-    EXPECT_EQ(s.backend_kind(), IndexBackendKind::kBitmap);
-    return static_cast<BitmapIndexBackend&>(*s.backend_);
-  }
+  static SortedRunsBackend& sorted(TupleStore& s) { return s.runs_; }
   static auto& base(TupleStore& s) { return sorted(s).base_; }
   static auto& delta(TupleStore& s) { return sorted(s).delta_; }
   static size_t& delta_sorted_len(TupleStore& s) {
@@ -71,14 +63,6 @@ class TupleStoreTestPeek {
                      run.points.begin() + j * dims);
   }
   static uint64_t& approx_bytes(TupleStore& s) { return s.approx_bytes_; }
-  static auto& keys(BitmapIndexBackend& b) { return b.keys_; }
-  static auto& points(BitmapIndexBackend& b) { return b.points_; }
-  static auto& fine(BitmapIndexBackend& b) { return b.fine_; }
-  static auto& summary(BitmapIndexBackend& b) { return b.summary_; }
-  static auto& dir_ids(BucketDirectory& d) { return d.ids_; }
-  static auto& dir_maps(BucketDirectory& d) { return d.maps_; }
-  static auto& bitmap_words(RleBitmap& bm) { return bm.words_; }
-  static uint64_t& bitmap_count(RleBitmap& bm) { return bm.count_; }
 };
 
 class VersionManagerTestPeek {
@@ -318,135 +302,6 @@ TEST(TupleStoreValidatorTest, DetectsSortedPrefixOverrun) {
   store.Insert(TwoDimTuple(100, 200, 1));
   TupleStoreTestPeek::delta_sorted_len(store) = 2;  // one past the delta's end
   ExpectViolation(store.ValidateInvariants(), "sorted prefix");
-}
-
-// -------------------------------------------------------- bitmap backend
-
-TupleStoreConfig BitmapConfig() {
-  TupleStoreConfig cfg;
-  cfg.code_len = 24;
-  cfg.options.backend = IndexBackendKind::kBitmap;
-  return cfg;
-}
-
-void FillStore(TupleStore& store, uint64_t n) {
-  for (uint64_t i = 0; i < n; ++i) {
-    store.Insert(TwoDimTuple(static_cast<Value>(i * 199 % 10000),
-                             static_cast<Value>(i * 53 % 10000), i));
-  }
-}
-
-TEST(BitmapBackendValidatorTest, CleanStorePasses) {
-  TupleStore store(std::make_shared<CutTree>(CutTree::Even(TwoDimSchema())),
-                   BitmapConfig());
-  FillStore(store, 80);
-  ASSERT_EQ(store.backend_kind(), IndexBackendKind::kBitmap);
-  ASSERT_GT(TupleStoreTestPeek::bitmap(store).fine_buckets(), 1u);
-  EXPECT_TRUE(store.ValidateInvariants().ok());
-}
-
-TEST(BitmapBackendValidatorTest, DetectsKeyPointMismatch) {
-  TupleStore store(std::make_shared<CutTree>(CutTree::Even(TwoDimSchema())),
-                   BitmapConfig());
-  FillStore(store, 4);
-  auto& keys = TupleStoreTestPeek::keys(TupleStoreTestPeek::bitmap(store));
-  keys[2] ^= uint64_t{1} << 40;
-  ExpectViolation(store.ValidateInvariants(), "under the installed cut tree");
-}
-
-TEST(BitmapBackendValidatorTest, DetectsPointColumnDrift) {
-  TupleStore store(std::make_shared<CutTree>(CutTree::Even(TwoDimSchema())),
-                   BitmapConfig());
-  FillStore(store, 4);
-  auto& points = TupleStoreTestPeek::points(TupleStoreTestPeek::bitmap(store));
-  ASSERT_EQ(points.size(), 8u);
-  // Row 2's x is 398; move it across the root cut.
-  points[2 * 2] = 9000;
-  ExpectViolation(store.ValidateInvariants(), "under the installed cut tree");
-}
-
-TEST(BitmapBackendValidatorTest, DetectsColumnLengthDrift) {
-  TupleStore store(std::make_shared<CutTree>(CutTree::Even(TwoDimSchema())),
-                   BitmapConfig());
-  FillStore(store, 4);
-  auto& bm = TupleStoreTestPeek::bitmap(store);
-  TupleStoreTestPeek::points(bm).pop_back();
-  ExpectViolation(store.ValidateInvariants(), "point column holds");
-  TupleStoreTestPeek::points(bm).push_back(0);
-  TupleStoreTestPeek::keys(bm).pop_back();
-  ExpectViolation(store.ValidateInvariants(), "key column holds");
-}
-
-// 70 rows at one point share one fine bucket; their ids 0..69 cross the
-// 63-bit chunk boundary, so the bucket's bitmap provably encodes a
-// ones-fill word (chunk 0 is all ones) ahead of the active chunk.
-void FillOneBucket(TupleStore& store, uint64_t n = 70) {
-  for (uint64_t i = 0; i < n; ++i) store.Insert(TwoDimTuple(100, 200, i));
-}
-
-TEST(BitmapBackendValidatorTest, DetectsCorruptedBitmapWord) {
-  TupleStore store(std::make_shared<CutTree>(CutTree::Even(TwoDimSchema())),
-                   BitmapConfig());
-  FillOneBucket(store);
-  auto& fine = TupleStoreTestPeek::fine(TupleStoreTestPeek::bitmap(store));
-  ASSERT_EQ(fine.size(), 1u);
-  auto& words = TupleStoreTestPeek::bitmap_words(fine.map_at(0));
-  ASSERT_FALSE(words.empty());
-  ASSERT_EQ(words[0] >> 63, 1u) << "expected a fill word for chunk 0";
-  words[0] ^= uint64_t{1} << 62;  // ones-fill -> zero-fill: 63 bits vanish
-  ExpectViolation(store.ValidateInvariants(),
-                  "set bits but its cardinality counter");
-}
-
-TEST(BitmapBackendValidatorTest, DetectsZeroLengthFillWord) {
-  TupleStore store(std::make_shared<CutTree>(CutTree::Even(TwoDimSchema())),
-                   BitmapConfig());
-  FillOneBucket(store);
-  auto& fine = TupleStoreTestPeek::fine(TupleStoreTestPeek::bitmap(store));
-  ASSERT_EQ(fine.size(), 1u);
-  auto& words = TupleStoreTestPeek::bitmap_words(fine.map_at(0));
-  ASSERT_FALSE(words.empty());
-  ASSERT_EQ(words[0] >> 63, 1u) << "expected a fill word for chunk 0";
-  words[0] &= ~((uint64_t{1} << 62) - 1);  // zero its run length
-  ExpectViolation(store.ValidateInvariants(), "zero-length fill");
-}
-
-TEST(BitmapBackendValidatorTest, DetectsRowInForeignFineBucket) {
-  TupleStore store(std::make_shared<CutTree>(CutTree::Even(TwoDimSchema())),
-                   BitmapConfig());
-  FillStore(store, 80);
-  auto& fine = TupleStoreTestPeek::fine(TupleStoreTestPeek::bitmap(store));
-  ASSERT_GT(fine.size(), 1u);
-  // Relabel the last bucket's bitmap under a bucket id none of its rows hash
-  // to. ids are unique and sorted, so back()+1 is unused and keeps the
-  // directory ordered (misorder has its own validator and test below).
-  auto& ids = TupleStoreTestPeek::dir_ids(fine);
-  ids.back() += 1;
-  ExpectViolation(store.ValidateInvariants(), "that buckets to");
-}
-
-TEST(BitmapBackendValidatorTest, DetectsMisorderedDirectory) {
-  TupleStore store(std::make_shared<CutTree>(CutTree::Even(TwoDimSchema())),
-                   BitmapConfig());
-  FillStore(store, 80);
-  auto& fine = TupleStoreTestPeek::fine(TupleStoreTestPeek::bitmap(store));
-  ASSERT_GT(fine.size(), 1u);
-  auto& ids = TupleStoreTestPeek::dir_ids(fine);
-  std::swap(ids.front(), ids.back());
-  ExpectViolation(store.ValidateInvariants(), "directory misordered");
-}
-
-TEST(BitmapBackendValidatorTest, DetectsSummaryCardinalityDrift) {
-  TupleStore store(std::make_shared<CutTree>(CutTree::Even(TwoDimSchema())),
-                   BitmapConfig());
-  FillStore(store, 80);
-  auto& summary =
-      TupleStoreTestPeek::summary(TupleStoreTestPeek::bitmap(store));
-  ASSERT_FALSE(summary.empty());
-  TupleStoreTestPeek::bitmap_count(summary.map_at(0)) += 1;
-  // The summary bitmap's decoded bits no longer match its counter, and the
-  // counter no longer matches the fine children: either diagnostic is precise.
-  ExpectViolation(store.ValidateInvariants(), "bitmap-index: summary bucket");
 }
 
 // ------------------------------------------------------- version manager

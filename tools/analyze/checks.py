@@ -7,9 +7,10 @@ Rules (docs/ANALYSIS.md is the narrative version):
                     DigestInto must be referenced by the digest fold
                     (same-class callees included) or carry an explicit
                     `// mind-digest: skip(<reason>)`.
-  backend-purity    classes deriving from IndexBackend must not reference
-                    telemetry, Rng, EventQueue or other simulation-visible
-                    types (docs/BACKENDS.md §digest-transparency).
+  backend-purity    the store layout class (SortedRunsBackend, and any class
+                    deriving from it) must not reference telemetry, Rng,
+                    EventQueue or other simulation-visible types (DESIGN.md
+                    §13, digest transparency).
   phase-safety      in a class that phase-guards mutations with
                     MIND_CHECK(!InParallelPhase()), every method that writes
                     a data member must carry the guard (directly or via a
@@ -193,9 +194,12 @@ def check_digest_coverage(model):
 # ---------------------------------------------------------------------------
 # Check 2: backend-purity.
 
-# Simulation-visible / nondeterminism-adjacent identifiers a storage backend
-# has no business naming (docs/BACKENDS.md: backends are pure data
-# structures; telemetry counters are the one sanctioned, reasoned exception).
+# The store's physical layout: a pure data structure behind TupleStore.
+_LAYOUT_CLASS = "SortedRunsBackend"
+
+# Simulation-visible / nondeterminism-adjacent identifiers the store layout
+# has no business naming (DESIGN.md §13: the layout is a pure data structure;
+# telemetry counters are the one sanctioned, reasoned exception).
 _BACKEND_FORBIDDEN = {
     "telemetry": "telemetry namespace",
     "MetricsRegistry": "telemetry type",
@@ -226,8 +230,8 @@ def _scan_forbidden_tokens(toks, file, sup, reported, findings, ctx):
             continue
         findings.append(Finding(
             file, t.line, "backend-purity",
-            "%s references '%s' (%s); IndexBackend implementations must "
-            "stay simulation-blind (docs/BACKENDS.md)"
+            "%s references '%s' (%s); the store layout must stay "
+            "simulation-blind (DESIGN.md §13)"
             % (ctx, t.text, _BACKEND_FORBIDDEN[t.text])))
 
 
@@ -243,15 +247,23 @@ def _scan_forbidden_text(text, file, line, sup, reported, findings, ctx):
             continue
         findings.append(Finding(
             file, line, "backend-purity",
-            "%s references '%s' (%s); IndexBackend implementations must "
-            "stay simulation-blind (docs/BACKENDS.md)"
+            "%s references '%s' (%s); the store layout must stay "
+            "simulation-blind (DESIGN.md §13)"
             % (ctx, word, _BACKEND_FORBIDDEN[word])))
+
+
+def _layout_classes(model):
+    out = [ci for ci in model.classes.values()
+           if ci.qual_name == _LAYOUT_CLASS
+           or ci.qual_name.endswith("::" + _LAYOUT_CLASS)]
+    return out + [ci for ci in model.derived_of(_LAYOUT_CLASS)
+                  if ci not in out]
 
 
 def check_backend_purity(model):
     findings = []
     reported = set()
-    for cls in model.derived_of("IndexBackend"):
+    for cls in _layout_classes(model):
         cls_sup = _suppressions_for(model, cls.file)
         for m in cls.members:
             _scan_forbidden_text(

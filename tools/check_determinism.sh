@@ -17,10 +17,7 @@
 #       MIND_TELEMETRY settings, or drifts from its pinned value -- the only
 #       probe leg that pulls records through GeneratorTraceSource, so the
 #       pin also guards the generator's output stream, or
-#   (e) any index backend (MIND_BACKEND=sorted|bitmap|adaptive) disagrees
-#       with the default run, or the closed-loop digest drifts from its
-#       pinned value -- backends are physical layout only (docs/BACKENDS.md)
-#       and must be invisible to the simulation, or
+#   (e) the closed-loop digest drifts from its pinned value, or
 #   (f) the pinned digest fails to survive an MSN1 snapshot save/load cycle
 #       (`--snapshot-roundtrip`: the restore's internal digest gate plus the
 #       printed pre-snapshot digest), serial and parallel -- week-long
@@ -32,8 +29,8 @@
 #       what latency and tuples); this does.
 #
 # There is one delivery semantics, so there is one pinned closed-loop digest
-# and one pinned result digest: every engine, telemetry setting, backend and
-# snapshot leg must print both.
+# and one pinned result digest: every engine, telemetry setting and snapshot
+# leg must print both.
 #
 # Usage: tools/check_determinism.sh [build-dir]   (default: build-determinism)
 set -euo pipefail
@@ -132,26 +129,14 @@ if [[ "${fe1}" != "${PINNED_FRONTEND}" ]]; then
 fi
 
 echo
-echo "== backend identity (MIND_BACKEND replay legs) =="
-# The closed-loop digest is pinned; every backend must replay it exactly.
+echo "== closed-loop pin =="
 PINNED="83a37054ff6b7be4"
+echo "pinned:                ${PINNED}"
 if [[ "${run1}" != "${PINNED}" ]]; then
-  echo "FAIL: digest ${run1} != pinned ${PINNED} -- the default" \
-       "replay changed behaviour (not just layout)" >&2
+  echo "FAIL: digest ${run1} != pinned ${PINNED} -- the closed-loop" \
+       "replay changed behaviour" >&2
   fail=1
 fi
-for b in sorted bitmap adaptive; do
-  out="$(MIND_BACKEND="${b}" probe "${BUILD}/on/tools/determinism_probe")"
-  check_result "MIND_BACKEND=${b}" "${out}"
-  db="${out% *}"
-  echo "MIND_BACKEND=${b}:  ${db}  results ${out#* }"
-  if [[ "${db}" != "${run1}" ]]; then
-    echo "FAIL: backend '${b}' diverged from the default replay digest --" \
-         "an IndexBackend leaked layout into simulation-visible state" \
-         "(scan counters, reply content, or digest folds)" >&2
-    fail=1
-  fi
-done
 
 echo
 echo "== engine identity (sequential engine vs parallel thread counts) =="
