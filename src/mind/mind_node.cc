@@ -773,10 +773,9 @@ void MindNode::FinalizeQuery(uint64_t query_id, bool complete) {
     std::unordered_set<uint64_t> seen;
     for (auto& [v, tracker] : pq.trackers) {
       for (auto& t : tracker.TakeTuples()) {
-        uint64_t key = (static_cast<uint64_t>(static_cast<uint32_t>(t.origin))
-                        << 40) ^
-                       t.seq;
-        if (seen.insert(key).second) result.tuples.push_back(std::move(t));
+        if (seen.insert(TupleKey(t)).second) {
+          result.tuples.push_back(std::move(t));
+        }
       }
     }
   }

@@ -5,12 +5,8 @@
 namespace mind {
 
 namespace {
-uint64_t TupleKey(const Tuple& t) {
-  return (static_cast<uint64_t>(static_cast<uint32_t>(t.origin)) << 40) ^
-         t.seq;
-}
-// Exploration budget for completion checks: bounds pathological recursion
-// when replies are missing for a wide query.
+// Codes one completion check may examine: bounds the work of a single call
+// when a wide query's replies arrive out of walk order.
 constexpr int kCoverBudget = 20000;
 }  // namespace
 
@@ -28,6 +24,11 @@ QueryTracker::QueryTracker(Rect rect, BitCode root, CutTreeRef cuts,
     budget_exhausted_counter_ =
         &metrics->counter("mind.query.cover_budget_exhausted");
   }
+  Pending top{root_, cuts_->Root()};
+  for (int i = 0; i < root_.length(); ++i) {
+    if (!cuts_->Descend(&top.cursor, root_.bit(i))) return;  // vacuous
+  }
+  PushIfIntersecting(std::move(top));
 }
 
 void QueryTracker::AddReply(NodeId resolver, const BitCode& code,
@@ -46,24 +47,41 @@ void QueryTracker::AddReply(NodeId resolver, const BitCode& code,
   }
 }
 
-bool QueryTracker::IsComplete() const {
+bool QueryTracker::IsComplete() {
   int budget = kCoverBudget;
-  const bool complete = CoveredRec(root_, &budget);
-  if (budget < 0 && budget_exhausted_counter_ != nullptr) {
-    budget_exhausted_counter_->Inc();
+  while (!pending_.empty()) {
+    if (--budget < 0) {
+      if (budget_exhausted_counter_ != nullptr) {
+        budget_exhausted_counter_->Inc();
+      }
+      return false;
+    }
+    if (Covered(pending_.back().code)) {
+      pending_.pop_back();
+      continue;
+    }
+    if (pending_.back().code.length() >= max_split_len_) return false;
+    Pending node = std::move(pending_.back());
+    pending_.pop_back();
+    // Child 1 goes under child 0 so the walk keeps child-0-first order.
+    Pending high{node.code.Child(1), node.cursor};
+    if (cuts_->Descend(&high.cursor, 1)) PushIfIntersecting(std::move(high));
+    node.code = node.code.Child(0);
+    cuts_->Descend(&node.cursor, 0);  // the low side is never empty
+    PushIfIntersecting(std::move(node));
   }
-  return complete;
+  return true;
 }
 
-bool QueryTracker::CoveredRec(const BitCode& code, int* budget) const {
-  if (--(*budget) < 0) return false;
+bool QueryTracker::Covered(const BitCode& code) const {
   for (const auto& c : covered_) {
     if (c.IsPrefixOf(code)) return true;
   }
-  auto rect = cuts_->RectForCode(code);
-  if (!rect.has_value() || !rect->Intersects(rect_)) return true;  // vacuous
-  if (code.length() >= max_split_len_) return false;
-  return CoveredRec(code.Child(0), budget) && CoveredRec(code.Child(1), budget);
+  return false;
+}
+
+void QueryTracker::PushIfIntersecting(Pending p) {
+  if (p.cursor.rect.Intersects(rect_)) pending_.push_back(std::move(p));
 }
 
 }  // namespace mind

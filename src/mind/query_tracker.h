@@ -35,10 +35,21 @@ class QueryTracker {
                 bool authoritative = true);
 
   /// True once the received codes cover every part of the root region that
-  /// intersects the query rectangle. The check explores a bounded number of
-  /// codes; a call that runs out of that budget answers false and counts
-  /// `mind.query.cover_budget_exhausted`.
-  bool IsComplete() const;
+  /// intersects the query rectangle.
+  ///
+  /// The check is a depth-first walk of the root's subtree (child 0 before
+  /// child 1) that resumes where the previous call stopped. Subtrees whose
+  /// code lies under an authoritative reply, and vacuous ones (an empty side
+  /// or a rectangle disjoint from the query), are resolved and never looked
+  /// at again: coverage only grows and vacuity never changes. Any other
+  /// subtree is expanded, and the walk stops at the first unresolved code of
+  /// length `max_split_len`, which the next call examines first.
+  ///
+  /// Budget: one call examines at most 20 000 codes (stack tops looked at);
+  /// a call that runs out answers false, keeps its progress for the next
+  /// call and counts `mind.query.cover_budget_exhausted`. A fully answered
+  /// query therefore always completes within a bounded number of calls.
+  bool IsComplete();
 
   const std::vector<Tuple>& tuples() const { return tuples_; }
   std::vector<Tuple> TakeTuples() { return std::move(tuples_); }
@@ -52,13 +63,23 @@ class QueryTracker {
   const BitCode& root() const { return root_; }
 
  private:
-  bool CoveredRec(const BitCode& code, int* budget) const;
+  // An unresolved subtree of the completion walk, with the cut-tree cursor
+  // of its code so a child's rectangle is one Descend away.
+  struct Pending {
+    BitCode code;
+    CutTree::Cursor cursor;
+  };
+
+  bool Covered(const BitCode& code) const;
+  // Pushes `p` unless its rectangle is disjoint from the query.
+  void PushIfIntersecting(Pending p);
 
   Rect rect_;
   BitCode root_;
   CutTreeRef cuts_;
   int max_split_len_;
   std::vector<BitCode> covered_;
+  std::vector<Pending> pending_;  // walk stack; the next subtree is at back()
   std::unordered_set<NodeId> responders_;
   std::unordered_set<NodeId> positive_responders_;
   std::unordered_set<uint64_t> seen_tuples_;  // (origin, seq) packed

@@ -75,6 +75,22 @@ class CutTree {
   /// Dimension cut at a given depth.
   int DimAtDepth(int depth) const { return depth % schema_.dims(); }
 
+  /// Walking state: the region of the code walked so far and its
+  /// materialized node (or -1). A walker that visits many codes carries one
+  /// cursor per code and steps it with Descend instead of re-walking each
+  /// code from the root with RectForCode.
+  struct Cursor {
+    Rect rect;
+    int node = -1;
+    int depth = 0;
+  };
+
+  /// Cursor at the root region (the empty code).
+  Cursor Root() const;
+  /// Descends one level. Returns false if that side is empty (only possible
+  /// for bit==1 on a single-value interval).
+  bool Descend(Cursor* c, int bit) const;
+
   /// Checks materialized-tree well-formedness: every node reachable from the
   /// root exactly once (a shared subtree would give two regions the same
   /// code), no orphan nodes, cut dimensions within the schema, each cut
@@ -103,23 +119,12 @@ class CutTree {
     int32_t child1 = -1;
   };
 
-  // Walking state: current region + materialized node (or -1).
-  struct Cursor {
-    Rect rect;
-    int node = -1;
-    int depth = 0;
-  };
-
   explicit CutTree(Schema schema) : schema_(std::move(schema)) {}
 
-  Cursor Root() const;
   // Dimension cut at the cursor (materialized node's dim, else round-robin).
   int CursorDim(const Cursor& c) const;
   // Cut value applied at the cursor's depth within its rect.
   Value CutValue(const Cursor& c) const;
-  // Descends one level. Returns false if that side is empty (only possible
-  // for bit==1 on a single-value interval).
-  bool Descend(Cursor* c, int bit) const;
 
   void CoverRec(const Cursor& c, const Rect& query, int len, size_t max_codes,
                 BitCode* prefix, std::vector<BitCode>* out, bool* overflow) const;

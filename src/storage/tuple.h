@@ -39,6 +39,14 @@ struct Tuple {
   }
 };
 
+/// (origin, seq) packed into one key for replica de-duplication of query
+/// results. The key decides which copies the originator drops, and the kept
+/// tuples feed `result_digest`, so the packing must not change.
+inline uint64_t TupleKey(const Tuple& t) {
+  return (static_cast<uint64_t>(static_cast<uint32_t>(t.origin)) << 40) ^
+         t.seq;
+}
+
 }  // namespace mind
 
 #endif  // MIND_STORAGE_TUPLE_H_

@@ -380,11 +380,13 @@ struct StorePathRunOutcome {
 // One fixed insert+crash+revive+query scenario with store compaction
 // toggled. Enough inserts that the compaction ratio trigger fires, plus a
 // crash/revive leg (unless `crash` is off) to exercise cover-cache
-// invalidation.
+// invalidation. The crash leg runs heartbeats so the overlay detects the
+// crash and repairs around it; without them the queries never complete.
 StorePathRunOutcome RunStorePathScenario(bool compaction, bool crash = true) {
   MindNetOptions mopts;
   mopts.sim.seed = 515151;
   mopts.mind.store_compaction = compaction;
+  if (crash) mopts.overlay.heartbeat_interval = FromSeconds(2);
   MindNet net(12, mopts);
   EXPECT_TRUE(net.Build().ok());
   IndexDef def;
@@ -436,11 +438,14 @@ StorePathRunOutcome RunStorePathScenario(bool compaction, bool crash = true) {
 
 // Compaction is layout only: on and off must yield bit-identical tuples,
 // latencies, sim clock and whole-net digest — while the enabled run actually
-// compacts, and the cover cache actually hits.
+// compacts, and the cover cache actually hits. Across the crash and revive
+// every query still completes with exactly the brute-force answer.
 TEST(StorePathIntegrationTest, LayoutKnobsAreTransparent) {
   StorePathRunOutcome base = RunStorePathScenario(true);
   StorePathRunOutcome no_compact = RunStorePathScenario(false);
   EXPECT_FALSE(base.tuple_seqs.empty());
+  EXPECT_TRUE(base.complete);
+  EXPECT_EQ(base.tuple_seqs, base.expected_seqs);
 #ifndef MIND_TELEMETRY_DISABLED
   EXPECT_GT(base.compactions, 0u);
   EXPECT_EQ(no_compact.compactions, 0u);

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "mind/query_tracker.h"
+#include "space/histogram.h"
+#include "util/rng.h"
 
 namespace mind {
 namespace {
@@ -115,33 +118,254 @@ TEST(QueryTrackerTest, IncompleteWideQueryStaysIncomplete) {
   EXPECT_TRUE(tracker.IsComplete());
 }
 
+// The 5-dimensional line query of the budget tests: the full range of a0,
+// a single value on every other attribute, split down to 60 bits so each of
+// the 4096 leaves along the line holds one a0 value.
+struct LineQuery {
+  CutTreeRef cuts;
+  Rect rect;
+
+  LineQuery() {
+    std::vector<AttributeDef> attrs;
+    for (int d = 0; d < 5; ++d) {
+      // Not "a" + ...: gcc 12 -Wrestrict false positive.
+      std::string name = "a";
+      name += std::to_string(d);
+      attrs.push_back({name, 0, (1u << 12) - 1});
+    }
+    cuts = std::make_shared<CutTree>(CutTree::Even(Schema(attrs)));
+    std::vector<Interval> ivs(5, Interval{0, 0});
+    ivs[0] = {0, (1u << 12) - 1};
+    rect = Rect(ivs);
+  }
+
+  BitCode Leaf(Value x) const {
+    Point p(5, 0);
+    p[0] = x;
+    return cuts->CodeForPoint(p, 60);
+  }
+};
+
 TEST(QueryTrackerTest, ExhaustedCoverBudgetIsCounted) {
   // A line query through a 5-dimensional space: every fifth split level
   // doubles the codes the line crosses and the other four each leave a
   // vacuous sibling, so a completeness check explores ~10 codes per answered
   // leaf. With the first 2500 leaves along the line answered, the check runs
   // out of its exploration budget before it meets an unanswered one.
-  std::vector<AttributeDef> attrs;
-  for (int d = 0; d < 5; ++d) {
-    std::string name = "a";  // not "a" + ...: gcc 12 -Wrestrict false positive
-    name += std::to_string(d);
-    attrs.push_back({name, 0, (1u << 12) - 1});
-  }
-  auto cuts = std::make_shared<CutTree>(CutTree::Even(Schema(attrs)));
-  std::vector<Interval> ivs(5, Interval{0, 0});
-  ivs[0] = {0, (1u << 12) - 1};
+  LineQuery line;
   telemetry::MetricsRegistry metrics;
-  QueryTracker tracker(Rect(ivs), BitCode(), cuts, 60, &metrics);
+  QueryTracker tracker(line.rect, BitCode(), line.cuts, 60, &metrics);
   EXPECT_FALSE(tracker.IsComplete());  // stops at the first unanswered leaf
-  for (Value x = 0; x < 2500; ++x) {
-    Point p(5, 0);
-    p[0] = x;
-    tracker.AddReply(1, cuts->CodeForPoint(p, 60), {});
-  }
+  for (Value x = 0; x < 2500; ++x) tracker.AddReply(1, line.Leaf(x), {});
   EXPECT_FALSE(tracker.IsComplete());
 #ifndef MIND_TELEMETRY_DISABLED
   EXPECT_EQ(metrics.counter("mind.query.cover_budget_exhausted").value(), 1u);
 #endif
+}
+
+TEST(QueryTrackerTest, LineAnsweredLeafByLeafCompletes) {
+  // Regression guard against a completion check that re-walks the cover from
+  // the root on every reply: that walk grows with the answered leaves, runs
+  // out of budget once ~2000 are in, and never completes the query. A
+  // resumed walk examines each code about once over the query's lifetime.
+  LineQuery line;
+  telemetry::MetricsRegistry metrics;
+  QueryTracker tracker(line.rect, BitCode(), line.cuts, 60, &metrics);
+  for (Value x = 0; x < (1u << 12); ++x) {
+    ASSERT_FALSE(tracker.IsComplete()) << "before leaf " << x;
+    tracker.AddReply(1, line.Leaf(x), {});
+  }
+  EXPECT_TRUE(tracker.IsComplete());
+#ifndef MIND_TELEMETRY_DISABLED
+  EXPECT_EQ(metrics.counter("mind.query.cover_budget_exhausted").value(), 0u);
+#endif
+}
+
+// The completion check as a recursive walk from `code` over the replies
+// received so far: the semantics the resumable walk must reproduce on every
+// call. `budget` counts the codes visited; the test requires that it never
+// runs out, so every answer of the oracle is exact.
+bool OracleCovered(const CutTree& cuts, const Rect& query,
+                   const std::vector<BitCode>& covered, int max_split_len,
+                   const BitCode& code, int* budget) {
+  if (--(*budget) < 0) return false;
+  for (const auto& c : covered) {
+    if (c.IsPrefixOf(code)) return true;
+  }
+  auto rect = cuts.RectForCode(code);
+  if (!rect.has_value() || !rect->Intersects(query)) return true;  // vacuous
+  if (code.length() >= max_split_len) return false;
+  return OracleCovered(cuts, query, covered, max_split_len, code.Child(0),
+                       budget) &&
+         OracleCovered(cuts, query, covered, max_split_len, code.Child(1),
+                       budget);
+}
+
+// Random cut tree over 2-5 dims; about one schema in three has a
+// single-value attribute, whose midpoint cuts leave an empty high side.
+CutTreeRef RandomCuts(Rng* rng, bool* balanced) {
+  const int dims = 2 + static_cast<int>(rng->Uniform(4));
+  const size_t constant_dim =
+      rng->Uniform(3) == 0 ? rng->Uniform(dims) : static_cast<size_t>(dims);
+  std::vector<AttributeDef> attrs;
+  for (int d = 0; d < dims; ++d) {
+    std::string name = "d";
+    name += std::to_string(d);
+    const Value lo = rng->Uniform(50);
+    const Value hi = static_cast<size_t>(d) == constant_dim
+                         ? lo
+                         : lo + 1 + rng->Uniform(1u << (4 + rng->Uniform(12)));
+    attrs.push_back({name, lo, hi});
+  }
+  Schema schema(attrs);
+  *balanced = rng->Bernoulli(0.5);
+  if (!*balanced) return std::make_shared<CutTree>(CutTree::Even(schema));
+  Histogram hist(schema, 8);
+  const Rect space = Rect::FullSpace(schema);
+  for (int i = 0; i < 300; ++i) {
+    Point p(dims);
+    for (int d = 0; d < dims; ++d) {
+      // Skewed towards the low end of each attribute.
+      const Interval iv = space.interval(d);
+      const Value span = iv.hi - iv.lo;
+      p[d] = iv.lo +
+             rng->Uniform(rng->Bernoulli(0.7) ? span / 8 + 1 : span + 1);
+    }
+    hist.Add(p);
+  }
+  auto tree =
+      CutTree::Balanced(schema, hist, static_cast<int>(rng->Uniform(7)));
+  MIND_CHECK(tree.ok());
+  return std::make_shared<CutTree>(std::move(*tree));
+}
+
+Rect RandomQuery(Rng* rng, const Schema& schema) {
+  const Rect space = Rect::FullSpace(schema);
+  std::vector<Interval> ivs;
+  for (int d = 0; d < schema.dims(); ++d) {
+    const Interval iv = space.interval(d);
+    Value a = rng->UniformRange(iv.lo, iv.hi);
+    Value b = rng->Bernoulli(0.5) ? a + rng->Uniform((iv.hi - a) / 4 + 1)
+                                  : rng->UniformRange(iv.lo, iv.hi);
+    if (a > b) std::swap(a, b);
+    ivs.push_back({a, b});
+  }
+  return Rect(ivs);
+}
+
+// A set of codes that answers the query completely, as resolvers would:
+// each intersecting subtree is answered whole or split further, and splits
+// stop at `max_split_len`.
+void RandomAnswer(Rng* rng, const CutTree& cuts, const Rect& query,
+                  int max_split_len, const BitCode& code,
+                  std::vector<BitCode>* out) {
+  if (code.length() >= max_split_len || rng->Bernoulli(0.3)) {
+    out->push_back(code);
+    return;
+  }
+  for (const auto& child : cuts.IntersectingChildren(query, code)) {
+    RandomAnswer(rng, cuts, query, max_split_len, child, out);
+  }
+}
+
+struct Reply {
+  BitCode code;
+  bool authoritative = true;
+};
+
+TEST(QueryTrackerTest, ResumedWalkAgreesWithRecursiveWalk) {
+  Rng rng(2207);
+  int completed = 0, incomplete = 0, nonempty_roots = 0, balanced_trees = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    bool balanced = false;
+    CutTreeRef cuts = RandomCuts(&rng, &balanced);
+    balanced_trees += balanced;
+    const Rect query = RandomQuery(&rng, cuts->schema());
+    const BitCode minimal = cuts->MinimalContainingCode(query, 24);
+    // Usually the minimal containing code; sometimes a shorter prefix.
+    const int root_len =
+        rng.Bernoulli(0.7)
+            ? minimal.length()
+            : static_cast<int>(rng.Uniform(minimal.length() + 1));
+    const BitCode root = minimal.Prefix(root_len);
+    nonempty_roots += root.length() > 0;
+    const int max_split_len =
+        root.length() + 1 + static_cast<int>(rng.Uniform(9));
+
+    std::vector<BitCode> answer;
+    RandomAnswer(&rng, *cuts, query, max_split_len, root, &answer);
+    std::vector<Reply> replies;
+    for (const auto& code : answer) {
+      // A fraction of the answer goes missing, so some queries stay open.
+      if (rng.Bernoulli(0.05)) continue;
+      replies.push_back({code});
+      if (rng.Bernoulli(0.2)) replies.push_back({code});  // replica answer
+    }
+    for (size_t i = replies.size(); i > 1; --i) {
+      std::swap(replies[i - 1], replies[rng.Uniform(i)]);
+    }
+    // Deeper codes that arrive before the shallower reply covering them,
+    // down to two levels past `max_split_len` (no resolver splits that far,
+    // and the check must not count them towards a leaf's coverage).
+    for (size_t i = 0; i < replies.size(); ++i) {
+      const BitCode& code = replies[i].code;
+      if (!rng.Bernoulli(0.2)) continue;
+      BitCode deeper = code;
+      const int extra =
+          1 + static_cast<int>(rng.Uniform(max_split_len + 2 - code.length()));
+      for (int b = 0; b < extra; ++b) {
+        deeper.PushBack(static_cast<int>(rng.Uniform(2)));
+      }
+      const auto at = static_cast<long>(rng.Uniform(i + 1));
+      replies.insert(replies.begin() + at, {deeper});
+      ++i;
+    }
+    // Supplemental replies carry tuples but no coverage; they may name any
+    // code, the root included.
+    const size_t supplemental = rng.Uniform(3);
+    for (size_t i = 0; i < supplemental; ++i) {
+      const BitCode& code = answer[rng.Uniform(answer.size())];
+      const auto len = static_cast<int>(
+          rng.UniformRange(root.length(), code.length()));
+      const auto at = static_cast<long>(rng.Uniform(replies.size() + 1));
+      replies.insert(replies.begin() + at, {code.Prefix(len), false});
+    }
+
+    telemetry::MetricsRegistry metrics;
+    QueryTracker tracker(query, root, cuts, max_split_len, &metrics);
+    std::vector<BitCode> covered;
+    bool expected = false;
+    auto check = [&](size_t step) {
+      int budget = 20000;
+      expected =
+          OracleCovered(*cuts, query, covered, max_split_len, root, &budget);
+      ASSERT_GE(budget, 0) << "oracle walk out of budget; trial " << trial;
+      // Several calls with no reply in between must keep agreeing.
+      const int calls = 1 + static_cast<int>(rng.Uniform(3));
+      for (int c = 0; c < calls; ++c) {
+        ASSERT_EQ(tracker.IsComplete(), expected)
+            << "trial " << trial << " after " << step << " replies, call " << c
+            << "; query " << query.ToString() << ", root " << root.ToString();
+      }
+    };
+    check(0);
+    for (size_t i = 0; i < replies.size(); ++i) {
+      tracker.AddReply(static_cast<NodeId>(i), replies[i].code, {},
+                       replies[i].authoritative);
+      if (replies[i].authoritative) covered.push_back(replies[i].code);
+      check(i + 1);
+      if (HasFatalFailure()) return;
+    }
+    (expected ? completed : incomplete) += 1;
+#ifndef MIND_TELEMETRY_DISABLED
+    EXPECT_EQ(metrics.counter("mind.query.cover_budget_exhausted").value(), 0u);
+#endif
+  }
+  // The generator must exercise both outcomes and the root/tree variants.
+  EXPECT_GT(completed, 100);
+  EXPECT_GT(incomplete, 5);
+  EXPECT_GT(nonempty_roots, 100);
+  EXPECT_GT(balanced_trees, 100);
 }
 
 }  // namespace
