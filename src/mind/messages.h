@@ -80,11 +80,6 @@ struct InsertMsg : MindMsg {
   /// re-descending the cut tree.
   BitCode code;
   SimTime sent_at = 0;
-  /// Telemetry handles (0 when tracing is off). The sim is single-process, so
-  /// span ids travel with the message and are closed wherever it lands.
-  uint64_t trace_id = 0;
-  uint64_t root_span = 0;
-  uint64_t route_span = 0;
   MindMsgKind kind() const override { return MindMsgKind::kInsert; }
   const char* TypeName() const override { return "Insert"; }
   size_t SizeBytes() const override { return 32 + tuple.WireBytes(); }
@@ -117,9 +112,6 @@ struct InsertBatchMsg : MindMsg {
   std::vector<Tuple> tuples;
   std::vector<BitCode> codes;
   SimTime sent_at = 0;
-  uint64_t trace_id = 0;
-  uint64_t root_span = 0;
-  uint64_t route_span = 0;
   MindMsgKind kind() const override { return MindMsgKind::kInsertBatch; }
   const char* TypeName() const override { return "InsertBatch"; }
   size_t SizeBytes() const override {
@@ -142,8 +134,6 @@ struct QueryMsg : MindMsg {
   /// a pointer to its split parent for data inserted before the join); the
   /// receiver must only scan and reply, never split or re-route.
   bool resolve_only = false;
-  /// Telemetry handle: the originator's root "query" span (0 = tracing off).
-  uint64_t root_span = 0;
   MindMsgKind kind() const override { return MindMsgKind::kQuery; }
   const char* TypeName() const override { return "Query"; }
   size_t SizeBytes() const override {
@@ -164,8 +154,6 @@ struct QueryReplyMsg : MindMsg {
   /// its tuples are merged, but it must NOT count as covering `covered` —
   /// only the region's owner can assert the region fully answered.
   bool supplemental = false;
-  /// Telemetry handle: the resolver's "query.reply" span, closed at receipt.
-  uint64_t reply_span = 0;
   MindMsgKind kind() const override { return MindMsgKind::kQueryReply; }
   const char* TypeName() const override { return "QueryReply"; }
   size_t SizeBytes() const override {

@@ -27,6 +27,15 @@ bool QueryDebugEnabled() {
   return enabled;
 }
 
+// A single insert is a train of one: these views let CommitInserts serve
+// both message types without copying either into the other's shape.
+size_t TupleCount(const InsertMsg&) { return 1; }
+size_t TupleCount(const InsertBatchMsg& m) { return m.tuples.size(); }
+Tuple& TupleAt(InsertMsg& m, size_t) { return m.tuple; }
+Tuple& TupleAt(InsertBatchMsg& m, size_t i) { return m.tuples[i]; }
+const BitCode& CodeAt(const InsertMsg& m, size_t) { return m.code; }
+const BitCode& CodeAt(const InsertBatchMsg& m, size_t i) { return m.codes[i]; }
+
 }  // namespace
 
 MindNode::MindNode(Simulator* sim, OverlayOptions overlay_options,
@@ -36,8 +45,7 @@ MindNode::MindNode(Simulator* sim, OverlayOptions overlay_options,
       options_(options),
       rng_(options.seed),
       overlay_(sim, overlay_options, position),
-      cover_cache_(&sim->metrics()),
-      tracer_(&sim->tracer()) {
+      cover_cache_(&sim->metrics()) {
   rng_ = Rng(options.seed).Fork(static_cast<uint64_t>(overlay_.id()) + 7919);
   events_ = sim->queue_for(overlay_.id());
   telemetry::MetricsRegistry& m = sim->metrics();
@@ -254,80 +262,9 @@ Status MindNode::Insert(const std::string& index, Tuple tuple) {
   m->code = code;
   m->sent_at = events_->now();
   tm_.inserts->Inc();
-  // Insert trace ids set the top bit so they never collide with query ids
-  // (which use the same (node << 32 | seq) layout).
-  m->trace_id = (uint64_t{1} << 63) |
-                (static_cast<uint64_t>(static_cast<uint32_t>(id())) << 32) |
-                (++insert_seq_);
-  m->root_span = tracer_->StartSpan(m->trace_id, "insert", 0, id());
-  m->route_span =
-      tracer_->StartSpan(m->trace_id, "insert.route", m->root_span, id());
+  ++insert_seq_;
   overlay_.Route(code, m);
   return Status::OK();
-}
-
-void MindNode::OnInsertArrived(const std::shared_ptr<InsertMsg>& m, int hops) {
-  tracer_->EndSpan(m->route_span);
-  IndexState* st = FindIndex(m->index);
-  if (st == nullptr) return;  // lagging index creation: drop
-  if (!st->primary.HasVersion(m->version)) return;
-
-  // The storage thread (the prototype's DAC) serializes commits.
-  SimTime now = events_->now();
-  SimTime dac_wait = dac_busy_until_ > now ? dac_busy_until_ - now : 0;
-  tm_.dac_insert_wait_ms->Record(ToSeconds(dac_wait) * 1e3);
-  uint64_t dac_span =
-      tracer_->StartSpan(m->trace_id, "insert.dac", m->root_span, id());
-  SimTime commit_at =
-      std::max(events_->now(), dac_busy_until_) + options_.insert_proc_time;
-  dac_busy_until_ = commit_at;
-  events_->ScheduleAt(commit_at, [this, m, hops, commit_at, dac_span] {
-    tracer_->EndSpan(dac_span);
-    IndexState* st2 = FindIndex(m->index);
-    if (st2 == nullptr) return;
-    TupleStore* store2 = st2->primary.Store(m->version);
-    if (store2 == nullptr) return;
-    NodeId origin = m->tuple.origin;
-    // Build the replica copy before the store consumes the tuple.
-    std::shared_ptr<ReplicateMsg> rep;
-    if (options_.replication != 0) {
-      rep = MakeMessage<ReplicateMsg>();
-      rep->index = m->index;
-      rep->version = m->version;
-      rep->tuple = m->tuple;
-      rep->code = m->code;
-    }
-    store2->InsertCoded(std::move(m->tuple), m->code);
-    tm_.insert_latency_ms->Record(ToSeconds(commit_at - m->sent_at) * 1e3);
-    tm_.insert_hops->Record(static_cast<double>(hops));
-    if (on_stored_) {
-      StoredInfo info;
-      info.index = m->index;
-      info.version = m->version;
-      info.origin = origin;
-      info.storer = id();
-      info.committed_at = commit_at;
-      info.latency = commit_at - m->sent_at;
-      info.hops = hops;
-      on_stored_(info);
-    }
-    // Replicate to prefix neighbors (§3.8).
-    if (rep != nullptr) {
-      uint64_t rep_span =
-          tracer_->StartSpan(m->trace_id, "insert.replicate", m->root_span,
-                             id());
-      size_t fanout = 0;
-      for (NodeId target : overlay_.ReplicationTargets(options_.replication)) {
-        overlay_.SendDirect(target, rep);
-        ++fanout;
-      }
-      tm_.replicas_sent->Inc(fanout);
-      tm_.replicate_fanout->Record(static_cast<double>(fanout));
-      tracer_->Note(rep_span, "fanout", std::to_string(fanout));
-      tracer_->EndSpan(rep_span);
-    }
-    tracer_->EndSpan(m->root_span);
-  });
 }
 
 Status MindNode::InsertBatch(const std::string& index,
@@ -372,12 +309,7 @@ Status MindNode::InsertBatch(const std::string& index,
     m->code = common;
     m->sent_at = events_->now();
     tm_.inserts->Inc(m->tuples.size());
-    m->trace_id = (uint64_t{1} << 63) |
-                  (static_cast<uint64_t>(static_cast<uint32_t>(id())) << 32) |
-                  (++insert_seq_);
-    m->root_span = tracer_->StartSpan(m->trace_id, "insert.batch", 0, id());
-    m->route_span = tracer_->StartSpan(m->trace_id, "insert.batch.route",
-                                       m->root_span, id());
+    ++insert_seq_;
     overlay_.Route(common, m);
   }
   return Status::OK();
@@ -388,8 +320,7 @@ void MindNode::OnInsertBatchArrived(const std::shared_ptr<InsertBatchMsg>& m,
   const BitCode& my = overlay_.code();
   if (my.IsPrefixOf(m->code)) {
     // Every tuple of the train lands in our region: commit as one batch.
-    tracer_->EndSpan(m->route_span);
-    CommitBatch(m, hops);
+    CommitInserts(m, hops);
     return;
   }
   if (m->code.IsPrefixOf(my)) {
@@ -402,9 +333,6 @@ void MindNode::OnInsertBatchArrived(const std::shared_ptr<InsertBatchMsg>& m,
       sub->index = m->index;
       sub->version = m->version;
       sub->sent_at = m->sent_at;
-      sub->trace_id = m->trace_id;
-      sub->root_span = m->root_span;
-      sub->route_span = m->route_span;
     }
     for (size_t i = 0; i < m->tuples.size(); ++i) {
       InsertBatchMsg* sub = m->codes[i].bit(at) ? sub1.get() : sub0.get();
@@ -433,25 +361,23 @@ void MindNode::OnInsertBatchArrived(const std::shared_ptr<InsertBatchMsg>& m,
   overlay_.Route(m->code, m);
 }
 
-void MindNode::CommitBatch(const std::shared_ptr<InsertBatchMsg>& m,
-                           int hops) {
+template <typename InsertT>
+void MindNode::CommitInserts(const std::shared_ptr<InsertT>& m, int hops) {
   IndexState* st = FindIndex(m->index);
   if (st == nullptr) return;  // lagging index creation: drop
   if (!st->primary.HasVersion(m->version)) return;
 
+  // The storage thread (the prototype's DAC) serializes commits.
   const SimTime now = events_->now();
   SimTime dac_wait = dac_busy_until_ > now ? dac_busy_until_ - now : 0;
   tm_.dac_insert_wait_ms->Record(ToSeconds(dac_wait) * 1e3);
-  uint64_t dac_span =
-      tracer_->StartSpan(m->trace_id, "insert.dac", m->root_span, id());
   // DAC amortization: the first tuple pays the full commit cost, the rest of
-  // the batch rides the same storage-thread pass.
+  // a train rides the same storage-thread pass.
   SimTime commit_at =
       std::max(now, dac_busy_until_) + options_.insert_proc_time +
-      options_.batch_item_proc_time * static_cast<SimTime>(m->tuples.size() - 1);
+      options_.batch_item_proc_time * static_cast<SimTime>(TupleCount(*m) - 1);
   dac_busy_until_ = commit_at;
-  events_->ScheduleAt(commit_at, [this, m, hops, commit_at, dac_span] {
-    tracer_->EndSpan(dac_span);
+  events_->ScheduleAt(commit_at, [this, m, hops, commit_at] {
     IndexState* st2 = FindIndex(m->index);
     if (st2 == nullptr) return;
     TupleStore* store2 = st2->primary.Store(m->version);
@@ -460,23 +386,21 @@ void MindNode::CommitBatch(const std::shared_ptr<InsertBatchMsg>& m,
     if (options_.replication != 0) {
       rep_targets = overlay_.ReplicationTargets(options_.replication);
     }
-    uint64_t rep_span = 0;
-    if (options_.replication != 0) {
-      rep_span = tracer_->StartSpan(m->trace_id, "insert.replicate",
-                                    m->root_span, id());
-    }
     size_t fanout_total = 0;
-    for (size_t i = 0; i < m->tuples.size(); ++i) {
-      NodeId origin = m->tuples[i].origin;
+    for (size_t i = 0; i < TupleCount(*m); ++i) {
+      Tuple& tuple = TupleAt(*m, i);
+      const BitCode& code = CodeAt(*m, i);
+      NodeId origin = tuple.origin;
+      // Build the replica copy before the store consumes the tuple.
       std::shared_ptr<ReplicateMsg> rep;
       if (options_.replication != 0) {
         rep = MakeMessage<ReplicateMsg>();
         rep->index = m->index;
         rep->version = m->version;
-        rep->tuple = m->tuples[i];
-        rep->code = m->codes[i];
+        rep->tuple = tuple;
+        rep->code = code;
       }
-      store2->InsertCoded(std::move(m->tuples[i]), m->codes[i]);
+      store2->InsertCoded(std::move(tuple), code);
       tm_.insert_latency_ms->Record(ToSeconds(commit_at - m->sent_at) * 1e3);
       tm_.insert_hops->Record(static_cast<double>(hops));
       if (on_stored_) {
@@ -490,6 +414,7 @@ void MindNode::CommitBatch(const std::shared_ptr<InsertBatchMsg>& m,
         info.hops = hops;
         on_stored_(info);
       }
+      // Replicate to prefix neighbors (§3.8).
       if (rep != nullptr) {
         for (NodeId target : rep_targets) {
           overlay_.SendDirect(target, rep);
@@ -498,12 +423,7 @@ void MindNode::CommitBatch(const std::shared_ptr<InsertBatchMsg>& m,
         tm_.replicate_fanout->Record(static_cast<double>(rep_targets.size()));
       }
     }
-    if (options_.replication != 0) {
-      tm_.replicas_sent->Inc(fanout_total);
-      tracer_->Note(rep_span, "fanout", std::to_string(fanout_total));
-      tracer_->EndSpan(rep_span);
-    }
-    tracer_->EndSpan(m->root_span);
+    if (options_.replication != 0) tm_.replicas_sent->Inc(fanout_total);
   });
 }
 
@@ -534,7 +454,6 @@ Result<uint64_t> MindNode::Query(const std::string& index, const Rect& rect,
   pq.started = events_->now();
   pq.visited.insert(id());
   tm_.queries->Inc();
-  pq.root_span = tracer_->StartSpan(query_id, "query", 0, id());
 
   if (versions.empty()) {
     // Nothing to ask: complete immediately (async for API consistency).
@@ -567,7 +486,6 @@ Result<uint64_t> MindNode::Query(const std::string& index, const Rect& rect,
     m->code = tracker.root();
     m->originator = id();
     m->sent_at = events_->now();
-    m->root_span = it->second.root_span;
     overlay_.Route(tracker.root(), m);
   }
   return query_id;
@@ -612,9 +530,6 @@ void MindNode::HandleQueryCode(const std::shared_ptr<QueryMsg>& m,
     if (st == nullptr) return;
     CutTreeRef cuts = st->primary.Cuts(m->version);
     if (cuts == nullptr) return;
-    uint64_t split_span =
-        tracer_->StartSpan(m->query_id, "query.split", m->root_span, id());
-    tracer_->Note(split_span, "code", code.ToString());
     for (const BitCode& child : cuts->IntersectingChildren(m->rect, code)) {
       int cpl = my.CommonPrefixLen(child);
       if (cpl == std::min(my.length(), child.length())) {
@@ -625,7 +540,6 @@ void MindNode::HandleQueryCode(const std::shared_ptr<QueryMsg>& m,
         overlay_.Route(child, sub);
       }
     }
-    tracer_->EndSpan(split_span);
     return;
   }
   // Misrouted during an overlay transient: try again.
@@ -638,9 +552,6 @@ void MindNode::ResolveAndReply(const QueryMsg& m, const BitCode& code) {
   CutTreeRef cuts = st->primary.Cuts(m.version);
   if (cuts == nullptr) return;
 
-  uint64_t resolve_span =
-      tracer_->StartSpan(m.query_id, "query.resolve", m.root_span, id());
-  tracer_->Note(resolve_span, "code", code.ToString());
   tm_.subquery_len->Record(static_cast<double>(code.length()));
 
   // The reply message doubles as the result buffer: stores append matching
@@ -702,25 +613,16 @@ void MindNode::ResolveAndReply(const QueryMsg& m, const BitCode& code) {
   reply->resolver = id();
   reply->supplemental = m.resolve_only;
   NodeId originator = m.originator;
-  uint64_t query_id = m.query_id;
-  uint64_t root_span = m.root_span;
-  events_->ScheduleAt(
-      respond_at, [this, reply, originator, resolve_span, query_id, root_span] {
-        tracer_->Note(resolve_span, "tuples",
-                      std::to_string(reply->tuples.size()));
-        tracer_->EndSpan(resolve_span);
-        reply->reply_span =
-            tracer_->StartSpan(query_id, "query.reply", root_span, id());
-        if (originator == id()) {
-          OnQueryReply(*reply);
-        } else {
-          overlay_.SendDirect(originator, reply);
-        }
-      });
+  events_->ScheduleAt(respond_at, [this, reply, originator] {
+    if (originator == id()) {
+      OnQueryReply(*reply);
+    } else {
+      overlay_.SendDirect(originator, reply);
+    }
+  });
 }
 
 void MindNode::OnQueryReply(QueryReplyMsg& m) {
-  tracer_->EndSpan(m.reply_span);
   auto it = queries_.find(m.query_id);
   if (it == queries_.end()) {
     if (QueryDebugEnabled()) {
@@ -760,8 +662,6 @@ void MindNode::FinalizeQuery(uint64_t query_id, bool complete) {
   result.latency = events_->now() - pq.started;
   tm_.query_latency_ms->Record(ToSeconds(result.latency) * 1e3);
   if (!complete) tm_.query_timeouts->Inc();
-  tracer_->Note(pq.root_span, "outcome", complete ? "complete" : "timeout");
-  tracer_->EndSpan(pq.root_span);
   std::unordered_set<NodeId> responders, positive;
   if (pq.trackers.size() == 1) {
     // Single-version query (the common case): the tracker already de-duped
@@ -918,7 +818,7 @@ void MindNode::OnDelivered(NodeId origin, const MessagePtr& inner, int hops) {
   if (mm == nullptr) return;
   switch (mm->kind()) {
     case MindMsgKind::kInsert:
-      OnInsertArrived(std::static_pointer_cast<InsertMsg>(inner), hops);
+      CommitInserts(std::static_pointer_cast<InsertMsg>(inner), hops);
       break;
     case MindMsgKind::kInsertBatch:
       OnInsertBatchArrived(std::static_pointer_cast<InsertBatchMsg>(inner),

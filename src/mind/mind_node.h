@@ -274,7 +274,6 @@ class MindNode {
     std::map<VersionId, QueryTracker> trackers;
     std::unordered_set<NodeId> visited;  // filled via on_query_visit wiring
     EventId timeout_event = 0;
-    uint64_t root_span = 0;  // originator's "query" trace span
   };
 
   struct PendingCollection {
@@ -301,11 +300,13 @@ class MindNode {
 
   void ApplyCreateIndex(const CreateIndexMsg& m);
   void ApplyInstallCuts(const InstallCutsMsg& m);
-  void OnInsertArrived(const std::shared_ptr<InsertMsg>& m, int hops);
   // Split-or-commit step for a batch (owns / spans / misrouted), recursing on
   // sub-trains that stay local.
   void OnInsertBatchArrived(const std::shared_ptr<InsertBatchMsg>& m, int hops);
-  void CommitBatch(const std::shared_ptr<InsertBatchMsg>& m, int hops);
+  // Queues an InsertMsg or an InsertBatchMsg that landed in our region on the
+  // DAC, then stores, reports and replicates its tuples in one pass.
+  template <typename InsertT>
+  void CommitInserts(const std::shared_ptr<InsertT>& m, int hops);
   void OnQueryArrived(const std::shared_ptr<QueryMsg>& m);
   void HandleQueryCode(const std::shared_ptr<QueryMsg>& m, const BitCode& code);
   void ResolveAndReply(const QueryMsg& m, const BitCode& code);
@@ -341,7 +342,10 @@ class MindNode {
   // mind-digest: skip(in-flight bookkeeping; completions land in digested state)
   std::unordered_map<uint64_t, PendingQuery> queries_;
   uint64_t query_seq_ = 0;
-  uint64_t insert_seq_ = 0;  // local insert counter, forms insert trace ids
+  // Inserts and trains originated here. Nothing reads it back, but
+  // DigestInto mixes it and MSN1 snapshots carry it, so dropping it would
+  // re-pin every digest and bump the snapshot version.
+  uint64_t insert_seq_ = 0;
 
   // local storage-thread model (the DAC queue)
   SimTime dac_busy_until_ = 0;
@@ -378,7 +382,6 @@ class MindNode {
     telemetry::SimHistogram* scan_rows_returned;
   };
   Instruments tm_;
-  telemetry::Tracer* tracer_;
 };
 
 }  // namespace mind

@@ -21,8 +21,8 @@ namespace mind {
 
 class EventFn {
  public:
-  /// Covers the largest hot-path closure (insert commit / query reply:
-  /// ~56 bytes) with a little headroom.
+  /// Covers the hot-path closures (insert commit: 40 bytes, query reply:
+  /// 32 bytes) with headroom.
   static constexpr size_t kInlineSize = 64;
 
   EventFn() = default;

@@ -36,10 +36,10 @@ SimTime PropagationDelayUs(const GeoPoint& a, const GeoPoint& b) {
 }
 
 Network::Network(EventQueue* events, NetworkOptions options,
-                 telemetry::Telemetry* telemetry)
+                 telemetry::MetricsRegistry* metrics)
     : events_(events), options_(options) {
-  if (telemetry != nullptr) {
-    telemetry::MetricsRegistry& m = telemetry->metrics();
+  if (metrics != nullptr) {
+    telemetry::MetricsRegistry& m = *metrics;
     msgs_counter_ = &m.counter("sim.net.messages");
     bytes_counter_ = &m.counter("sim.net.bytes");
     loopback_counter_ = &m.counter("sim.net.loopback");

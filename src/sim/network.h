@@ -16,7 +16,7 @@
 #include "sim/event_queue.h"
 #include "sim/message.h"
 #include "sim/time.h"
-#include "telemetry/telemetry.h"
+#include "telemetry/metrics.h"
 #include "util/rng.h"
 
 namespace mind {
@@ -73,11 +73,11 @@ struct NetworkOptions {
 /// any thread count therefore produce bit-identical state digests.
 class Network {
  public:
-  /// `telemetry` is optional; when set, the fabric records per-send metrics
+  /// `metrics` is optional; when set, the fabric records per-send metrics
   /// (`sim.net.*`: message/byte counters, queue-wait and delivery-delay
-  /// histograms) into its registry.
+  /// histograms) into it.
   Network(EventQueue* events, NetworkOptions options,
-          telemetry::Telemetry* telemetry = nullptr);
+          telemetry::MetricsRegistry* metrics = nullptr);
 
   /// Registers a host without coordinates.
   NodeId AddHost(Host* host);
@@ -316,7 +316,7 @@ class Network {
   EventQueue* events_;
   NetworkOptions options_;
   ParallelEngine* engine_ = nullptr;
-  // Cached instruments (nullptr when constructed without telemetry).
+  // Cached instruments (nullptr when constructed without a registry).
   telemetry::Counter* msgs_counter_ = nullptr;
   telemetry::Counter* bytes_counter_ = nullptr;
   telemetry::Counter* loopback_counter_ = nullptr;

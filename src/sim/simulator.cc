@@ -7,10 +7,10 @@
 namespace mind {
 
 Simulator::Simulator(SimulatorOptions options)
-    : telemetry_([this]() { return events_.now(); }), rng_(options.seed) {
+    : rng_(options.seed) {
   options.network.seed = rng_.Fork(1).Next();
   options.failures.seed = rng_.Fork(2).Next();
-  network_ = std::make_unique<Network>(&events_, options.network, &telemetry_);
+  network_ = std::make_unique<Network>(&events_, options.network, &metrics_);
   failures_ = std::make_unique<FailureInjector>(&events_, network_.get(),
                                                 options.failures);
   telemetry::Counter* run_counter = &metrics().counter("sim.events.processed");
@@ -26,10 +26,6 @@ Simulator::Simulator(SimulatorOptions options)
     for (int s = 0; s < engine_->shard_count(); ++s) {
       engine_->shard_queue(s).set_run_counter(run_counter);
     }
-    // The tracer's span tree mutates shared state on every call; it stays a
-    // sequential-engine feature (metric digests are unaffected — see the
-    // PR 3 telemetry-transparency guarantee).
-    telemetry_.tracer().set_enabled(false);
   }
 }
 

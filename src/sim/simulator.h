@@ -10,7 +10,7 @@
 #include "sim/failure_injector.h"
 #include "sim/network.h"
 #include "sim/parallel_engine.h"
-#include "telemetry/telemetry.h"
+#include "telemetry/metrics.h"
 #include "util/digest.h"
 #include "util/rng.h"
 
@@ -49,9 +49,7 @@ class Simulator {
   FailureInjector& failures() { return *failures_; }
   Rng& rng() { return rng_; }
 
-  telemetry::Telemetry& telemetry() { return telemetry_; }
-  telemetry::MetricsRegistry& metrics() { return telemetry_.metrics(); }
-  telemetry::Tracer& tracer() { return telemetry_.tracer(); }
+  telemetry::MetricsRegistry& metrics() { return metrics_; }
 
   SimTime now() const { return events_.now(); }
 
@@ -110,9 +108,9 @@ class Simulator {
 
  private:
   EventQueue events_;
-  // Telemetry outlives network_/failures_ (declared first) so instruments
+  // The registry outlives network_/failures_ (declared first) so instruments
   // cached by components stay valid through their destruction.
-  telemetry::Telemetry telemetry_;
+  telemetry::MetricsRegistry metrics_;
   Rng rng_;
   std::unique_ptr<Network> network_;
   std::unique_ptr<FailureInjector> failures_;

@@ -8,8 +8,12 @@
 
 #include "telemetry/json.h"
 
-// Stamped by the top-level CMakeLists at configure time; the fallbacks keep
-// out-of-band compiles (e.g. a bare clang-tidy invocation) building.
+// MIND_GIT_SHA comes from the header the mind_build_stamp target regenerates
+// on every build, MIND_BUILD_TYPE from the top-level CMakeLists. The fallbacks
+// keep out-of-band compiles (e.g. a bare clang-tidy invocation) building.
+#if __has_include("mind_build_stamp.h")
+#include "mind_build_stamp.h"
+#endif
 #ifndef MIND_GIT_SHA
 #define MIND_GIT_SHA "unknown"
 #endif

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
 #include <optional>
 #include <set>
+#include <utility>
 
 #include "mind/mind_net.h"
 #include "util/rng.h"
@@ -150,6 +152,12 @@ TEST_F(MindNetTest, InsertBatchValidation) {
 // counts and queryable contents must match exactly.
 TEST_F(MindNetTest, InsertBatchMatchesSingleInsertPlacement) {
   const int kBatches = 16, kPerBatch = 12;
+  struct Placement {
+    std::vector<size_t> primary, replica;  // per node
+    uint64_t replicas_sent = 0;
+    std::multiset<std::pair<NodeId, int>> storer_hops;
+    std::multiset<uint64_t> seqs;
+  };
   auto make_tuples = [&](int b) {
     std::vector<Tuple> tuples;
     Rng rng(7000 + b);
@@ -176,22 +184,35 @@ TEST_F(MindNetTest, InsertBatchMatchesSingleInsertPlacement) {
       net_->sim().RunFor(FromMillis(500));
     }
     net_->sim().RunFor(FromSeconds(30));
-    std::vector<size_t> counts;
+    Placement p;
     for (size_t n = 0; n < net_->size(); ++n) {
-      counts.push_back(net_->node(n).PrimaryTupleCount("test_idx"));
+      p.primary.push_back(net_->node(n).PrimaryTupleCount("test_idx"));
+      p.replica.push_back(net_->node(n).ReplicaTupleCount("test_idx"));
+    }
+    p.replicas_sent =
+        net_->sim().metrics().counter("mind.replicate.sent").value();
+    for (const auto& info : net_->stored()) {
+      p.storer_hops.emplace(info.storer, info.hops);
     }
     QueryResult r =
         RunQuery(*net_, 2, "test_idx", Rect({{0, 9999}, {0, 100000}, {0, 9999}}));
-    std::multiset<uint64_t> seqs;
-    for (const auto& t : r.tuples) seqs.insert(t.seq);
-    return std::make_pair(counts, seqs);
+    for (const auto& t : r.tuples) p.seqs.insert(t.seq);
+    return p;
   };
 
-  auto [batch_counts, batch_seqs] = run(true);
-  auto [single_counts, single_seqs] = run(false);
-  EXPECT_EQ(batch_seqs.size(), static_cast<size_t>(kBatches * kPerBatch));
-  EXPECT_EQ(batch_counts, single_counts);
-  EXPECT_EQ(batch_seqs, single_seqs);
+  Placement batch = run(true);
+  Placement single = run(false);
+  EXPECT_EQ(batch.seqs.size(), static_cast<size_t>(kBatches * kPerBatch));
+  EXPECT_EQ(batch.primary, single.primary);
+  EXPECT_EQ(batch.seqs, single.seqs);
+  // The replicate half of the commit: every stored tuple reaches the same
+  // replica holders whether it arrived alone or in a train.
+  EXPECT_GT(std::accumulate(batch.replica.begin(), batch.replica.end(),
+                            size_t{0}),
+            0u);
+  EXPECT_EQ(batch.replica, single.replica);
+  EXPECT_EQ(batch.replicas_sent, single.replicas_sent);
+  EXPECT_EQ(batch.storer_hops, single.storer_hops);
 }
 
 TEST_F(MindNetTest, QueryReturnsExactlyMatchingTuples) {

@@ -1,7 +1,6 @@
 // Telemetry subsystem tests: registry semantics, histogram percentile
-// accuracy against the exact definition, span-tree assembly and flight
-// recorder eviction, and exporter schema round-trips through the bundled
-// JSON parser.
+// accuracy against the exact definition, and exporter schema round-trips
+// through the bundled JSON parser.
 #include <cmath>
 #include <cstdint>
 #include <string>
@@ -13,7 +12,6 @@
 #include "telemetry/json.h"
 #include "telemetry/metrics.h"
 #include "telemetry/stats.h"
-#include "telemetry/trace.h"
 
 namespace mind {
 namespace telemetry {
@@ -138,83 +136,6 @@ TEST(StatsTest, PercentileExactDefinition) {
   EXPECT_DOUBLE_EQ(Percentile(v, 100), 4.0);
   EXPECT_DOUBLE_EQ(Mean(v), 2.5);
   EXPECT_DOUBLE_EQ(Percentile({}, 50), 0.0);
-}
-
-// ------------------------------------------------------------------ tracer
-
-TEST(TracerTest, SpanTreeAssembly) {
-  SimTime now = 0;
-  Tracer tr([&now] { return now; });
-  uint64_t root = tr.StartSpan(7, "query", 0, 1);
-  now = 10;
-  uint64_t split = tr.StartSpan(7, "query.split", root, 1);
-  now = 20;
-  uint64_t resolve = tr.StartSpan(7, "query.resolve", split, 2);
-  tr.Note(resolve, "tuples", "5");
-  now = 30;
-  tr.EndSpan(resolve);
-  tr.EndSpan(split);
-  now = 45;
-  tr.EndSpan(root);
-
-  const std::vector<TraceSpan>* spans = tr.GetTrace(7);
-  ASSERT_NE(spans, nullptr);
-  ASSERT_EQ(spans->size(), 3u);
-  EXPECT_EQ((*spans)[0].name, "query");
-  EXPECT_EQ((*spans)[0].start, 0u);
-  EXPECT_EQ((*spans)[0].end, 45u);
-  EXPECT_TRUE((*spans)[0].closed);
-
-  std::vector<SpanNode> tree = tr.Tree(7);
-  ASSERT_EQ(tree.size(), 1u);
-  EXPECT_EQ(tree[0].span->name, "query");
-  ASSERT_EQ(tree[0].children.size(), 1u);
-  EXPECT_EQ(tree[0].children[0].span->name, "query.split");
-  ASSERT_EQ(tree[0].children[0].children.size(), 1u);
-  const SpanNode& leaf = tree[0].children[0].children[0];
-  EXPECT_EQ(leaf.span->name, "query.resolve");
-  EXPECT_EQ(leaf.span->node, 2);
-  ASSERT_EQ(leaf.span->notes.size(), 1u);
-  EXPECT_EQ(leaf.span->notes[0].first, "tuples");
-  EXPECT_EQ(leaf.span->notes[0].second, "5");
-
-  EXPECT_EQ(tr.GetTrace(999), nullptr);
-  std::string dump = tr.Dump(7);
-  EXPECT_NE(dump.find("query.resolve"), std::string::npos);
-}
-
-TEST(TracerTest, RingEvictsOldestTrace) {
-  SimTime now = 0;
-  Tracer tr([&now] { return now; }, /*max_traces=*/4);
-  for (uint64_t t = 1; t <= 6; ++t) {
-    tr.EndSpan(tr.StartSpan(t, "op", 0, 0));
-  }
-  EXPECT_EQ(tr.trace_count(), 4u);
-  EXPECT_EQ(tr.traces_evicted(), 2u);
-  EXPECT_EQ(tr.GetTrace(1), nullptr);  // oldest two gone
-  EXPECT_EQ(tr.GetTrace(2), nullptr);
-  EXPECT_NE(tr.GetTrace(3), nullptr);
-  EXPECT_NE(tr.GetTrace(6), nullptr);
-}
-
-TEST(TracerTest, DisabledTracerReturnsNoOpHandles) {
-  SimTime now = 0;
-  Tracer tr([&now] { return now; });
-  tr.set_enabled(false);
-  uint64_t s = tr.StartSpan(1, "op");
-  EXPECT_EQ(s, 0u);
-  tr.EndSpan(s);    // accepts the no-op handle
-  tr.Note(s, "k", "v");
-  EXPECT_EQ(tr.trace_count(), 0u);
-}
-
-TEST(TracerTest, PerTraceSpanCap) {
-  SimTime now = 0;
-  Tracer tr([&now] { return now; }, 8, /*max_spans_per_trace=*/4);
-  for (int i = 0; i < 10; ++i) tr.StartSpan(1, "op");
-  ASSERT_NE(tr.GetTrace(1), nullptr);
-  EXPECT_EQ(tr.GetTrace(1)->size(), 4u);
-  EXPECT_EQ(tr.spans_dropped(), 6u);
 }
 
 #endif  // MIND_TELEMETRY_DISABLED

@@ -213,7 +213,6 @@ _BACKEND_FORBIDDEN = {
     "Network": "simulation type",
     "ParallelEngine": "simulation type",
     "SimTime": "simulation type",
-    "Tracer": "simulation type",
     "EventFn": "simulation type",
 }
 
