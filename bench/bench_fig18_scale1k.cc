@@ -12,7 +12,6 @@
 // BENCH_fig18_scale1k.json regardless of duty.
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "bench/common.h"
@@ -24,15 +23,6 @@ namespace {
 
 Schema ScaleSchema() {
   return Schema({{"dst", 0, 0xFFFFFFFFull}, {"ts", 0, 86400 * 14}, {"v", 0, 1 << 20}});
-}
-
-int DutyPercent(int argc, char** argv) {
-  int duty = 100;
-  if (const char* env = std::getenv("MIND_BENCH_DUTY")) duty = std::atoi(env);
-  if (argc > 1) duty = std::atoi(argv[1]);
-  if (duty < 1) duty = 1;
-  if (duty > 100) duty = 100;
-  return duty;
 }
 
 }  // namespace
@@ -135,17 +125,9 @@ int main(int argc, char** argv) {
   const uint64_t events =
       sm.counter("sim.events.processed").value() - events_before;
 
-  const double hits =
-      static_cast<double>(sm.counter("overlay.route.cache_hits").value());
-  const double misses =
-      static_cast<double>(sm.counter("overlay.route.cache_misses").value());
-  const double hit_rate = hits + misses > 0 ? hits / (hits + misses) : 0;
-
-  std::printf("engine: %llu events in %.2f s wall = %.0f events/s\n",
+  std::printf("engine: %llu events in %.2f s wall = %.0f events/s\n\n",
               static_cast<unsigned long long>(events), wall_sec,
               wall_sec > 0 ? events / wall_sec : 0);
-  std::printf("routing cache: %.0f hits / %.0f misses = %.1f%% hit rate\n\n",
-              hits, misses, 100.0 * hit_rate);
   PrintLatencyRowHist("insert latency",
                       sm.histogram("mind.insert.latency_ms"));
   PrintLatencyRowHist("query latency", sm.histogram("mind.query.latency_ms"));
@@ -158,7 +140,6 @@ int main(int argc, char** argv) {
   sm.gauge("bench.fig18.events_per_sec_wall")
       .Set(wall_sec > 0 ? events / wall_sec : 0);
   sm.gauge("bench.fig18.wall_seconds").Set(wall_sec);
-  sm.gauge("bench.fig18.route_cache_hit_rate").Set(hit_rate);
   sm.gauge("bench.fig18.queries_complete").Set(static_cast<double>(queries_complete));
 
   telemetry::RunMeta meta;

@@ -19,7 +19,6 @@
 // the same duty. Results export to BENCH_fig19_churn.json regardless.
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "bench/common.h"
@@ -31,15 +30,6 @@ namespace {
 
 Schema ChurnSchema() {
   return Schema({{"dst", 0, 0xFFFFFFFFull}, {"ts", 0, 86400}, {"v", 0, 1 << 20}});
-}
-
-int DutyPercent(int argc, char** argv) {
-  int duty = 100;
-  if (const char* env = std::getenv("MIND_BENCH_DUTY")) duty = std::atoi(env);
-  if (argc > 1) duty = std::atoi(argv[1]);
-  if (duty < 1) duty = 1;
-  if (duty > 100) duty = 100;
-  return duty;
 }
 
 Point RandomPoint(Rng* rng) {

@@ -36,15 +36,6 @@ Schema ScaleSchema() {
   return Schema({{"dst", 0, 0xFFFFFFFFull}, {"ts", 0, 86400 * 14}, {"v", 0, 1 << 20}});
 }
 
-int DutyPercent(int argc, char** argv) {
-  int duty = 100;
-  if (const char* env = std::getenv("MIND_BENCH_DUTY")) duty = std::atoi(env);
-  if (argc > 1) duty = std::atoi(argv[1]);
-  if (duty < 1) duty = 1;
-  if (duty > 100) duty = 100;
-  return duty;
-}
-
 // Default thread-count ladder, auto-dropping counts the hardware cannot
 // actually run in parallel (more workers than cores measures oversubscription,
 // not scaling). Dropped counts are reported in `skipped` and marked in the

@@ -19,7 +19,6 @@
 // Duty cycle: MIND_BENCH_DUTY=<percent> (or argv[1]) scales the replayed
 // window down for CI smoke runs; before/after comparisons must match duty.
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
 
@@ -34,15 +33,6 @@ using mind::frontend::GeneratorTraceSource;
 using mind::frontend::QueryService;
 
 namespace {
-
-int DutyPercent(int argc, char** argv) {
-  int duty = 100;
-  if (const char* env = std::getenv("MIND_BENCH_DUTY")) duty = std::atoi(env);
-  if (argc > 1) duty = std::atoi(argv[1]);
-  if (duty < 1) duty = 1;
-  if (duty > 100) duty = 100;
-  return duty;
-}
 
 /// Whole-domain rect (the expensive scan the cost gate should refuse).
 Rect FullScan(const IndexDef& def) {

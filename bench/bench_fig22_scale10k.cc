@@ -10,7 +10,7 @@
 //     per-node footprint is flat in simulated time. The bench exits 1 if
 //     RSS-per-node grows more than 10% from day 1 to day N for any fleet.
 //   * Pool high-water marks (memory.pool.*): message/event traffic runs
-//     through the arena/pool layer, so peak pool bytes bound the churn
+//     through the pool layer, so peak pool bytes bound the churn
 //     footprint and oversize_allocs counts every allocation that escaped
 //     the pools.
 //   * events/s wall throughput per fleet — the events/s-degrades-sublinearly
@@ -22,14 +22,12 @@
 // Results export to BENCH_fig22_scale10k.json.
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
 #include "bench/common.h"
 #include "telemetry/pool_gauges.h"
-#include "util/arena.h"
 
 using namespace mind;
 using namespace mind::bench;
@@ -39,15 +37,6 @@ namespace {
 Schema ScaleSchema() {
   return Schema(
       {{"dst", 0, 0xFFFFFFFFull}, {"ts", 0, 86400 * 14}, {"v", 0, 1 << 20}});
-}
-
-int DutyPercent(int argc, char** argv) {
-  int duty = 100;
-  if (const char* env = std::getenv("MIND_BENCH_DUTY")) duty = std::atoi(env);
-  if (argc > 1) duty = std::atoi(argv[1]);
-  if (duty < 1) duty = 1;
-  if (duty > 100) duty = 100;
-  return duty;
 }
 
 /// Resident set size in kB from /proc/self/status; 0 where unavailable.
@@ -121,15 +110,14 @@ int main(int argc, char** argv) {
     const auto wall_start = std::chrono::steady_clock::now();
 
     Rng rng(0x22f1 + fleet);
-    // Per-day scratch: raw attribute triples live in an epoch-reclaimed
-    // arena, reset at every midnight — after day 1's warm-up, a day of
-    // driving costs zero allocator traffic for this scratch.
-    Arena scratch;
+    // Per-day scratch: raw attribute triples, refilled every day. The
+    // vector keeps its capacity across days, so after day 1 a day of driving
+    // costs zero allocator traffic for this scratch.
+    std::vector<uint64_t> pts;
     uint64_t seq = 0;
     size_t queries_done = 0;
     const SimTime day_zero = net->sim().now();
     for (int day = 0; day < days; ++day) {
-      scratch.Reset();
       // Active window opens at 01:00 so it clears the previous midnight's
       // freeze + settle no matter how small the duty window is.
       const SimTime day_start = day_zero + FromSeconds(86400.0 * day + 3600);
@@ -137,8 +125,7 @@ int main(int argc, char** argv) {
       // monitoring queries per second probe the read path.
       const size_t n_pts =
           static_cast<size_t>(drive_sec_per_day) * (fleet / 8) + 1;
-      auto* pts = static_cast<uint64_t*>(
-          scratch.Allocate(n_pts * 3 * sizeof(uint64_t)));
+      pts.resize(n_pts * 3);
       for (size_t i = 0; i < n_pts * 3; i += 3) {
         pts[i] = rng.Uniform(0x100000000ull);
         pts[i + 1] = static_cast<uint64_t>(86400.0 * day +

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <functional>
 #include <map>
 #include <optional>
@@ -60,6 +61,18 @@ inline void ExportBench(const telemetry::MetricsRegistry& registry,
     return;
   }
   std::printf("[export] wrote %s\n", path.c_str());
+}
+
+/// Duty cycle in percent, clamped to [1, 100]: argv[1] wins over
+/// MIND_BENCH_DUTY, which wins over the default of 100. The scale benches
+/// multiply their driven sim time by it so CI smoke runs stay short.
+inline int DutyPercent(int argc, char** argv) {
+  int duty = 100;
+  if (const char* env = std::getenv("MIND_BENCH_DUTY")) duty = std::atoi(env);
+  if (argc > 1) duty = std::atoi(argv[1]);
+  if (duty < 1) duty = 1;
+  if (duty > 100) duty = 100;
+  return duty;
 }
 
 // ------------------------------------------------------------ deployment

@@ -45,8 +45,9 @@ std::string Hex64(uint64_t v) {
 
 // Older streams are refused as unsupported: version 1 carried an
 // engine-mode flag and legacy insertion sequence numbers, version 2 an index
-// layout byte and layout-selection evidence per version-chain entry.
-constexpr uint16_t kSnapshotVersion = 3;
+// layout byte and layout-selection evidence per version-chain entry,
+// version 3 a dynamic link-outage table beside the planned outages.
+constexpr uint16_t kSnapshotVersion = 4;
 
 uint64_t IdBits(NodeId id) {
   return static_cast<uint64_t>(static_cast<int64_t>(id));

@@ -255,7 +255,6 @@ void OverlayNode::CommitPendingJoin() {
 
   SetCode(pj.my_new_code);
   peers_[pj.joiner] = pj.joiner_code;
-  InvalidateRouteCache();
   PrunePeers();
   AnnounceCode();
 
@@ -301,7 +300,6 @@ void OverlayNode::OnJoinCommit(NodeId from, const JoinCommitMsg& m) {
   code_ = m.joiner_code;
   peers_ = m.peers;
   peers_[m.parent] = m.parent_new_code;
-  InvalidateRouteCache();
   join_parent_ = m.parent;
   PrunePeers();
   if (options_.heartbeat_interval > 0 && heartbeat_timer_ == 0) {
@@ -320,7 +318,6 @@ void OverlayNode::OnJoinDecline(NodeId from) {
   if (it == peers_.end()) return;
   if (!(code_.length() > 0 && it->second == code_.Sibling())) return;
   peers_.erase(it);
-  InvalidateRouteCache();
   SetCode(code_.Parent());
   AnnounceCode();
 }
@@ -338,7 +335,6 @@ void OverlayNode::OnJoinCommitNotify(NodeId from,
   MIND_CHECK_EQ(s.parent, from);
   peers_[s.joiner] = s.joiner_code;
   peers_[s.parent] = s.parent_new_code;
-  InvalidateRouteCache();
   if (s.expiry_event) events_->Cancel(s.expiry_event);
   staged_adds_.erase(it);
   PrunePeers();

@@ -26,8 +26,6 @@ OverlayNode::OverlayNode(Simulator* sim, OverlayOptions options,
   tm_.forwarded = &m.counter("overlay.route.forwarded");
   tm_.dropped = &m.counter("overlay.route.dropped");
   tm_.dead_ends = &m.counter("overlay.route.dead_ends");
-  tm_.cache_hits = &m.counter("overlay.route.cache_hits");
-  tm_.cache_misses = &m.counter("overlay.route.cache_misses");
   tm_.ring_searches = &m.counter("overlay.ring.searches");
   tm_.ring_found = &m.counter("overlay.ring.found");
   tm_.join_attempts = &m.counter("overlay.join.attempts");
@@ -47,7 +45,6 @@ void OverlayNode::BecomeFirst() {
   MIND_CHECK(!joined_);
   joined_ = true;
   code_ = BitCode();
-  InvalidateRouteCache();
   if (options_.heartbeat_interval > 0 && heartbeat_timer_ == 0) {
     heartbeat_timer_ = events_->Schedule(options_.heartbeat_interval,
                                          [this] { OnHeartbeatTimer(); });
@@ -71,7 +68,6 @@ void OverlayNode::Crash() {
   peers_.clear();
   last_seen_.clear();
   avoid_until_.clear();
-  InvalidateRouteCache();
   for (auto& [peer, rs] : retry_) {
     if (rs.timer) events_->Cancel(rs.timer);
   }
@@ -112,7 +108,6 @@ void OverlayNode::Revive(NodeId bootstrap) {
 void OverlayNode::SetCode(BitCode new_code) {
   BitCode old = code_;
   code_ = std::move(new_code);
-  InvalidateRouteCache();
   if (on_code_change_) on_code_change_(old, code_);
 }
 
@@ -163,7 +158,6 @@ void OverlayNode::PrunePeers() {
     }
   }
   peers_ = std::move(kept);
-  InvalidateRouteCache();
 }
 
 void OverlayNode::SendDirect(NodeId to, MessagePtr msg) {
@@ -180,7 +174,6 @@ void OverlayNode::AdoptIntoEmptyLevel(NodeId from, const BitCode& code) {
     if (code_.CommonPrefixLen(pcode) == level) return;
   }
   peers_[from] = code;
-  InvalidateRouteCache();
 }
 
 bool OverlayNode::OwnsTarget(const BitCode& target) const {
@@ -188,54 +181,14 @@ bool OverlayNode::OwnsTarget(const BitCode& target) const {
   return cpl == std::min(code_.length(), target.length());
 }
 
-namespace {
-constexpr size_t kRouteCacheMaxEntries = 1024;
-}  // namespace
-
 NodeId OverlayNode::BestNextHop(const BitCode& target) const {
   const SimTime now = events_->now();
-  // Avoid-list entries expire with virtual time, which would flip a cached
-  // answer with no mutation to observe; bypass the cache entirely while any
-  // entry is still active. (Expired entries are inert for the scan below.)
-  bool avoid_active = false;
-  for (const auto& [peer, until] : avoid_until_) {
-    if (until > now) {
-      avoid_active = true;
-      break;
-    }
-  }
-  const bool use_cache = options_.route_cache && !avoid_active;
-  BitCode key;
-  if (use_cache) {
-    if (route_cache_epoch_ != route_epoch_) {
-      route_cache_.clear();
-      route_cache_epoch_ = route_epoch_;
-      int keylen = code_.length();
-      for (const auto& [peer, pcode] : peers_) {
-        keylen = std::max(keylen, pcode.length());
-      }
-      route_cache_keylen_ = keylen;
-    }
-    // Target bits past every participating code cannot change any common
-    // prefix length, so the truncated target keys a whole equivalence class
-    // of destinations.
-    key = target.length() > route_cache_keylen_
-              ? target.Prefix(route_cache_keylen_)
-              : target;
-    auto it = route_cache_.find(key);
-    if (it != route_cache_.end()) {
-      tm_.cache_hits->Inc();
-      return it->second;
-    }
-  }
   const int my_cpl = code_.CommonPrefixLen(target);
   NodeId best = kInvalidNode;
   int best_cpl = my_cpl;
   for (const auto& [peer, pcode] : peers_) {
-    if (avoid_active) {
-      auto avoid = avoid_until_.find(peer);
-      if (avoid != avoid_until_.end() && avoid->second > now) continue;
-    }
+    auto avoid = avoid_until_.find(peer);
+    if (avoid != avoid_until_.end() && avoid->second > now) continue;
     int cpl = pcode.CommonPrefixLen(target);
     // Ties broken toward the smaller id: the winner must not depend on the
     // peer table's iteration order, or routing diverges across stdlibs.
@@ -244,11 +197,6 @@ NodeId OverlayNode::BestNextHop(const BitCode& target) const {
       best_cpl = cpl;
       best = peer;
     }
-  }
-  if (use_cache) {
-    tm_.cache_misses->Inc();
-    if (route_cache_.size() >= kRouteCacheMaxEntries) route_cache_.clear();
-    route_cache_.emplace(std::move(key), best);
   }
   return best;
 }
@@ -445,10 +393,8 @@ void OverlayNode::HandleMessage(NodeId from, const MessagePtr& msg) {
       if (!fix.joined) {
         // A ghost left behind by an aborted join: it owns no region.
         peers_.erase(it);
-        InvalidateRouteCache();
-      } else if (it->second != fix.code) {
+      } else {
         it->second = fix.code;
-        InvalidateRouteCache();
       }
       break;
     }
@@ -458,7 +404,6 @@ void OverlayNode::HandleMessage(NodeId from, const MessagePtr& msg) {
       if (it != peers_.end()) {
         BitCode old = it->second;
         it->second = cu.new_code;
-        if (old != cu.new_code) InvalidateRouteCache();
         // Cascade: our exact sibling relabeled away into a vacant region
         // elsewhere; its old slot (our sibling region) is now empty and we
         // absorb it. (Not triggered by a split — then the old code is a

@@ -48,10 +48,6 @@ struct OverlayOptions {
   /// Join phase timeout (candidate wait, commit wait, ack collection).
   SimTime join_phase_timeout = FromSeconds(5);
   int route_max_hops = 64;
-  /// Cache BestNextHop results per target prefix (invalidated whenever the
-  /// peer table, own code, or avoid list changes). Purely an optimization:
-  /// routing decisions are bit-identical with the cache off.
-  bool route_cache = true;
   /// Peer-table cap per common-prefix level (the hypercube keeps ~log N
   /// neighbors; without pruning every node would eventually know everyone).
   int max_peers_per_level = 2;
@@ -190,13 +186,10 @@ class OverlayNode : public Host {
   void PrunePeers();
   // Greedy step: forward toward env->target or deliver locally.
   void ProcessEnvelope(std::shared_ptr<RouteEnvelope> env);
-  // Best next hop for target (peer with strictly larger common prefix),
-  // skipping peers in `avoid`; kInvalidNode if none. Memoized per target
-  // prefix when options_.route_cache is set.
+  // Best next hop for target: the peer with the longest common prefix,
+  // strictly longer than ours, skipping peers whose avoid window is still
+  // open; ties go to the smaller id. kInvalidNode if none.
   NodeId BestNextHop(const BitCode& target) const;
-  // Must be called after every peers_/code_/avoid_until_ mutation; a missed
-  // call makes the routing cache return stale (but still reachable) hops.
-  void InvalidateRouteCache() { ++route_epoch_; }
   bool OwnsTarget(const BitCode& target) const;
   // Peer-table repair: a heartbeat from a node at a prefix level where we
   // know nobody makes it our peer there. Failures can empty a level (its
@@ -330,16 +323,6 @@ class OverlayNode : public Host {
   // mind-digest: skip(pending-timer handle; cancelled/fired before quiesce)
   EventId heartbeat_timer_ = 0;
 
-  // Routing cache: target prefix -> BestNextHop answer. `route_epoch_` is
-  // bumped at every peers_/code_/avoid_until_ mutation; the cache clears
-  // itself lazily on the next lookup when its epoch is behind. Mutable
-  // because BestNextHop is logically const.
-  // mind-digest: skip(cache invalidation epoch for the mutable cache below)
-  uint64_t route_epoch_ = 0;
-  mutable uint64_t route_cache_epoch_ = ~uint64_t{0};
-  mutable int route_cache_keylen_ = 0;
-  mutable std::unordered_map<BitCode, NodeId, BitCode::Hash> route_cache_;
-
   // ring searches in progress at this (stuck) node
   struct RingSearch {
     std::shared_ptr<RouteEnvelope> env;
@@ -408,8 +391,6 @@ class OverlayNode : public Host {
     telemetry::Counter* forwarded;
     telemetry::Counter* dropped;
     telemetry::Counter* dead_ends;
-    telemetry::Counter* cache_hits;
-    telemetry::Counter* cache_misses;
     telemetry::Counter* ring_searches;
     telemetry::Counter* ring_found;
     telemetry::Counter* join_attempts;

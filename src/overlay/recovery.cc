@@ -46,10 +46,7 @@ void OverlayNode::NotePeerAlive(NodeId peer, const BitCode* code_hint) {
   if (options_.heartbeat_interval > 0) last_seen_[peer] = events_->now();
   if (code_hint != nullptr) {
     auto it = peers_.find(peer);
-    if (it != peers_.end() && it->second != *code_hint) {
-      it->second = *code_hint;
-      InvalidateRouteCache();
-    }
+    if (it != peers_.end()) it->second = *code_hint;
   }
 }
 
@@ -58,7 +55,6 @@ void OverlayNode::DeclarePeerDead(NodeId peer) {
   if (it == peers_.end()) return;
   BitCode peer_code = it->second;
   peers_.erase(it);
-  InvalidateRouteCache();
   last_seen_.erase(peer);
   tm_.peers_declared_dead->Inc();
 
@@ -315,7 +311,6 @@ void OverlayNode::GiveUpOnPeerQueue(NodeId to) {
 
   // Avoid this peer for routing decisions for a while.
   avoid_until_[to] = events_->now() + 8 * options_.reconnect_backoff;
-  InvalidateRouteCache();
 
   for (auto& m : q) {
     auto* om = m->IsOverlay() ? static_cast<OverlayMsg*>(m.get()) : nullptr;
@@ -407,7 +402,6 @@ void OverlayNode::OnRingFound(NodeId from, const RingFoundMsg& m) {
   ring_searches_.erase(it);
   // Adopt the discovered node as a routing peer and resume forwarding there.
   peers_[from] = m.code;
-  InvalidateRouteCache();
   env->hops++;
   SendRaw(from, std::move(env));
 }

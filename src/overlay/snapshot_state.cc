@@ -255,7 +255,6 @@ Status OverlayNode::LoadSnapshotState(SnapReader* r) {
     heartbeat_timer_ = 0;
   }
 
-  InvalidateRouteCache();
   return ReadRngState(r, &rng_, "overlay.rng");
 }
 

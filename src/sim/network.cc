@@ -239,12 +239,9 @@ bool Network::IsNodeUp(NodeId id) const {
 }
 
 void Network::SetLinkDown(NodeId a, NodeId b, SimTime duration) {
-  MIND_CHECK(!InParallelPhase()) << "SetLinkDown during a parallel phase";
-  SimTime until = events_->now() + duration;
-  SimTime& ab = down_until_[DirKey(a, b)];
-  SimTime& ba = down_until_[DirKey(b, a)];
-  ab = std::max(ab, until);
-  ba = std::max(ba, until);
+  if (duration == 0) return;
+  const SimTime now = events_->now();
+  PlanLinkOutage(a, b, now, now + duration);
 }
 
 bool Network::IsLinkUp(NodeId a, NodeId b) const {
@@ -279,12 +276,6 @@ bool Network::IsNodeUpAt(NodeId id, SimTime t) const {
 }
 
 bool Network::IsLinkUpAt(NodeId a, NodeId b, SimTime t) const {
-  if (!down_until_.empty()) {
-    auto it = down_until_.find(DirKey(a, b));
-    if (it != down_until_.end() && it->second > t) return false;
-    it = down_until_.find(DirKey(b, a));
-    if (it != down_until_.end() && it->second > t) return false;
-  }
   if (!link_outages_.empty()) {
     auto it = link_outages_.find(DirKey(a, b));
     if (it != link_outages_.end()) {
@@ -345,13 +336,6 @@ void Network::SaveSnapshotState(SnapWriter* w) const {
       w->U64(link->stats.bytes);
       // cached_latency / latency_epoch are a memo; restore refills them.
     }
-  }
-
-  const auto down = SortedEntries(down_until_);
-  w->U64(down.size());
-  for (const auto& [key, until] : down) {
-    w->U64(key);
-    w->U64(until);
   }
 
   w->U64(node_outages_.size());
@@ -436,16 +420,6 @@ Status Network::LoadSnapshotState(SnapReader* r) {
                             r->U64("network.link.messages"));
       MIND_ASSIGN_OR_RETURN(link.stats.bytes, r->U64("network.link.bytes"));
     }
-  }
-
-  uint64_t down_count;
-  MIND_ASSIGN_OR_RETURN(down_count, r->U64("network.down_until.count"));
-  down_until_.clear();
-  for (uint64_t i = 0; i < down_count; ++i) {
-    uint64_t key, until;
-    MIND_ASSIGN_OR_RETURN(key, r->U64("network.down_until.key"));
-    MIND_ASSIGN_OR_RETURN(until, r->U64("network.down_until.value"));
-    down_until_[key] = until;
   }
 
   uint64_t plan_nodes;

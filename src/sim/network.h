@@ -108,8 +108,9 @@ class Network {
   void SetNodeUp(NodeId id, bool up);
   bool IsNodeUp(NodeId id) const;
 
-  /// Takes the (undirected) link down for `duration` from now. Overlapping
-  /// calls extend the outage.
+  /// Takes the (undirected) link down for `duration` from now: shorthand for
+  /// PlanLinkOutage(a, b, now, now + duration). Overlapping calls extend the
+  /// outage; a zero duration does nothing.
   void SetLinkDown(NodeId a, NodeId b, SimTime duration);
   bool IsLinkUp(NodeId a, NodeId b) const;
 
@@ -127,7 +128,7 @@ class Network {
   /// outage covering t. Safe to call from any shard during a parallel phase
   /// (the flag and the plan are both frozen while shards run).
   bool IsNodeUpAt(NodeId id, SimTime t) const;
-  /// Link liveness at `t` (dynamic outages + planned outages, both directions).
+  /// Link liveness at `t`: no planned outage of the link covers t.
   bool IsLinkUpAt(NodeId a, NodeId b, SimTime t) const;
 
   /// Wires the parallel engine in (Simulator does this); sends then route to
@@ -164,8 +165,8 @@ class Network {
   EventQueue* events() const { return events_; }
 
   /// Serializes the fabric's mutable state — host up flags and loopback
-  /// counters, per-directed-link FIFO clocks and send counters, dynamic and
-  /// planned outages and latency overrides — in canonical
+  /// counters, per-directed-link FIFO clocks and send counters, planned
+  /// outages and latency overrides — in canonical
   /// (sender, destination) order. Latency memos are a pure cache and are not
   /// saved. Part of the MSN1 snapshot (DESIGN.md §14).
   void SaveSnapshotState(SnapWriter* w) const;
@@ -326,7 +327,6 @@ class Network {
   telemetry::SimHistogram* delivery_delay_ms_ = nullptr;
   std::vector<HostState> hosts_;
   std::vector<LinkRow> links_;
-  std::unordered_map<uint64_t, SimTime> down_until_;  // dynamic outages
   std::vector<std::vector<Outage>> node_outages_;     // planned, per node
   std::unordered_map<uint64_t, std::vector<Outage>> link_outages_;  // planned
   std::unordered_map<uint64_t, SimTime> latency_override_;

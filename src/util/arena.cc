@@ -3,6 +3,8 @@
 #include <atomic>
 #include <cstring>
 #include <mutex>
+#include <new>
+#include <vector>
 
 namespace mind {
 namespace pool {

@@ -1,24 +1,18 @@
-// Arena / pool allocation for the bounded-memory scale layer (CoMo's
-// memory.c/pool.c idiom, DESIGN.md §14).
+// Pool allocation for the bounded-memory scale layer (CoMo's pool.c idiom,
+// DESIGN.md §14), built for the simulator's steady-state churn — a message
+// or event payload is allocated, lives for one network hop or one window,
+// and dies — where general-purpose malloc pays metadata, locking and
+// fragmentation for no benefit.
 //
-// Two allocators, both built for the simulator's steady-state churn — a
-// message or event payload is allocated, lives for one network hop or one
-// window, and dies — where general-purpose malloc pays metadata, locking and
-// fragmentation for no benefit:
-//
-//  * pool::Allocate / pool::Deallocate — fixed-size free-list pools over a
-//    small set of size classes. Freed blocks are recycled, slab memory is
-//    carved in large chunks and never returned mid-run, so the pool's
-//    footprint is the high-water mark of *live* objects, not of allocation
-//    traffic. Each thread owns a cache (free lists + slabs); a block freed on
-//    a different thread than it was allocated on simply migrates to the
-//    freeing thread's cache. Retired caches (worker threads of a destroyed
-//    parallel engine) park their slabs in a central depot for the next
-//    engine's workers to adopt, so repeated engine construction cannot grow
-//    memory.
-//  * Arena — a bump allocator for per-window scratch: allocation is a pointer
-//    increment, and Reset() reclaims the whole epoch at once. Nothing is
-//    individually freed.
+// pool::Allocate / pool::Deallocate are fixed-size free-list pools over a
+// small set of size classes. Freed blocks are recycled, slab memory is
+// carved in large chunks and never returned mid-run, so the pool's footprint
+// is the high-water mark of *live* objects, not of allocation traffic. Each
+// thread owns a cache (free lists + slabs); a block freed on a different
+// thread than it was allocated on simply migrates to the freeing thread's
+// cache. Retired caches (worker threads of a destroyed parallel engine) park
+// their slabs in a central depot for the next engine's workers to adopt, so
+// repeated engine construction cannot grow memory.
 //
 // Determinism: pool state is storage recycling only. No address, counter or
 // high-water mark may feed back into simulation behaviour; stats exist for
@@ -33,10 +27,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <new>
-#include <utility>
-#include <vector>
 
 namespace mind {
 namespace pool {
@@ -98,97 +88,6 @@ struct PooledAllocator {
 };
 
 }  // namespace pool
-
-/// \brief Epoch-reclaimed bump allocator for per-window scratch.
-///
-/// Allocation bumps a cursor through chunked slabs; Reset() rewinds to empty
-/// while keeping the slabs, so a window's worth of scratch costs zero
-/// allocator traffic after warm-up. Not thread-safe: one Arena per owner
-/// (per shard, per bench loop).
-class Arena {
- public:
-  explicit Arena(size_t chunk_bytes = 64 * 1024) : chunk_bytes_(chunk_bytes) {}
-  Arena(const Arena&) = delete;
-  Arena& operator=(const Arena&) = delete;
-
-  /// `n` bytes, max_align_t aligned. Oversized requests get a dedicated
-  /// chunk; they are reclaimed at Reset() like everything else.
-  void* Allocate(size_t n) {
-    n = Align(n);
-    if (cursor_ + n > limit_) Grow(n);
-    void* p = cursor_;
-    cursor_ += n;
-    live_bytes_ += n;
-    if (live_bytes_ > peak_bytes_) peak_bytes_ = live_bytes_;
-    return p;
-  }
-
-  template <typename T, typename... Args>
-  T* New(Args&&... args) {
-    static_assert(std::is_trivially_destructible_v<T>,
-                  "Arena never runs destructors; use trivially destructible "
-                  "scratch types");
-    return ::new (Allocate(sizeof(T))) T(std::forward<Args>(args)...);
-  }
-
-  /// Reclaims the whole epoch: every pointer handed out becomes invalid,
-  /// chunk memory is kept for the next epoch.
-  void Reset() {
-    chunk_index_ = 0;
-    if (!chunks_.empty()) {
-      cursor_ = chunks_[0].data.get();
-      limit_ = cursor_ + chunks_[0].size;
-    } else {
-      cursor_ = limit_ = nullptr;
-    }
-    live_bytes_ = 0;
-  }
-
-  size_t live_bytes() const { return live_bytes_; }
-  size_t peak_bytes() const { return peak_bytes_; }
-  size_t reserved_bytes() const {
-    size_t total = 0;
-    for (const auto& c : chunks_) total += c.size;
-    return total;
-  }
-
- private:
-  struct Chunk {
-    std::unique_ptr<unsigned char[]> data;
-    size_t size = 0;
-  };
-
-  static size_t Align(size_t n) {
-    const size_t a = alignof(std::max_align_t);
-    return (n + a - 1) & ~(a - 1);
-  }
-
-  void Grow(size_t need) {
-    // Advance to the next retained chunk if it fits; else append one.
-    while (++chunk_index_ < chunks_.size()) {
-      Chunk& c = chunks_[chunk_index_];
-      if (c.size >= need) {
-        cursor_ = c.data.get();
-        limit_ = cursor_ + c.size;
-        return;
-      }
-    }
-    const size_t size = need > chunk_bytes_ ? need : chunk_bytes_;
-    chunks_.push_back({std::make_unique<unsigned char[]>(size), size});
-    chunk_index_ = chunks_.size() - 1;
-    cursor_ = chunks_.back().data.get();
-    limit_ = cursor_ + size;
-  }
-
-  size_t chunk_bytes_;
-  std::vector<Chunk> chunks_;
-  size_t chunk_index_ = 0;
-  unsigned char* cursor_ = nullptr;
-  unsigned char* limit_ = nullptr;
-  size_t live_bytes_ = 0;
-  size_t peak_bytes_ = 0;
-};
-
 }  // namespace mind
 
 #endif  // MIND_UTIL_ARENA_H_

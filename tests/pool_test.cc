@@ -1,8 +1,8 @@
-// Tests for the bounded-memory allocators (util/arena.h, DESIGN.md §14):
-// the size-class pool (pool::Allocate / pool::Deallocate, thread caches and
-// the retired-cache depot) and the epoch-reclaimed Arena. The CI sanitizer
-// job runs this suite under ASan+UBSan: block recycling, cross-thread frees
-// and depot adoption are exactly the paths where a lifetime bug would hide.
+// Tests for the bounded-memory pool allocator (util/arena.h, DESIGN.md §14):
+// the size classes (pool::Allocate / pool::Deallocate), thread caches and
+// the retired-cache depot. The CI sanitizer job runs this suite under
+// ASan+UBSan: block recycling, cross-thread frees and depot adoption are
+// exactly the paths where a lifetime bug would hide.
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -143,61 +143,6 @@ TEST(PoolTest, PooledAllocatorDrivesStdContainers) {
                                           Payload{7, 9});
   EXPECT_EQ(sp->a, 7u);
   EXPECT_EQ(sp->b, 9u);
-}
-
-TEST(ArenaTest, BumpAllocationIsAlignedAndAccounted) {
-  Arena arena(4096);
-  void* a = arena.Allocate(10);
-  void* b = arena.Allocate(10);
-  ASSERT_NE(a, b);
-  EXPECT_EQ(reinterpret_cast<uintptr_t>(a) % alignof(std::max_align_t), 0u);
-  EXPECT_EQ(reinterpret_cast<uintptr_t>(b) % alignof(std::max_align_t), 0u);
-  // Both 10-byte requests round up to max_align_t strides.
-  EXPECT_EQ(arena.live_bytes(), 2 * ((10 + alignof(std::max_align_t) - 1) &
-                                     ~(alignof(std::max_align_t) - 1)));
-
-  struct Pt {
-    int x;
-    int y;
-  };
-  Pt* p = arena.New<Pt>(3, 4);
-  EXPECT_EQ(p->x, 3);
-  EXPECT_EQ(p->y, 4);
-}
-
-TEST(ArenaTest, ResetReclaimsTheEpochWithoutReleasingChunks) {
-  Arena arena(1024);
-  for (int i = 0; i < 100; ++i) arena.Allocate(64);
-  const size_t reserved = arena.reserved_bytes();
-  EXPECT_GT(reserved, 0u);
-  arena.Reset();
-  EXPECT_EQ(arena.live_bytes(), 0u);
-  EXPECT_EQ(arena.reserved_bytes(), reserved);
-  // The second epoch walks the retained chunks: same pattern, no growth.
-  for (int i = 0; i < 100; ++i) arena.Allocate(64);
-  EXPECT_EQ(arena.reserved_bytes(), reserved);
-}
-
-TEST(ArenaTest, OversizedRequestGetsADedicatedChunk) {
-  Arena arena(1024);
-  void* p = arena.Allocate(64 * 1024);
-  ASSERT_NE(p, nullptr);
-  std::memset(p, 0x1f, 64 * 1024);
-  EXPECT_GE(arena.reserved_bytes(), 64u * 1024);
-  arena.Reset();
-  // The oversized chunk is retained like any other.
-  EXPECT_GE(arena.reserved_bytes(), 64u * 1024);
-}
-
-TEST(ArenaTest, PeakPersistsAcrossReset) {
-  Arena arena(1024);
-  arena.Allocate(512);
-  arena.Allocate(512);
-  const size_t peak = arena.peak_bytes();
-  EXPECT_GE(peak, 1024u);
-  arena.Reset();
-  EXPECT_EQ(arena.peak_bytes(), peak);
-  EXPECT_EQ(arena.live_bytes(), 0u);
 }
 
 }  // namespace

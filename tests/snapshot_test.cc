@@ -353,10 +353,11 @@ TEST_F(SnapshotCorruptionTest, BadMagicNamesTheField) {
 }
 
 TEST_F(SnapshotCorruptionTest, UnsupportedVersionNamesTheField) {
-  // 1 and 2 are retired formats (1 carried an engine-mode flag and legacy
+  // 1, 2 and 3 are retired formats (1 carried an engine-mode flag and legacy
   // insertion sequence numbers, 2 an index layout byte and layout-selection
-  // evidence per version-chain entry); 9 was never written.
-  for (char version : {1, 2, 9}) {
+  // evidence per version-chain entry, 3 a dynamic link-outage table); 9 was
+  // never written.
+  for (char version : {1, 2, 3, 9}) {
     std::string bad = snap_;
     bad[4] = version;  // u16 version field, little-endian low byte
     Status st = Load(bad);
