@@ -80,8 +80,9 @@ class MindNet {
 
   /// FNV-1a 64 digest of the deployment's logical state: virtual clock,
   /// pending events, and every node's overlay/index/storage state. Two runs
-  /// of the same seeded scenario must produce identical digests, regardless
-  /// of MIND_TELEMETRY; tools/check_determinism.sh enforces this.
+  /// of the same seeded scenario must produce identical digests, whatever
+  /// telemetry recorded or reset mid-run; tools/check_determinism.sh and
+  /// TelemetryIntegrationTest enforce this.
   uint64_t StateDigest() const;
 
   /// Runs the non-quiescent validators every `interval` of virtual time,

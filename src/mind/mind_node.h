@@ -228,7 +228,7 @@ class MindNode {
   /// Folds this node's logical state (overlay, indices, DAC clock, local
   /// sequence counters) into `out`. Deliberately excludes telemetry and
   /// anything address- or capacity-dependent, so digests agree across runs
-  /// and across MIND_TELEMETRY settings.
+  /// and whatever the metrics registry holds.
   void DigestInto(Fnv64* out) const;
 
   // ---- snapshot (MSN1, DESIGN.md §14) --------------------------------------

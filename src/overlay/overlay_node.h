@@ -36,6 +36,11 @@ namespace mind {
 
 struct OverlayOptions {
   /// Heartbeat period; 0 disables failure detection (static experiments).
+  /// 0 also disables crash repair: nobody notices a crash, so a crashed
+  /// node's old region stays unowned (even after it revives under a new
+  /// code) and every query over that region ends with `complete = false`.
+  /// Runs that crash nodes need a nonzero period
+  /// (RoutingIntegrationTest.CrashAndReviveKeepAnswersExact uses 2 s).
   SimTime heartbeat_interval = 0;
   /// A peer is declared dead after this many silent heartbeat periods.
   int heartbeat_miss_limit = 3;

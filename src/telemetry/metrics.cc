@@ -15,8 +15,7 @@ thread_local int tls_shard_slot = 0;
 void SetShardSlot(int slot) { tls_shard_slot = slot; }
 int ShardSlot() { return tls_shard_slot; }
 
-SimHistogram::SimHistogram(const bool* enabled, const HistogramOptions& opts)
-    : enabled_(enabled) {
+SimHistogram::SimHistogram(const HistogramOptions& opts) {
   MIND_CHECK_GT(opts.min_bound, 0.0);
   MIND_CHECK_GT(opts.growth, 1.0);
   MIND_CHECK_GT(opts.buckets, 0);
@@ -30,10 +29,6 @@ SimHistogram::SimHistogram(const bool* enabled, const HistogramOptions& opts)
 }
 
 void SimHistogram::Record(double v) {
-#ifdef MIND_TELEMETRY_DISABLED
-  (void)v;
-#else
-  if (!*enabled_) return;
   if (v < 0) v = 0;
   int slot = shards_.empty() ? 0 : ShardSlot();
   if (slot == 0) {
@@ -61,7 +56,6 @@ void SimHistogram::Record(double v) {
   s.sum += v;
   auto it = std::lower_bound(bounds_.begin(), bounds_.end(), v);
   ++s.counts[static_cast<size_t>(it - bounds_.begin())];
-#endif
 }
 
 uint64_t SimHistogram::count() const {
@@ -135,8 +129,7 @@ Counter& MetricsRegistry::counter(const std::string& name) {
   std::lock_guard<std::mutex> lock(lookup_mu_);
   auto it = counters_.find(name);
   if (it == counters_.end()) {
-    it = counters_.emplace(name, std::unique_ptr<Counter>(new Counter(&enabled_)))
-             .first;
+    it = counters_.emplace(name, std::unique_ptr<Counter>(new Counter())).first;
     if (shard_slots_ > 0) it->second->EnableSharding(shard_slots_);
   }
   return *it->second;
@@ -146,8 +139,7 @@ Gauge& MetricsRegistry::gauge(const std::string& name) {
   std::lock_guard<std::mutex> lock(lookup_mu_);
   auto it = gauges_.find(name);
   if (it == gauges_.end()) {
-    it = gauges_.emplace(name, std::unique_ptr<Gauge>(new Gauge(&enabled_)))
-             .first;
+    it = gauges_.emplace(name, std::unique_ptr<Gauge>(new Gauge())).first;
   }
   return *it->second;
 }
@@ -158,8 +150,8 @@ SimHistogram& MetricsRegistry::histogram(const std::string& name,
   auto it = histograms_.find(name);
   if (it == histograms_.end()) {
     it = histograms_
-             .emplace(name, std::unique_ptr<SimHistogram>(
-                                new SimHistogram(&enabled_, opts)))
+             .emplace(name,
+                      std::unique_ptr<SimHistogram>(new SimHistogram(opts)))
              .first;
     if (shard_slots_ > 0) it->second->EnableSharding(shard_slots_);
   }

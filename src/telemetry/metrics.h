@@ -6,9 +6,9 @@
 // A unit suffix (`_ms`, `_bytes`) documents what a histogram records.
 //
 // Instruments are owned by the registry and returned by stable reference, so
-// hot paths resolve a name once and cache the pointer. Recording respects the
-// registry-wide enabled flag (one predictable branch); compiling with
-// MIND_TELEMETRY_DISABLED turns every recording call into a no-op.
+// hot paths resolve a name once and cache the pointer. Recording is
+// unconditional: every build and every run records, and the simulation never
+// reads an instrument back, so recording cannot change what a run does.
 #ifndef MIND_TELEMETRY_METRICS_H_
 #define MIND_TELEMETRY_METRICS_H_
 
@@ -39,17 +39,11 @@ int ShardSlot();
 class Counter {
  public:
   void Inc(uint64_t delta = 1) {
-#ifndef MIND_TELEMETRY_DISABLED
-    if (*enabled_) {
-      if (slots_ == nullptr) {
-        value_ += delta;
-      } else {
-        (*slots_)[static_cast<size_t>(ShardSlot()) * kSlotStride] += delta;
-      }
+    if (slots_ == nullptr) {
+      value_ += delta;
+    } else {
+      (*slots_)[static_cast<size_t>(ShardSlot()) * kSlotStride] += delta;
     }
-#else
-    (void)delta;
-#endif
   }
   uint64_t value() const {
     uint64_t v = value_;
@@ -67,13 +61,12 @@ class Counter {
   friend class MetricsRegistry;
   // One cache line per slot so shard workers do not false-share.
   static constexpr size_t kSlotStride = 8;
-  explicit Counter(const bool* enabled) : enabled_(enabled) {}
+  Counter() = default;
   void EnableSharding(int slots) {
     slots_ = std::make_unique<std::vector<uint64_t>>(
         static_cast<size_t>(slots) * kSlotStride, 0);
   }
   uint64_t value_ = 0;
-  const bool* enabled_;
   std::unique_ptr<std::vector<uint64_t>> slots_;
 };
 
@@ -83,28 +76,15 @@ class Counter {
 /// windows (all in-tree writers already do).
 class Gauge {
  public:
-  void Set(double v) {
-#ifndef MIND_TELEMETRY_DISABLED
-    if (*enabled_) value_ = v;
-#else
-    (void)v;
-#endif
-  }
-  void Add(double delta) {
-#ifndef MIND_TELEMETRY_DISABLED
-    if (*enabled_) value_ += delta;
-#else
-    (void)delta;
-#endif
-  }
+  void Set(double v) { value_ = v; }
+  void Add(double delta) { value_ += delta; }
   double value() const { return value_; }
   void Reset() { value_ = 0; }
 
  private:
   friend class MetricsRegistry;
-  explicit Gauge(const bool* enabled) : enabled_(enabled) {}
+  Gauge() = default;
   double value_ = 0;
-  const bool* enabled_;
 };
 
 /// Bucket layout of a SimHistogram: geometric bounds
@@ -145,7 +125,7 @@ class SimHistogram {
 
  private:
   friend class MetricsRegistry;
-  SimHistogram(const bool* enabled, const HistogramOptions& opts);
+  explicit SimHistogram(const HistogramOptions& opts);
   void EnableSharding(int slots) { shards_.resize(slots > 1 ? slots - 1 : 0); }
   // Per-shard-slot state (slot i >= 1 maps to shards_[i - 1]; slot 0 uses
   // the base fields). Bucket arrays allocate lazily on first record.
@@ -163,7 +143,6 @@ class SimHistogram {
   double sum_ = 0;
   double min_ = 0;
   double max_ = 0;
-  const bool* enabled_;
   std::vector<Shard> shards_;
 };
 
@@ -189,10 +168,6 @@ class MetricsRegistry {
   const Gauge* FindGauge(const std::string& name) const;
   const SimHistogram* FindHistogram(const std::string& name) const;
 
-  /// Runtime kill switch: while false, every recording call is a no-op.
-  void set_enabled(bool enabled) { enabled_ = enabled; }
-  bool enabled() const { return enabled_; }
-
   // Deterministic (name-sorted) iteration for exporters.
   const std::map<std::string, std::unique_ptr<Counter>>& counters() const {
     return counters_;
@@ -216,11 +191,6 @@ class MetricsRegistry {
   int shard_slots() const { return shard_slots_; }
 
  private:
-#ifdef MIND_TELEMETRY_DISABLED
-  bool enabled_ = false;
-#else
-  bool enabled_ = true;
-#endif
   int shard_slots_ = 0;  // 0 = unsharded
   std::mutex lookup_mu_;  // guards the maps against concurrent lookups
   std::map<std::string, std::unique_ptr<Counter>> counters_;

@@ -5,7 +5,8 @@
 // events — into the stream. Two simulation runs are considered replays of
 // each other iff their final digests are bit-identical. The digest covers
 // *logical* state only: no pointers, no capacities, no telemetry counters,
-// so a -DMIND_TELEMETRY=OFF build must produce the same digest as ON.
+// so a run whose metrics registry is Reset() mid-run digests the same as one
+// whose registry is not.
 //
 // For containers whose in-memory order is not canonical (e.g. TupleStore
 // rows between lazy sorts), use the order-independent pattern: hash each

@@ -520,10 +520,8 @@ TEST_F(MindNetTest, CancelQueryFinalizesIncompleteAndReclaims) {
   }
   net_->sim().RunFor(FromSeconds(20));
 
-#ifndef MIND_TELEMETRY_DISABLED
   const uint64_t timeouts_before =
       net_->sim().metrics().counter("mind.query.timeouts").value();
-#endif
   std::optional<QueryResult> out;
   auto qid = net_->node(2).Query(
       "test_idx", Rect({{0, 9999}, {0, UINT64_MAX}, {0, 9999}}),
@@ -538,10 +536,8 @@ TEST_F(MindNetTest, CancelQueryFinalizesIncompleteAndReclaims) {
   ASSERT_TRUE(out.has_value());
   EXPECT_FALSE(out->complete);
   EXPECT_EQ(net_->node(2).pending_query_count(), 0u);
-#ifndef MIND_TELEMETRY_DISABLED
   EXPECT_EQ(net_->sim().metrics().counter("mind.query.timeouts").value(),
             timeouts_before + 1);
-#endif
 
   // A second cancel (and a cancel of a never-issued id) is a no-op.
   EXPECT_FALSE(net_->node(2).CancelQuery(qid.value()));

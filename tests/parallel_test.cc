@@ -692,7 +692,6 @@ TEST(ParallelEngineTest, ValidatorsRunAtBarriers) {
 
 // ------------------------------------------------------- sharded telemetry
 
-#ifndef MIND_TELEMETRY_DISABLED
 TEST(ShardedTelemetryTest, CounterAggregatesAcrossSlots) {
   telemetry::MetricsRegistry reg;
   telemetry::Counter& c = reg.counter("c");
@@ -737,7 +736,6 @@ TEST(ShardedTelemetryTest, HistogramAggregatesAcrossSlots) {
   h.Reset();
   EXPECT_EQ(h.count(), 0u);
 }
-#endif  // MIND_TELEMETRY_DISABLED
 
 }  // namespace
 }  // namespace mind

@@ -158,9 +158,7 @@ TEST(QueryTrackerTest, ExhaustedCoverBudgetIsCounted) {
   EXPECT_FALSE(tracker.IsComplete());  // stops at the first unanswered leaf
   for (Value x = 0; x < 2500; ++x) tracker.AddReply(1, line.Leaf(x), {});
   EXPECT_FALSE(tracker.IsComplete());
-#ifndef MIND_TELEMETRY_DISABLED
   EXPECT_EQ(metrics.counter("mind.query.cover_budget_exhausted").value(), 1u);
-#endif
 }
 
 TEST(QueryTrackerTest, LineAnsweredLeafByLeafCompletes) {
@@ -176,9 +174,7 @@ TEST(QueryTrackerTest, LineAnsweredLeafByLeafCompletes) {
     tracker.AddReply(1, line.Leaf(x), {});
   }
   EXPECT_TRUE(tracker.IsComplete());
-#ifndef MIND_TELEMETRY_DISABLED
   EXPECT_EQ(metrics.counter("mind.query.cover_budget_exhausted").value(), 0u);
-#endif
 }
 
 // The completion check as a recursive walk from `code` over the replies
@@ -357,9 +353,7 @@ TEST(QueryTrackerTest, ResumedWalkAgreesWithRecursiveWalk) {
       if (HasFatalFailure()) return;
     }
     (expected ? completed : incomplete) += 1;
-#ifndef MIND_TELEMETRY_DISABLED
     EXPECT_EQ(metrics.counter("mind.query.cover_budget_exhausted").value(), 0u);
-#endif
   }
   // The generator must exercise both outcomes and the root/tree variants.
   EXPECT_GT(completed, 100);

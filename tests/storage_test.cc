@@ -261,10 +261,8 @@ TEST(CoverCacheTest, HitsMissesAndInvalidation) {
   cache.GetOrCompute(q, cuts, 10, 4096);
   cache.GetOrCompute(q, EvenCuts(), 12, 4096);
   EXPECT_EQ(cache.size(), 3u);
-#ifndef MIND_TELEMETRY_DISABLED
   EXPECT_EQ(metrics.counter("storage.cover_cache.hits").value(), 1u);
   EXPECT_EQ(metrics.counter("storage.cover_cache.misses").value(), 3u);
-#endif
   cache.Invalidate();
   EXPECT_EQ(cache.size(), 0u);
   cache.GetOrCompute(q, cuts, 12, 4096);
@@ -319,9 +317,7 @@ TEST(CoverCacheTest, CoverOverflowTakesFallbackAndStaysCorrect) {
   // A rect clipped on both dims fragments into >4 codes at cover_len 12.
   Rect q({{1, 9998}, {1, 9998}});
   EXPECT_EQ(store.Count(q), plain.Count(q));
-#ifndef MIND_TELEMETRY_DISABLED
   EXPECT_GE(metrics.counter("storage.cover.fallback").value(), 1u);
-#endif
 }
 
 // ------------------------------------------------------------ store layout

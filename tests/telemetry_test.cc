@@ -35,8 +35,6 @@ TEST(MetricsRegistryTest, InstrumentsAreNamedAndStable) {
   EXPECT_NE(reg.FindHistogram("x.wait_ms"), nullptr);
 }
 
-#ifndef MIND_TELEMETRY_DISABLED
-
 TEST(MetricsRegistryTest, CounterAndGaugeRecord) {
   MetricsRegistry reg;
   Counter& c = reg.counter("c");
@@ -47,24 +45,6 @@ TEST(MetricsRegistryTest, CounterAndGaugeRecord) {
   g.Set(3.5);
   g.Add(-1.0);
   EXPECT_DOUBLE_EQ(g.value(), 2.5);
-}
-
-TEST(MetricsRegistryTest, DisabledRegistryRecordsNothing) {
-  MetricsRegistry reg;
-  Counter& c = reg.counter("c");
-  SimHistogram& h = reg.histogram("h");
-  reg.set_enabled(false);
-  c.Inc(100);
-  reg.gauge("g").Set(9);
-  h.Record(1.0);
-  EXPECT_EQ(c.value(), 0u);
-  EXPECT_EQ(reg.gauge("g").value(), 0.0);
-  EXPECT_EQ(h.count(), 0u);
-  reg.set_enabled(true);
-  c.Inc();
-  h.Record(2.0);
-  EXPECT_EQ(c.value(), 1u);
-  EXPECT_EQ(h.count(), 1u);
 }
 
 TEST(MetricsRegistryTest, ResetZeroesButKeepsReferences) {
@@ -138,8 +118,6 @@ TEST(StatsTest, PercentileExactDefinition) {
   EXPECT_DOUBLE_EQ(Percentile({}, 50), 0.0);
 }
 
-#endif  // MIND_TELEMETRY_DISABLED
-
 // -------------------------------------------------------------------- json
 
 TEST(JsonTest, ParseRoundTrip) {
@@ -189,16 +167,10 @@ RunMeta TestMeta() {
 
 TEST(JsonExporterTest, SchemaRoundTrip) {
   MetricsRegistry reg;
-#ifndef MIND_TELEMETRY_DISABLED
   reg.counter("a.count").Inc(3);
   reg.gauge("a.level").Set(1.25);
   SimHistogram& h = reg.histogram("a.wait_ms");
   for (double v : {1.0, 2.0, 3.0, 4.0, 100.0}) h.Record(v);
-#else
-  reg.counter("a.count");
-  reg.gauge("a.level");
-  reg.histogram("a.wait_ms");
-#endif
 
   std::string doc = JsonExporter::Export(reg, TestMeta());
   auto parsed = JsonValue::Parse(doc);
@@ -235,7 +207,6 @@ TEST(JsonExporterTest, SchemaRoundTrip) {
                           "p99"}) {
     ASSERT_NE(hj->Get(key), nullptr) << "missing histogram field " << key;
   }
-#ifndef MIND_TELEMETRY_DISABLED
   // Snapshot values match the live instruments exactly.
   const JsonValue* cj = v.Get("counters")->Get("a.count");
   ASSERT_NE(cj, nullptr);
@@ -245,7 +216,6 @@ TEST(JsonExporterTest, SchemaRoundTrip) {
   EXPECT_DOUBLE_EQ(hj->Get("p50")->as_number(), h.Percentile(50));
   EXPECT_DOUBLE_EQ(hj->Get("p90")->as_number(), h.Percentile(90));
   EXPECT_DOUBLE_EQ(hj->Get("p99")->as_number(), h.Percentile(99));
-#endif
 }
 
 TEST(JsonExporterTest, DefaultPathIsBenchName) {
@@ -254,11 +224,7 @@ TEST(JsonExporterTest, DefaultPathIsBenchName) {
 
 TEST(CsvExporterTest, FlatRowsParse) {
   MetricsRegistry reg;
-#ifndef MIND_TELEMETRY_DISABLED
   reg.counter("a.count").Inc(2);
-#else
-  reg.counter("a.count");
-#endif
   std::string csv = CsvExporter::Export(reg, TestMeta());
   EXPECT_NE(csv.find("kind,name,field,value"), std::string::npos);
   EXPECT_NE(csv.find("meta,unit,seed,31337"), std::string::npos);

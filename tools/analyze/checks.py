@@ -27,8 +27,9 @@ the simulation-facing directories LINT_DIRS only:
                     clock_gettime; virtual time comes from EventQueue::now().
   libc-rand         no rand()/srand()/std::random_device; all randomness
                     flows through the seeded mind::Rng.
-  telemetry-divergence  no branching on MIND_TELEMETRY_DISABLED: simulation
-                    logic behaves the same with telemetry compiled out.
+  telemetry-divergence  no branching on MIND_TELEMETRY_DISABLED: telemetry
+                    always records and no build defines the macro, so such
+                    a branch is a compile-out path creeping back in.
   concurrency       no threading headers or primitives outside
                     src/sim/parallel_engine.*, the one place threads exist.
   raw-alloc         no malloc/raw `new`/std::make_shared in the pooled
@@ -726,8 +727,8 @@ _TEXT_RULES = {
     ],
     "telemetry-divergence": [
         (re.compile(r"MIND_TELEMETRY_DISABLED"),
-         "simulation code may not branch on the telemetry build flag; only "
-         "src/telemetry may test MIND_TELEMETRY_DISABLED"),
+         "telemetry always records and no build defines "
+         "MIND_TELEMETRY_DISABLED; simulation code may not branch on it"),
     ],
     "concurrency": [
         (re.compile(r"#\s*include\s*<(thread|mutex|shared_mutex|atomic|"

@@ -1,36 +1,34 @@
 #!/usr/bin/env bash
 # Deterministic-replay check.
 #
-# Builds the repo twice -- telemetry ON (the default) and telemetry OFF --
-# and runs tools/determinism_probe in each configuration. The probe prints
-# `state_digest <hex16>` after a fixed seeded scenario; this script fails if
+# Builds tools/determinism_probe once and runs it repeatedly. The probe
+# prints `state_digest <hex16>` after a fixed seeded scenario; this script
+# fails if
 #   (a) two runs of the same binary disagree (nondeterminism within a build:
 #       wall-clock leak, unseeded randomness, unordered-container ordering), or
-#   (b) the telemetry-ON and telemetry-OFF digests disagree (telemetry
-#       recording changed simulation behaviour), or
-#   (c) the sequential engine and the sharded parallel engine at worker
+#   (b) the sequential engine and the sharded parallel engine at worker
 #       thread counts 1, 2, 4 and 8 (`--threads=N`) disagree with each other
 #       (engine identity: the parallel engine must compute the exact same
 #       world as the sequential engine), or
-#   (d) the front-end-driven scenario (`--frontend`: streaming ingest +
-#       admission-controlled query service) disagrees run to run or across
-#       MIND_TELEMETRY settings, or drifts from its pinned value -- the only
+#   (c) the front-end-driven scenario (`--frontend`: streaming ingest +
+#       admission-controlled query service) disagrees run to run, or drifts
+#       from its pinned value -- the only
 #       probe leg that pulls records through GeneratorTraceSource, so the
 #       pin also guards the generator's output stream, or
-#   (e) the closed-loop digest drifts from its pinned value, or
-#   (f) the pinned digest fails to survive an MSN1 snapshot save/load cycle
+#   (d) the closed-loop digest drifts from its pinned value, or
+#   (e) the pinned digest fails to survive an MSN1 snapshot save/load cycle
 #       (`--snapshot-roundtrip`: the restore's internal digest gate plus the
 #       printed pre-snapshot digest), serial and parallel -- week-long
 #       campaigns must resume bit-identically, or
-#   (g) any closed-loop leg prints a different `result_digest` -- the digest
+#   (f) any closed-loop leg prints a different `result_digest` -- the digest
 #       of the query results delivered to the client, in delivery order --
 #       or it drifts from its pinned value. The state digest does not see
 #       the output clients see (which results arrive, in what order, with
 #       what latency and tuples); this does.
 #
 # There is one delivery semantics, so there is one pinned closed-loop digest
-# and one pinned result digest: every engine, telemetry setting and snapshot
-# leg must print both.
+# and one pinned result digest: every engine and snapshot leg must print
+# both.
 #
 # Usage: tools/check_determinism.sh [build-dir]   (default: build-determinism)
 set -euo pipefail
@@ -69,28 +67,21 @@ check_result() {  # check_result <leg label> <"state result" pair>
   fi
 }
 
-echo "== configure + build (telemetry ON) =="
-cmake -B "${BUILD}/on" -S . -DMIND_TELEMETRY=ON >/dev/null
-cmake --build "${BUILD}/on" --target determinism_probe -j >/dev/null
+echo "== configure + build =="
+cmake -B "${BUILD}" -S . >/dev/null
+cmake --build "${BUILD}" --target determinism_probe -j >/dev/null
 
-echo "== configure + build (telemetry OFF) =="
-cmake -B "${BUILD}/off" -S . -DMIND_TELEMETRY=OFF >/dev/null
-cmake --build "${BUILD}/off" --target determinism_probe -j >/dev/null
-
+probe_bin="${BUILD}/tools/determinism_probe"
 fail=0
-out="$(probe "${BUILD}/on/tools/determinism_probe")"
+out="$(probe "${probe_bin}")"
 check_result "run 1" "${out}"
 run1="${out% *}"
-out="$(probe "${BUILD}/on/tools/determinism_probe")"
+out="$(probe "${probe_bin}")"
 check_result "run 2" "${out}"
 run2="${out% *}"
-out="$(probe "${BUILD}/off/tools/determinism_probe")"
-check_result "run 3 (telemetry off)" "${out}"
-run_off="${out% *}"
 
-echo "run 1 (telemetry on):  ${run1}"
-echo "run 2 (telemetry on):  ${run2}"
-echo "run 3 (telemetry off): ${run_off}"
+echo "run 1:                 ${run1}"
+echo "run 2:                 ${run2}"
 echo "result stream:         ${out#* }"
 
 if [[ "${run1}" != "${run2}" ]]; then
@@ -98,27 +89,15 @@ if [[ "${run1}" != "${run2}" ]]; then
        "nondeterministic (run tools/run_analyze.sh; check recent unordered iteration)" >&2
   fail=1
 fi
-if [[ "${run1}" != "${run_off}" ]]; then
-  echo "FAIL: telemetry ON and OFF builds diverged -- some recording call" \
-       "changes simulation state (telemetry must be observation-only)" >&2
-  fail=1
-fi
 echo
 echo "== front-end replay (ingest pipeline + admission-controlled queries) =="
-fe1="$(digest "${BUILD}/on/tools/determinism_probe" --frontend)"
-fe2="$(digest "${BUILD}/on/tools/determinism_probe" --frontend)"
-fe_off="$(digest "${BUILD}/off/tools/determinism_probe" --frontend)"
-echo "frontend run 1 (telemetry on):  ${fe1}"
-echo "frontend run 2 (telemetry on):  ${fe2}"
-echo "frontend run 3 (telemetry off): ${fe_off}"
+fe1="$(digest "${probe_bin}" --frontend)"
+fe2="$(digest "${probe_bin}" --frontend)"
+echo "frontend run 1:        ${fe1}"
+echo "frontend run 2:        ${fe2}"
 if [[ "${fe1}" != "${fe2}" ]]; then
   echo "FAIL: two front-end runs diverged -- src/frontend leaked" \
        "nondeterminism (unordered lane/queue iteration?)" >&2
-  fail=1
-fi
-if [[ "${fe1}" != "${fe_off}" ]]; then
-  echo "FAIL: front-end digests differ across MIND_TELEMETRY settings --" \
-       "a frontend.* recording call changes simulation state" >&2
   fail=1
 fi
 PINNED_FRONTEND="f7807fe86e70c60d"
@@ -140,7 +119,6 @@ fi
 
 echo
 echo "== engine identity (sequential engine vs parallel thread counts) =="
-probe_bin="${BUILD}/on/tools/determinism_probe"
 for t in 1 2 4 8; do
   out="$(probe "${probe_bin}" --threads="${t}")"
   check_result "threads=${t}" "${out}"

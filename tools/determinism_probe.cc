@@ -9,10 +9,10 @@
 // includes a volley of concurrent queries run after the state digest is
 // taken.
 //
-// tools/check_determinism.sh runs this binary repeatedly (across processes
-// and across MIND_TELEMETRY settings) and fails on any digest mismatch. The
-// digest covers logical state only (overlay codes, stored tuples, pending
-// events, version chains), so telemetry ON and OFF builds must agree.
+// tools/check_determinism.sh runs this binary repeatedly (across processes)
+// and fails on any digest mismatch. The digest covers logical state only
+// (overlay codes, stored tuples, pending events, version chains), never
+// telemetry.
 //
 // Flags:
 //   --threads=N     run the sharded parallel engine with N worker threads
@@ -30,8 +30,7 @@
 //                   so the pinned digest must survive the cycle
 // The script asserts that the flagless run and every --threads=N value print
 // the SAME pinned digest (engine identity, and no regression of the
-// historical replay digest), and that the --frontend digest is reproducible
-// run to run and across MIND_TELEMETRY settings.
+// historical replay digest), and that the --frontend digest matches its pin.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
