@@ -190,19 +190,15 @@ scan::Box QuarterBox(size_t dims) {
 
 // Two-bound range scan over a sorted run: the sorted_runs_backend shape
 // (branchless bounds on the key column, point-column filter sweep, matched
-// rows fetched by id).
+// rows read from the meta column beside the points).
 void BM_ScanRangeSorted(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   constexpr size_t kDims = 3;
   scan::KeyColumn keys = SortedKeys(n, 23);
   scan::PointColumn points = RandomPointColumn(n, kDims, 26);
   const scan::Box box = QuarterBox(kDims);
-  std::vector<StoredRow> rows(n);
-  std::vector<uint32_t> ids(n);
-  for (size_t i = 0; i < n; ++i) {
-    rows[i].seq = i * 2 + 1;
-    ids[i] = static_cast<uint32_t>(i);
-  }
+  std::vector<RowMeta> meta(n);
+  for (size_t i = 0; i < n; ++i) meta[i] = RowMeta{i * 2 + 1, 0, kNoExtra};
   const uint64_t span = keys.back();
   Rng rng(24);
   uint64_t sink = 0;
@@ -211,7 +207,7 @@ void BM_ScanRangeSorted(benchmark::State& state) {
     uint64_t hi = lo + span / 64;  // ~1.5% of the keys
     auto [b, e] = scan::RangeBounds(keys.data(), keys.size(), lo, hi);
     scan::FilterPoints(points.data(), kDims, b, e, box.data(),
-                       [&](size_t i) { sink += rows[ids[i]].seq; });
+                       [&](size_t i) { sink += meta[i].seq; });
     benchmark::DoNotOptimize(sink);
   }
 }

@@ -143,12 +143,13 @@ struct QueryMsg : MindMsg {
 
 /// Direct reply from a resolver to the query originator. `covered` is the
 /// sub-query code this reply fully answers (used for completion detection);
-/// an empty tuple list is the paper's "negative response".
+/// no rows is the paper's "negative response".
 struct QueryReplyMsg : MindMsg {
   uint64_t query_id = 0;
   VersionId version = 0;
   BitCode covered;
-  std::vector<Tuple> tuples;
+  /// The matching rows, as the store scan appended them.
+  TupleColumns rows;
   NodeId resolver = kInvalidNode;
   /// True for a data-sibling's resolve-only reply (§3.4 forward pointer):
   /// its tuples are merged, but it must NOT count as covering `covered` —
@@ -156,11 +157,7 @@ struct QueryReplyMsg : MindMsg {
   bool supplemental = false;
   MindMsgKind kind() const override { return MindMsgKind::kQueryReply; }
   const char* TypeName() const override { return "QueryReply"; }
-  size_t SizeBytes() const override {
-    size_t n = 48;
-    for (const auto& t : tuples) n += t.WireBytes();
-    return n;
-  }
+  size_t SizeBytes() const override { return 48 + rows.WireBytes(); }
 };
 
 /// Broadcast by the designated histogram node: every node replies with a

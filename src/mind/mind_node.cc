@@ -555,9 +555,11 @@ void MindNode::ResolveAndReply(const QueryMsg& m, const BitCode& code) {
   tm_.subquery_len->Record(static_cast<double>(code.length()));
 
   // The reply message doubles as the result buffer: stores append matching
-  // tuples straight into it (QueryInto), and the originator moves them out —
-  // no intermediate vector anywhere on the reply path.
+  // rows straight into its columns (QueryColumns), and the originator
+  // appends them to its tracker's columns — no Tuple per row and no
+  // intermediate vector anywhere on the reply path.
   auto reply = MakeMessage<QueryReplyMsg>();
+  reply->rows.dims = static_cast<size_t>(st->def.schema.dims());
   // Read path: const access never materializes a lazy version — a store this
   // node was never written to answers as the empty store it is.
   const TupleStore* primary = std::as_const(st->primary).Store(m.version);
@@ -570,10 +572,12 @@ void MindNode::ResolveAndReply(const QueryMsg& m, const BitCode& code) {
   std::optional<Rect> scan_rect;
   if (region.has_value()) scan_rect = region->Intersect(m.rect);
   if (scan_rect.has_value()) {
-    if (primary != nullptr) primary->QueryInto(*scan_rect, &reply->tuples);
+    if (primary != nullptr) primary->QueryColumns(*scan_rect, &reply->rows);
     // Replica data answers for failed primaries (transparent failover, §3.8);
     // the originator de-duplicates.
-    if (replicas != nullptr) replicas->QueryInto(*scan_rect, &reply->tuples);
+    if (replicas != nullptr) {
+      replicas->QueryColumns(*scan_rect, &reply->rows);
+    }
   }
   uint64_t examined1 = (primary ? primary->scan_rows_examined() : 0) +
                        (replicas ? replicas->scan_rows_examined() : 0);
@@ -593,7 +597,7 @@ void MindNode::ResolveAndReply(const QueryMsg& m, const BitCode& code) {
     overlay_.SendDirect(data_sibling_, fwd);
   }
 
-  size_t n = reply->tuples.size();
+  size_t n = reply->rows.size();
   SimTime now = events_->now();
   SimTime dac_wait = dac_busy_until_ > now ? dac_busy_until_ - now : 0;
   tm_.dac_query_wait_ms->Record(ToSeconds(dac_wait) * 1e3);
@@ -622,13 +626,13 @@ void MindNode::ResolveAndReply(const QueryMsg& m, const BitCode& code) {
   });
 }
 
-void MindNode::OnQueryReply(QueryReplyMsg& m) {
+void MindNode::OnQueryReply(const QueryReplyMsg& m) {
   auto it = queries_.find(m.query_id);
   if (it == queries_.end()) {
     if (QueryDebugEnabled()) {
       MIND_LOG(Debug) << "[qdbg] originator " << id() << ": LATE reply from "
                       << m.resolver << " covered " << m.covered.ToString()
-                      << " (" << m.tuples.size() << " tuples)";
+                      << " (" << m.rows.size() << " tuples)";
     }
     return;  // finished or timed out
   }
@@ -637,12 +641,9 @@ void MindNode::OnQueryReply(QueryReplyMsg& m) {
   if (QueryDebugEnabled()) {
     MIND_LOG(Debug) << "[qdbg] originator " << id() << ": reply from "
                     << m.resolver << " covered " << m.covered.ToString()
-                    << " (" << m.tuples.size() << " tuples)";
+                    << " (" << m.rows.size() << " tuples)";
   }
-  // Each reply has exactly one final consumer (either this self-delivery or
-  // the one OnDirect dispatch), so the payload can be moved out wholesale.
-  tit->second.AddReply(m.resolver, m.covered, std::move(m.tuples),
-                       !m.supplemental);
+  tit->second.AddReply(m.resolver, m.covered, m.rows, !m.supplemental);
   it->second.visited.insert(m.resolver);
   for (auto& [v, tracker] : it->second.trackers) {
     if (!tracker.IsComplete()) return;
@@ -663,22 +664,8 @@ void MindNode::FinalizeQuery(uint64_t query_id, bool complete) {
   tm_.query_latency_ms->Record(ToSeconds(result.latency) * 1e3);
   if (!complete) tm_.query_timeouts->Inc();
   std::unordered_set<NodeId> responders, positive;
-  if (pq.trackers.size() == 1) {
-    // Single-version query (the common case): the tracker already de-duped
-    // per (origin, seq) as replies arrived, so its buffer is the answer.
-    result.tuples = pq.trackers.begin()->second.TakeTuples();
-  } else {
-    // Multi-version: replicas may have answered the same tuple under two
-    // versions; de-dup across trackers.
-    std::unordered_set<uint64_t> seen;
-    for (auto& [v, tracker] : pq.trackers) {
-      for (auto& t : tracker.TakeTuples()) {
-        if (seen.insert(TupleKey(t)).second) {
-          result.tuples.push_back(std::move(t));
-        }
-      }
-    }
-  }
+  // The one place reply rows become tuples.
+  result.tuples = MergeResults(pq.trackers);
   for (auto& [v, tracker] : pq.trackers) {
     for (NodeId r : tracker.responders()) responders.insert(r);
     for (NodeId r : tracker.positive_responders()) positive.insert(r);
@@ -869,7 +856,7 @@ void MindNode::OnDirect(NodeId from, const MessagePtr& msg) {
       break;
     }
     case MindMsgKind::kQueryReply:
-      OnQueryReply(static_cast<QueryReplyMsg&>(*mm));
+      OnQueryReply(static_cast<const QueryReplyMsg&>(*mm));
       break;
     case MindMsgKind::kRegionDataRequest:
       SendTuplesAsReplicas(

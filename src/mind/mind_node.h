@@ -310,9 +310,7 @@ class MindNode {
   void OnQueryArrived(const std::shared_ptr<QueryMsg>& m);
   void HandleQueryCode(const std::shared_ptr<QueryMsg>& m, const BitCode& code);
   void ResolveAndReply(const QueryMsg& m, const BitCode& code);
-  /// Consumes m.tuples (moved into the tracker) — a reply message has
-  /// exactly one final consumer.
-  void OnQueryReply(QueryReplyMsg& m);
+  void OnQueryReply(const QueryReplyMsg& m);
   void OnHistRequest(const HistRequestMsg& m);
   void OnHistReply(const HistReplyMsg& m);
   void FinalizeQuery(uint64_t query_id, bool complete);

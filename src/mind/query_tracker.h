@@ -6,6 +6,7 @@
 #ifndef MIND_MIND_QUERY_TRACKER_H_
 #define MIND_MIND_QUERY_TRACKER_H_
 
+#include <map>
 #include <unordered_set>
 #include <vector>
 
@@ -13,8 +14,10 @@
 #include "space/cut_tree.h"
 #include "space/rect.h"
 #include "storage/tuple.h"
+#include "storage/version_manager.h"
 #include "telemetry/metrics.h"
 #include "util/bitcode.h"
+#include "util/key_set.h"
 
 namespace mind {
 
@@ -28,10 +31,11 @@ class QueryTracker {
   QueryTracker(Rect rect, BitCode root, CutTreeRef cuts, int max_split_len,
                telemetry::MetricsRegistry* metrics = nullptr);
 
-  /// Records a reply covering `code`; tuples are merged with (origin, seq)
-  /// de-duplication (replicas may answer the same region). Supplemental
-  /// replies (data-sibling forwards) contribute tuples but not coverage.
-  void AddReply(NodeId resolver, const BitCode& code, std::vector<Tuple> tuples,
+  /// Records a reply covering `code`; its rows are appended to rows() with
+  /// (origin, seq) de-duplication (replicas may answer the same region), a
+  /// row already received dropped. Supplemental replies (data-sibling
+  /// forwards) contribute rows but not coverage.
+  void AddReply(NodeId resolver, const BitCode& code, const TupleColumns& rows,
                 bool authoritative = true);
 
   /// True once the received codes cover every part of the root region that
@@ -43,7 +47,11 @@ class QueryTracker {
   /// or a rectangle disjoint from the query), are resolved and never looked
   /// at again: coverage only grows and vacuity never changes. Any other
   /// subtree is expanded, and the walk stops at the first unresolved code of
-  /// length `max_split_len`, which the next call examines first.
+  /// length `max_split_len`, which the next call examines first. A code is
+  /// tested against each reply at most once: a stack top is tested only
+  /// against the replies that arrived since its last test, and a child of an
+  /// uncovered parent only by an exact-code lookup against the replies its
+  /// parent was tested against (a shorter one would have covered the parent).
   ///
   /// Budget: one call examines at most 20 000 codes (stack tops looked at);
   /// a call that runs out answers false, keeps its progress for the next
@@ -51,8 +59,8 @@ class QueryTracker {
   /// query therefore always completes within a bounded number of calls.
   bool IsComplete();
 
-  const std::vector<Tuple>& tuples() const { return tuples_; }
-  std::vector<Tuple> TakeTuples() { return std::move(tuples_); }
+  /// The distinct rows received so far, in first-seen order.
+  const TupleColumns& rows() const { return rows_; }
   size_t reply_count() const { return replies_; }
   const std::unordered_set<NodeId>& responders() const { return responders_; }
   /// Responders whose reply carried at least one tuple (the rest answered
@@ -68,27 +76,41 @@ class QueryTracker {
   struct Pending {
     BitCode code;
     CutTree::Cursor cursor;
+    // covered_[0, tested) can cover `code` only through `exact`.
+    size_t tested = 0;
+    // One of covered_[0, tested) equals `code`.
+    bool exact = false;
   };
 
-  bool Covered(const BitCode& code) const;
-  // Pushes `p` unless its rectangle is disjoint from the query.
+  // Tests `p` against the replies it was not tested against yet.
+  bool Covered(Pending* p);
+  // Pushes `p` unless its rectangle is disjoint from the query. `p.tested`
+  // must be covered_.size(): the root's 0, or a just-tested parent's.
   void PushIfIntersecting(Pending p);
 
   Rect rect_;
   BitCode root_;
   CutTreeRef cuts_;
   int max_split_len_;
-  std::vector<BitCode> covered_;
+  std::vector<BitCode> covered_;  // authoritative reply codes, arrival order
+  std::unordered_set<BitCode, BitCode::Hash> covered_codes_;  // the same set
   std::vector<Pending> pending_;  // walk stack; the next subtree is at back()
   std::unordered_set<NodeId> responders_;
   std::unordered_set<NodeId> positive_responders_;
-  std::unordered_set<uint64_t> seen_tuples_;  // (origin, seq) packed
-  std::vector<Tuple> tuples_;
+  KeySet seen_tuples_;  // TupleKey of every row in rows_
+  TupleColumns rows_;
   size_t replies_ = 0;
   telemetry::Counter* replies_counter_ = nullptr;
   telemetry::Counter* dup_tuples_counter_ = nullptr;
   telemetry::Counter* budget_exhausted_counter_ = nullptr;
 };
+
+/// A query's result tuples, built once from its trackers' rows: trackers in
+/// version order, each one's rows in first-seen order, and a row whose
+/// (origin, seq) an earlier version already returned dropped (replicas may
+/// answer the same tuple under two versions).
+std::vector<Tuple> MergeResults(
+    const std::map<VersionId, QueryTracker>& trackers);
 
 }  // namespace mind
 

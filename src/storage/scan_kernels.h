@@ -18,7 +18,7 @@
 //  * inline point columns: each run keeps its rows' indexed points as
 //    one dims-stride Value column, so the rectangle filter (PointInBox)
 //    reads fixed-width coordinates sequentially instead of chasing a heap
-//    vector per row. Only rows that pass become tuples.
+//    vector per row. Only rows that pass are handed on.
 //
 // Prefetch is a pure hint: it never changes a result, only which lines are
 // in flight. The micro-benches BM_CoverProbe and BM_ScanRangeSorted time

@@ -25,9 +25,16 @@ SortedRunsBackend::SortedRunsBackend(size_t dims, bool compaction,
   }
 }
 
-void SortedRunsBackend::Append(uint64_t key, const Value* point,
-                               StoredRow row) {
-  MIND_CHECK(rows_.size() < UINT32_MAX);
+void SortedRunsBackend::Append(uint64_t key, const Value* point, int origin,
+                               uint64_t seq, const Value* extra,
+                               size_t extra_len) {
+  uint32_t extra_at = kNoExtra;
+  if (extra_len > 0) {
+    MIND_CHECK(extras_.size() + 1 + extra_len < kNoExtra);
+    extra_at = static_cast<uint32_t>(extras_.size());
+    extras_.push_back(static_cast<Value>(extra_len));
+    extras_.insert(extras_.end(), extra, extra + extra_len);
+  }
   // An append that keeps key order extends the sorted prefix (time-correlated
   // inserts often do); anything after the first inversion waits in the tail.
   if (delta_sorted_len_ == delta_.size() &&
@@ -36,8 +43,7 @@ void SortedRunsBackend::Append(uint64_t key, const Value* point,
   }
   delta_.keys.push_back(key);
   delta_.points.insert(delta_.points.end(), point, point + dims_);
-  delta_.ids.push_back(static_cast<uint32_t>(rows_.size()));
-  rows_.push_back(std::move(row));
+  delta_.meta.push_back(RowMeta{seq, origin, extra_at});
   MaybeCompact();
 }
 
@@ -65,7 +71,7 @@ void SortedRunsBackend::MergeInto(Run* run, const Run& tail) const {
   size_t j = tail.size();
   run->keys.resize(i + j);
   run->points.resize((i + j) * d);
-  run->ids.resize(i + j);
+  run->meta.resize(i + j);
   Value* pts = run->points.data();
   // Fill from the back: each step places the larger of the two last
   // unplaced entries. Once the tail is exhausted the rest of the run is
@@ -75,12 +81,12 @@ void SortedRunsBackend::MergeInto(Run* run, const Run& tail) const {
     if (i > 0 && run->keys[i - 1] > tail.keys[j - 1]) {
       --i;
       run->keys[w] = run->keys[i];
-      run->ids[w] = run->ids[i];
+      run->meta[w] = run->meta[i];
       std::copy_n(pts + i * d, d, pts + w * d);
     } else {
       --j;
       run->keys[w] = tail.keys[j];
-      run->ids[w] = tail.ids[j];
+      run->meta[w] = tail.meta[j];
       std::copy_n(tail.points.data() + j * d, d, pts + w * d);
     }
   }
@@ -99,16 +105,16 @@ void SortedRunsBackend::EnsureDeltaSorted() const {
   Run tail;
   tail.keys.reserve(n - s);
   tail.points.reserve((n - s) * dims_);
-  tail.ids.reserve(n - s);
+  tail.meta.reserve(n - s);
   for (const auto& [key, i] : order) {
     tail.keys.push_back(key);
     const Value* p = delta_.points.data() + i * dims_;
     tail.points.insert(tail.points.end(), p, p + dims_);
-    tail.ids.push_back(delta_.ids[i]);
+    tail.meta.push_back(delta_.meta[i]);
   }
   delta_.keys.resize(s);
   delta_.points.resize(s * dims_);
-  delta_.ids.resize(s);
+  delta_.meta.resize(s);
   MergeInto(&delta_, tail);
   delta_sorted_len_ = n;
 }
@@ -117,16 +123,19 @@ Status SortedRunsBackend::ValidateInvariants(const CutTree& cuts, int code_len,
                                              uint64_t expect_bytes) const {
 #if MIND_VALIDATORS_ENABLED
   uint64_t bytes = 0;
-  std::vector<uint8_t> seen(rows_.size(), 0);
+  // Extras offset of every row with carried values, to check below that they
+  // tile the pool: a shared or stray offset returns wrong values.
+  std::vector<uint32_t> extra_at;
   Point point(dims_);
   auto check_run = [&](const Run& run, size_t sorted_len,
                        const char* name) -> Status {
     // The columns are parallel: probes search the keys, the filter reads the
-    // points and emits fetch rows by id, so any drift returns wrong rows.
-    MIND_VALIDATE(run.keys.size() == run.ids.size(),
+    // points and emits read the meta entry at the same index, so any drift
+    // returns wrong rows.
+    MIND_VALIDATE(run.keys.size() == run.meta.size(),
                   "tuple-store: " << name << " key column holds "
                                   << run.keys.size() << " keys for "
-                                  << run.ids.size() << " rows");
+                                  << run.meta.size() << " meta entries");
     MIND_VALIDATE(run.points.size() == run.keys.size() * dims_,
                   "tuple-store: " << name << " point column holds "
                                   << run.points.size() << " values for "
@@ -144,23 +153,29 @@ Status SortedRunsBackend::ValidateInvariants(const CutTree& cuts, int code_len,
                                     << run.keys[i - 1] << ")");
     }
     for (size_t i = 0; i < run.size(); ++i) {
-      const uint32_t id = run.ids[i];
-      MIND_VALIDATE(id < rows_.size() && seen[id] == 0,
-                    "tuple-store: " << name << " entry " << i << " names row id "
-                                    << id << ", which is "
-                                    << (id < rows_.size() ? "already indexed"
-                                                          : "beyond the rows"));
-      seen[id] = 1;
-      const StoredRow& r = rows_[id];
+      const RowMeta& m = run.meta[i];
+      size_t extra_len = 0;
+      if (m.extra != kNoExtra) {
+        MIND_VALIDATE(m.extra < extras_.size() &&
+                          extras_[m.extra] > 0 &&
+                          extras_[m.extra] < extras_.size() - m.extra,
+                      "tuple-store: " << name << " entry " << i
+                                      << " names extras offset " << m.extra
+                                      << ", which holds no carried values of "
+                                         "the pool's "
+                                      << extras_.size());
+        extra_len = static_cast<size_t>(extras_[m.extra]);
+        extra_at.push_back(m.extra);
+      }
       std::copy_n(run.points.data() + i * dims_, dims_, point.begin());
       const uint64_t expect = CodeKey(cuts.CodeForPoint(point, code_len));
       MIND_VALIDATE(run.keys[i] == expect,
                     "tuple-store: " << name << " key column entry " << i
-                                    << " (origin " << r.origin << " seq "
-                                    << r.seq << ") is " << run.keys[i]
+                                    << " (origin " << m.origin << " seq "
+                                    << m.seq << ") is " << run.keys[i]
                                     << " but its point codes to " << expect
                                     << " under the installed cut tree");
-      bytes += Tuple::WireBytesFor(dims_, r.extra.size()) + kRowOverheadBytes;
+      bytes += Tuple::WireBytesFor(dims_, extra_len) + kRowOverheadBytes;
     }
     return Status::OK();
   };
@@ -168,10 +183,21 @@ Status SortedRunsBackend::ValidateInvariants(const CutTree& cuts, int code_len,
   // sorted prefix.
   MIND_RETURN_NOT_OK(check_run(base_, base_.size(), "base"));
   MIND_RETURN_NOT_OK(check_run(delta_, delta_sorted_len_, "delta"));
-  MIND_VALIDATE(base_.size() + delta_.size() == rows_.size(),
-                "tuple-store: base and delta runs index "
-                    << base_.size() + delta_.size() << " entries for "
-                    << rows_.size() << " stored rows");
+  // Each row's (count, values) segment starts where the previous one ends,
+  // and the last one ends the pool.
+  std::sort(extra_at.begin(), extra_at.end());
+  uint64_t next = 0;
+  for (const uint32_t at : extra_at) {
+    MIND_VALIDATE(at == next, "tuple-store: extras offset "
+                                  << at << " is "
+                                  << (at < next ? "already claimed"
+                                                : "past a gap")
+                                  << " (expected " << next << ")");
+    next = at + 1 + extras_[at];
+  }
+  MIND_VALIDATE(next == extras_.size(),
+                "tuple-store: rows claim " << next << " of the extras pool's "
+                                           << extras_.size() << " values");
   MIND_VALIDATE(bytes == expect_bytes,
                 "tuple-store: approx_bytes_ is "
                     << expect_bytes << " but base+delta rows sum to " << bytes);

@@ -14,12 +14,14 @@
 //
 // A run is three parallel columns in key order: a cache-line-aligned key
 // column (scan::KeyColumn), a dims-stride point column (scan::PointColumn)
-// and the row id of each entry. The carried rows themselves (StoredRow:
-// origin, seq, extra) sit in one arrival-order vector and never move. Range
-// probes run the branch-free binary search over the key column, the
-// rectangle filter sweeps the point column between the two bounds
-// (storage/scan_kernels.h), and only matching rows are handed out, as
-// RowViews over the columns.
+// and a 16-byte meta column (RowMeta: seq, origin, and where the row's
+// carried values sit). Carried values live in one flat arrival-order pool
+// that never moves; only rows that have some point into it. Range probes run
+// the branch-free binary search over the key column, the rectangle filter
+// sweeps the point column between the two bounds (storage/scan_kernels.h),
+// and only matching rows are handed out, as RowViews over the columns: a
+// match reads the meta entry beside the point it just tested, and the pool
+// only if the row carries values.
 //
 // The delta keeps the length of its sorted prefix. Appends in key order grow
 // the prefix; a scan after out-of-order appends sorts only the unsorted tail
@@ -35,8 +37,9 @@
 //     no other row. It returns the number of rows whose key lies in the
 //     range, matched or not — "rows examined", a property of the stored keys
 //     and the cover, not of run boundaries. Emit order is the layout's:
-//     everything downstream (reply assembly, digests, histogram mass,
-//     query-processing latency) is order-independent by construction.
+//     digests, histogram mass and query-processing latency are
+//     order-independent by construction; reply rows keep emit order, so a
+//     client's QueryResult (and the result digest) sees it.
 //   * ScanAllRows visits every row exactly once (digests, histograms,
 //     snapshots).
 //   * Compact() is layout-only: results, counts and digests are identical
@@ -60,22 +63,31 @@ class Counter;
 class MetricsRegistry;
 }  // namespace telemetry
 
-/// The carried (non-indexed) part of a stored tuple. The key and the point
-/// live in the run columns; keeping them out of the row keeps rows out of
-/// every sort and merge, and keeps the filter off the heap.
-struct StoredRow {
-  std::vector<Value> extra;
-  int origin = -1;
-  uint64_t seq = 0;
+/// `RowMeta::extra` of a row that carries no values.
+inline constexpr uint32_t kNoExtra = UINT32_MAX;
+
+/// A stored row's fields besides its key and point, one 16-byte entry per
+/// run entry: a match reads them from the column the scan walks in step
+/// with the points, not from a per-row heap object.
+struct RowMeta {
+  uint64_t seq;
+  int32_t origin;
+  /// Offset of the row's carried values in the extras pool (their count,
+  /// then the values), or kNoExtra.
+  uint32_t extra;
 };
+static_assert(sizeof(RowMeta) == 16, "one meta entry per 16 bytes");
 
 /// One stored row as a scan sees it: the key, the row's `dims` coordinates
-/// inside a run's point column, and the carried part. Valid only during the
-/// call that receives it.
+/// inside a run's point column, its identity and its `extra_len` carried
+/// values. Valid only during the call that receives it.
 struct RowView {
   uint64_t key;
   const Value* point;
-  const StoredRow& row;
+  int origin;
+  uint64_t seq;
+  const Value* extra;
+  size_t extra_len;
 };
 
 /// The full key range: a cover-overflow fallback scan asks for it, and the
@@ -97,11 +109,13 @@ class SortedRunsBackend {
                     size_t compact_ratio, telemetry::MetricsRegistry* metrics);
 
   /// Adds one row: its key, its `dims` coordinates at `point` (copied into
-  /// the point column) and its carried part. Keys arrive in any order.
-  void Append(uint64_t key, const Value* point, StoredRow row);
+  /// the point column), its identity and its `extra_len` carried values at
+  /// `extra` (copied into the pool). Keys arrive in any order.
+  void Append(uint64_t key, const Value* point, int origin, uint64_t seq,
+              const Value* extra, size_t extra_len);
   /// Merges the delta run into the base run now. Layout-only.
   void Compact();
-  size_t size() const { return rows_.size(); }
+  size_t size() const { return base_.size() + delta_.size(); }
   size_t base_size() const { return base_.size(); }
   size_t delta_size() const { return delta_.size(); }
 
@@ -121,9 +135,10 @@ class SortedRunsBackend {
   }
 
   /// Run order (the base unconditionally, the delta below its sorted
-  /// prefix), the three columns parallel and each row indexed once, every
-  /// key equal to its point's code under `cuts` at `code_len` bits, and the
-  /// rows' wire bytes (+ kRowOverheadBytes each) summing to `expect_bytes`.
+  /// prefix), the three columns parallel, the extras pool tiled exactly by
+  /// the rows that point into it, every key equal to its point's code under
+  /// `cuts` at `code_len` bits, and the rows' wire bytes (+ kRowOverheadBytes
+  /// each) summing to `expect_bytes`.
   /// Returns OK trivially when MIND_VALIDATORS is off.
   Status ValidateInvariants(const CutTree& cuts, int code_len,
                             uint64_t expect_bytes) const;
@@ -132,16 +147,16 @@ class SortedRunsBackend {
   friend class TupleStoreTestPeek;  // corruption injection in validator tests
 
   // One run's parallel columns; entry i is keys[i], the dims coordinates at
-  // points[i * dims], and rows_[ids[i]].
+  // points[i * dims], and meta[i].
   struct Run {
     scan::KeyColumn keys;
     scan::PointColumn points;
-    std::vector<uint32_t> ids;
+    std::vector<RowMeta> meta;
     size_t size() const { return keys.size(); }
     void clear() {
       keys.clear();
       points.clear();
-      ids.clear();
+      meta.clear();
     }
   };
 
@@ -159,16 +174,26 @@ class SortedRunsBackend {
   }
   template <typename Fn>
   void Emit(const Run& run, size_t i, Fn& fn) const {
-    fn(RowView{run.keys[i], run.points.data() + i * dims_, rows_[run.ids[i]]});
+    const RowMeta& m = run.meta[i];
+    const Value* extra = nullptr;
+    size_t extra_len = 0;
+    if (m.extra != kNoExtra) {
+      extra_len = static_cast<size_t>(extras_[m.extra]);
+      extra = extras_.data() + m.extra + 1;
+    }
+    fn(RowView{run.keys[i], run.points.data() + i * dims_, m.origin, m.seq,
+               extra, extra_len});
   }
 
   size_t dims_;
   bool compaction_;
   size_t compact_min_delta_;
   size_t compact_ratio_;
-  std::vector<StoredRow> rows_;  // arrival order; runs refer to them by id
-  Run base_;                     // always key-sorted
-  mutable Run delta_;            // recent; key-sorted below delta_sorted_len_
+  // Carried values of the rows that have some, in arrival order: each
+  // row's count, then its values. RowMeta::extra points in; never moves.
+  std::vector<Value> extras_;
+  Run base_;           // always key-sorted
+  mutable Run delta_;  // recent; key-sorted below delta_sorted_len_
   mutable size_t delta_sorted_len_ = 0;
   // storage.compaction.* counters; null without a registry.
   // mind-lint: allow(backend-purity): optional counter per DESIGN.md §13

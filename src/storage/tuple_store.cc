@@ -57,16 +57,16 @@ void TupleStore::InsertCoded(Tuple tuple, const BitCode& code) {
 void TupleStore::InsertRow(uint64_t key, Tuple tuple) {
   MIND_CHECK_EQ(tuple.point.size(), dims());
   approx_bytes_ += tuple.WireBytes() + kRowOverheadBytes;
-  runs_.Append(key, tuple.point.data(),
-               StoredRow{std::move(tuple.extra), tuple.origin, tuple.seq});
+  runs_.Append(key, tuple.point.data(), tuple.origin, tuple.seq,
+               tuple.extra.data(), tuple.extra.size());
 }
 
 Tuple TupleStore::ToTuple(const RowView& r) const {
   Tuple t;
   t.point.assign(r.point, r.point + dims());
-  t.extra = r.row.extra;
-  t.origin = r.row.origin;
-  t.seq = r.row.seq;
+  t.extra.assign(r.extra, r.extra + r.extra_len);
+  t.origin = r.origin;
+  t.seq = r.seq;
   return t;
 }
 
@@ -109,6 +109,13 @@ void TupleStore::QueryInto(const Rect& rect, std::vector<Tuple>* out) const {
   Scan(rect, [this, out](const RowView& r) { out->push_back(ToTuple(r)); });
 }
 
+void TupleStore::QueryColumns(const Rect& rect, TupleColumns* out) const {
+  MIND_CHECK_EQ(out->dims, dims());
+  Scan(rect, [out](const RowView& r) {
+    out->Append(r.point, r.extra, r.extra_len, r.origin, r.seq);
+  });
+}
+
 size_t TupleStore::Count(const Rect& rect) const {
   size_t n = 0;
   Scan(rect, [&n](const RowView&) { ++n; });
@@ -129,12 +136,12 @@ void TupleStore::DigestInto(Fnv64* out) const {
   runs_.ScanAllRows([this, &acc](const RowView& r) {
     Fnv64 h;
     h.Mix(r.key);
-    h.Mix(static_cast<uint64_t>(static_cast<int64_t>(r.row.origin)));
-    h.Mix(r.row.seq);
+    h.Mix(static_cast<uint64_t>(static_cast<int64_t>(r.origin)));
+    h.Mix(r.seq);
     h.Mix(static_cast<uint64_t>(dims()));
     for (size_t d = 0; d < dims(); ++d) h.Mix(r.point[d]);
-    h.Mix(static_cast<uint64_t>(r.row.extra.size()));
-    for (Value v : r.row.extra) h.Mix(v);
+    h.Mix(static_cast<uint64_t>(r.extra_len));
+    for (size_t e = 0; e < r.extra_len; ++e) h.Mix(r.extra[e]);
     acc.Add(h.value());
   });
   acc.DigestInto(out);
@@ -151,12 +158,12 @@ void TupleStore::SaveSnapshotState(SnapWriter* w) const {
   w->U64(runs_.size());
   runs_.ScanAllRows([this, w](const RowView& r) {
     w->U64(r.key);
-    w->U64(static_cast<uint64_t>(static_cast<int64_t>(r.row.origin)));
-    w->U64(r.row.seq);
+    w->U64(static_cast<uint64_t>(static_cast<int64_t>(r.origin)));
+    w->U64(r.seq);
     w->U32(static_cast<uint32_t>(dims()));
     for (size_t d = 0; d < dims(); ++d) w->U64(r.point[d]);
-    w->U32(static_cast<uint32_t>(r.row.extra.size()));
-    for (Value v : r.row.extra) w->U64(v);
+    w->U32(static_cast<uint32_t>(r.extra_len));
+    for (size_t e = 0; e < r.extra_len; ++e) w->U64(r.extra[e]);
   });
 }
 

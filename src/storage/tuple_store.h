@@ -6,7 +6,8 @@
 // the merged key ranges of its covering codes (optionally through a shared
 // CoverCache) and asks the runs for each range together with the query box;
 // the runs filter on their inline point column and hand back only the
-// matching rows, which the store turns into tuples. The layout is
+// matching rows, which the store appends to reply columns (QueryColumns) or
+// turns into tuples (Query, QueryInto). The layout is
 // digest-transparent: results, counts, timings and replay digests never
 // depend on run boundaries or compaction timing (the store owns everything a
 // digest or the simulation can see; the runs only own the physical layout).
@@ -84,10 +85,14 @@ class TupleStore {
   /// All tuples whose point lies inside `rect`.
   std::vector<Tuple> Query(const Rect& rect) const;
 
-  /// Appends the matches to `*out` without an intermediate vector — the
-  /// zero-copy reply-assembly entry point (results land directly in the
-  /// outgoing QueryReplyMsg).
+  /// Appends the matches to `*out` without an intermediate vector.
   void QueryInto(const Rect& rect, std::vector<Tuple>* out) const;
+
+  /// Appends the matches to `*out` as columns, in QueryInto's order — the
+  /// reply-assembly entry point: rows go from the run columns straight into
+  /// the outgoing QueryReplyMsg, with no Tuple per row. `out->dims` must be
+  /// the schema's.
+  void QueryColumns(const Rect& rect, TupleColumns* out) const;
 
   /// Number of matching tuples without materializing them.
   size_t Count(const Rect& rect) const;

@@ -231,6 +231,11 @@ TEST(AnomalyIntegrationTest, EndToEndScanCapture) {
 namespace {
 
 struct TelemetryRunOutcome {
+  // sim.net.messages, counted from the start of the run, at the two points
+  // where the registry is (or, in the run that keeps counting, would be)
+  // zeroed.
+  uint64_t first_reset_at = 0;
+  uint64_t second_reset_at = 0;
   std::multiset<uint64_t> tuple_seqs;
   bool complete = false;
   SimTime latency = 0;
@@ -238,10 +243,16 @@ struct TelemetryRunOutcome {
   uint64_t digest = 0;
 };
 
+// The second reset point: coprime to the first one, 945 = 3^3 * 5 * 7, so
+// logic that read a counter's value modulo a small number sees its phase
+// shifted after the second reset even where the first reset kept it.
+constexpr uint64_t kSecondResetAt = 961;  // 31^2
+
 // One fixed insert+query scenario. With `reset_mid_run`, the metrics
 // registry is zeroed once every insert is issued, while their messages are
 // still in flight — the same mid-run Reset() a benchmark makes between setup
-// and its measured phase.
+// and its measured phase — and again at kSecondResetAt messages, while the
+// inserts still settle. Both runs step the simulator through the same calls.
 TelemetryRunOutcome RunTelemetryScenario(bool reset_mid_run) {
   MindNetOptions mopts;
   mopts.sim.seed = 90210;
@@ -261,10 +272,22 @@ TelemetryRunOutcome RunTelemetryScenario(bool reset_mid_run) {
     EXPECT_TRUE(net.node(i % 12).Insert("idx", t).ok());
     if (i % 50 == 0) net.sim().RunFor(FromSeconds(1));
   }
-  if (reset_mid_run) net.sim().metrics().Reset();
-  net.sim().RunFor(FromSeconds(20));
-  QueryResult r = RunQuery(net, 3, "idx", Rect({{1000, 8000}, {0, 9999}}));
   TelemetryRunOutcome out;
+  const telemetry::Counter& messages =
+      net.sim().metrics().counter("sim.net.messages");
+  out.first_reset_at = messages.value();
+  // Messages sent so far, whether or not the registry was zeroed.
+  auto sent = [&] {
+    return messages.value() + (reset_mid_run ? out.first_reset_at : 0);
+  };
+  if (reset_mid_run) net.sim().metrics().Reset();
+  const SimTime settled = net.sim().now() + FromSeconds(20);
+  while (sent() < kSecondResetAt && net.sim().Run(1) > 0) {
+  }
+  out.second_reset_at = sent();
+  if (reset_mid_run) net.sim().metrics().Reset();
+  net.sim().RunUntil(settled);
+  QueryResult r = RunQuery(net, 3, "idx", Rect({{1000, 8000}, {0, 9999}}));
   for (const auto& t : r.tuples) out.tuple_seqs.insert(t.seq);
   out.complete = r.complete;
   out.latency = r.latency;
@@ -282,6 +305,11 @@ TelemetryRunOutcome RunTelemetryScenario(bool reset_mid_run) {
 TEST(TelemetryIntegrationTest, RecordingDoesNotPerturbResults) {
   TelemetryRunOutcome kept = RunTelemetryScenario(false);
   TelemetryRunOutcome reset = RunTelemetryScenario(true);
+  // The scenario reaches both reset points exactly.
+  EXPECT_EQ(kept.first_reset_at, 945u);
+  EXPECT_EQ(kept.second_reset_at, kSecondResetAt);
+  EXPECT_EQ(reset.first_reset_at, kept.first_reset_at);
+  EXPECT_EQ(reset.second_reset_at, kept.second_reset_at);
   EXPECT_FALSE(kept.tuple_seqs.empty());
   EXPECT_EQ(kept.tuple_seqs, reset.tuple_seqs);
   EXPECT_EQ(kept.complete, reset.complete);

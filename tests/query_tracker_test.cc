@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
+#include "mind/messages.h"
 #include "mind/query_tracker.h"
 #include "space/histogram.h"
 #include "util/rng.h"
@@ -25,13 +28,21 @@ Tuple T(uint64_t seq, int origin = 0) {
   return t;
 }
 
+// A reply's rows.
+TupleColumns Rows(const std::vector<Tuple>& tuples) {
+  TupleColumns rows;
+  rows.dims = 2;
+  for (const Tuple& t : tuples) rows.Append(t);
+  return rows;
+}
+
 TEST(QueryTrackerTest, SingleReplyCoveringRootCompletes) {
   Rect q({{0, 999}, {0, 999}});
   QueryTracker tracker(q, BitCode(), Cuts(), 16);
   EXPECT_FALSE(tracker.IsComplete());
-  tracker.AddReply(3, BitCode(), {T(1)});
+  tracker.AddReply(3, BitCode(), Rows({T(1)}));
   EXPECT_TRUE(tracker.IsComplete());
-  EXPECT_EQ(tracker.tuples().size(), 1u);
+  EXPECT_EQ(tracker.rows().size(), 1u);
   EXPECT_EQ(tracker.responders().count(3), 1u);
 }
 
@@ -48,7 +59,7 @@ TEST(QueryTrackerTest, NonIntersectingBranchesAreVacuouslyCovered) {
   // Query confined to the low-x half: only the "0" branch needs replies.
   Rect q({{0, 100}, {0, 999}});
   QueryTracker tracker(q, BitCode::FromString("0"), Cuts(), 16);
-  tracker.AddReply(1, BitCode::FromString("0"), {T(1)});
+  tracker.AddReply(1, BitCode::FromString("0"), Rows({T(1)}));
   EXPECT_TRUE(tracker.IsComplete());
 }
 
@@ -68,9 +79,9 @@ TEST(QueryTrackerTest, SupplementalRepliesNeverComplete) {
   // tuples but must not cover regions (see EXPERIMENTS.md findings).
   Rect q({{0, 999}, {0, 999}});
   QueryTracker tracker(q, BitCode(), Cuts(), 16);
-  tracker.AddReply(1, BitCode(), {T(1)}, /*authoritative=*/false);
+  tracker.AddReply(1, BitCode(), Rows({T(1)}), /*authoritative=*/false);
   EXPECT_FALSE(tracker.IsComplete());
-  EXPECT_EQ(tracker.tuples().size(), 1u);  // but the data is kept
+  EXPECT_EQ(tracker.rows().size(), 1u);  // but the data is kept
   tracker.AddReply(2, BitCode(), {}, /*authoritative=*/true);
   EXPECT_TRUE(tracker.IsComplete());
 }
@@ -78,19 +89,20 @@ TEST(QueryTrackerTest, SupplementalRepliesNeverComplete) {
 TEST(QueryTrackerTest, DuplicateTuplesFromReplicasDeduplicated) {
   Rect q({{0, 999}, {0, 999}});
   QueryTracker tracker(q, BitCode(), Cuts(), 16);
-  tracker.AddReply(1, BitCode::FromString("0"), {T(7, 2), T(8, 2)});
-  tracker.AddReply(2, BitCode::FromString("1"), {T(7, 2)});  // replica copy
-  EXPECT_EQ(tracker.tuples().size(), 2u);
+  tracker.AddReply(1, BitCode::FromString("0"), Rows({T(7, 2), T(8, 2)}));
+  // A replica's copy.
+  tracker.AddReply(2, BitCode::FromString("1"), Rows({T(7, 2)}));
+  EXPECT_EQ(tracker.rows().size(), 2u);
   // Same seq from a different origin is a distinct tuple.
-  tracker.AddReply(3, BitCode::FromString("1"), {T(7, 5)});
-  EXPECT_EQ(tracker.tuples().size(), 3u);
+  tracker.AddReply(3, BitCode::FromString("1"), Rows({T(7, 5)}));
+  EXPECT_EQ(tracker.rows().size(), 3u);
 }
 
 TEST(QueryTrackerTest, PositiveRespondersTracked) {
   Rect q({{0, 999}, {0, 999}});
   QueryTracker tracker(q, BitCode(), Cuts(), 16);
   tracker.AddReply(1, BitCode::FromString("0"), {});        // negative
-  tracker.AddReply(2, BitCode::FromString("1"), {T(1)});    // positive
+  tracker.AddReply(2, BitCode::FromString("1"), Rows({T(1)}));  // positive
   EXPECT_EQ(tracker.responders().size(), 2u);
   EXPECT_EQ(tracker.positive_responders().size(), 1u);
   EXPECT_EQ(tracker.positive_responders().count(2), 1u);
@@ -360,6 +372,73 @@ TEST(QueryTrackerTest, ResumedWalkAgreesWithRecursiveWalk) {
   EXPECT_GT(incomplete, 5);
   EXPECT_GT(nonempty_roots, 100);
   EXPECT_GT(balanced_trees, 100);
+}
+
+// Replies as columns must cost the wire what the same rows cost as Tuples,
+// and the trackers' merge must return what merging Tuple replies returned:
+// per tracker, first-seen rows in arrival order; across versions, a row an
+// earlier version returned dropped. Random replies over 2-5 dims with 0-3
+// carried values per row and colliding (origin, seq) pairs whose copies
+// differ, so keeping any copy but the first shows.
+TEST(ReplyColumnsPropertyTest, WireSizeAndMergeMatchTupleReplies) {
+  Rng rng(2604);
+  for (int trial = 0; trial < 200; ++trial) {
+    SCOPED_TRACE(trial);
+    const size_t dims = 2 + rng.Uniform(4);
+    std::vector<AttributeDef> attrs;
+    for (size_t d = 0; d < dims; ++d) {
+      std::string name = "d";
+      name += std::to_string(d);
+      attrs.push_back({name, 0, 999});
+    }
+    const Schema schema(attrs);
+    auto cuts = std::make_shared<CutTree>(CutTree::Even(schema));
+    const Rect space = Rect::FullSpace(schema);
+    std::map<VersionId, QueryTracker> trackers;
+    // The merge as Tuple replies did it: per version, a seen-set and a
+    // vector; then one pass over the versions in order.
+    std::map<VersionId, std::vector<Tuple>> old_kept;
+    std::map<VersionId, std::unordered_set<uint64_t>> old_seen;
+    const VersionId versions = 1 + static_cast<VersionId>(rng.Uniform(3));
+    for (VersionId v = 1; v <= versions; ++v) {
+      trackers.emplace(v, QueryTracker(space, BitCode(), cuts, 16));
+    }
+    const int replies = static_cast<int>(rng.Uniform(6));
+    for (int r = 0; r < replies; ++r) {
+      const VersionId v = 1 + static_cast<VersionId>(rng.Uniform(versions));
+      QueryReplyMsg reply;
+      reply.rows.dims = dims;
+      size_t old_bytes = 48;
+      const size_t n = rng.Uniform(12);
+      for (size_t i = 0; i < n; ++i) {
+        Tuple t;
+        for (size_t d = 0; d < dims; ++d) t.point.push_back(rng.Uniform(1000));
+        t.extra.resize(rng.Uniform(4));
+        for (Value& e : t.extra) e = rng.Uniform(1u << 20);
+        t.origin = static_cast<int>(rng.Uniform(3));
+        t.seq = rng.Uniform(10);
+        old_bytes += t.WireBytes();
+        if (old_seen[v].insert(TupleKey(t)).second) old_kept[v].push_back(t);
+        reply.rows.Append(t);
+      }
+      ASSERT_EQ(reply.SizeBytes(), old_bytes);
+      trackers.at(v).AddReply(static_cast<NodeId>(r), reply.covered,
+                              reply.rows);
+    }
+    std::vector<Tuple> expect;
+    std::unordered_set<uint64_t> seen;
+    for (const auto& [v, kept] : old_kept) {
+      for (const Tuple& t : kept) {
+        if (versions == 1 || seen.insert(TupleKey(t)).second) {
+          expect.push_back(t);
+        }
+      }
+    }
+    for (const auto& [v, tracker] : trackers) {
+      EXPECT_EQ(tracker.rows().size(), old_kept[v].size()) << "version " << v;
+    }
+    EXPECT_EQ(MergeResults(trackers), expect);
+  }
 }
 
 }  // namespace

@@ -541,6 +541,109 @@ TEST(ColumnarScanPropertyTest, BothBackendsMatchBruteForce) {
   }
 }
 
+// The reply path's column scan returns QueryInto's tuples, in QueryInto's
+// order, appended after whatever the columns already hold, and counts the
+// same rows examined and matched: on rows with and without carried values,
+// on an unsorted delta tail, after Compact() and after a snapshot restore.
+void ExpectColumnScanMatchesQueryInto(const TupleStore& store, const Rect& q,
+                                      bool columns_first) {
+  SCOPED_TRACE(q.ToString());
+  const size_t dims = static_cast<size_t>(q.dims());
+  std::vector<Tuple> want;
+  TupleColumns got;
+  got.dims = dims;
+  got.Append(std::vector<Value>(dims, 7).data(), nullptr, 0, -1, 99);
+  uint64_t examined[2], matched[2];
+  for (int pass = 0; pass < 2; ++pass) {
+    const uint64_t e0 = store.scan_rows_examined();
+    const uint64_t m0 = store.scan_rows_matched();
+    // The first scan of an unsorted delta tail sorts it; either scan may
+    // be the one that does.
+    if ((pass == 0) == columns_first) {
+      store.QueryColumns(q, &got);
+    } else {
+      store.QueryInto(q, &want);
+    }
+    const int slot = (pass == 0) == columns_first ? 0 : 1;
+    examined[slot] = store.scan_rows_examined() - e0;
+    matched[slot] = store.scan_rows_matched() - m0;
+  }
+  EXPECT_EQ(examined[0], examined[1]);
+  EXPECT_EQ(matched[0], matched[1]);
+  ASSERT_EQ(got.size(), want.size() + 1);
+  size_t bytes = 0;
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got.TupleAt(i + 1), want[i]) << "row " << i;
+    bytes += want[i].WireBytes();
+  }
+  EXPECT_EQ(got.WireBytes(), Tuple::WireBytesFor(dims, 0) + bytes);
+}
+
+TEST(ColumnarScanPropertyTest, ColumnScanMatchesQueryInto) {
+  uint64_t seed = 80;
+  for (int dims = 1; dims <= 5; ++dims) {
+    for (int variant = 0; variant < 4; ++variant) {
+      SCOPED_TRACE(::testing::Message() << "dims=" << dims
+                                        << " variant=" << variant);
+      PropertyConfig pc;
+      pc.dims = dims;
+      pc.code_len = (variant & 1) != 0 ? 8 : 24;
+      pc.cover_len = 12;
+      pc.compaction = (variant & 2) == 0;
+      pc.max_cover_codes = variant == 3 ? 2 : 4096;
+      Rng rng(++seed);
+      auto cuts =
+          std::make_shared<CutTree>(CutTree::Even(DimsSchema(pc.dims)));
+      TupleStore store(cuts, PropertyStoreConfig(pc));
+      auto random_rect = [&]() {
+        std::vector<Interval> ivs;
+        for (int d = 0; d < dims; ++d) {
+          const Value a = rng.Uniform(1000), b = rng.Uniform(1000);
+          ivs.push_back(rng.Bernoulli(0.3) ? Interval{0, 999}
+                                           : Interval{std::min(a, b),
+                                                      std::max(a, b)});
+        }
+        return Rect(ivs);
+      };
+      for (uint64_t seq = 0; seq < 250; ++seq) {
+        Tuple t;
+        t.point.resize(static_cast<size_t>(dims));
+        for (Value& v : t.point) v = rng.Uniform(1000);
+        // About half the rows carry no values.
+        if (rng.Bernoulli(0.5)) t.extra.assign(1 + rng.Uniform(3), seq * 3);
+        t.origin = static_cast<int>(rng.Uniform(4));
+        t.seq = seq;
+        store.Insert(std::move(t));
+        if (rng.Bernoulli(0.15)) {
+          ExpectColumnScanMatchesQueryInto(store, random_rect(),
+                                           rng.Bernoulli(0.5));
+        }
+        if (rng.Bernoulli(0.02)) {
+          store.Compact();
+          ExpectColumnScanMatchesQueryInto(store, random_rect(),
+                                           rng.Bernoulli(0.5));
+        }
+      }
+      store.Compact();
+      ExpectColumnScanMatchesQueryInto(store, Rect::FullSpace(cuts->schema()),
+                                       false);
+      std::stringstream buf;
+      SnapWriter w(&buf);
+      store.SaveSnapshotState(&w);
+      ASSERT_TRUE(w.status().ok());
+      TupleStore restored(cuts, PropertyStoreConfig(pc));
+      SnapReader r(&buf);
+      ASSERT_TRUE(restored.LoadSnapshotState(&r).ok());
+      for (int i = 0; i < 10; ++i) {
+        const Rect q = random_rect();
+        ExpectColumnScanMatchesQueryInto(restored, q, i % 2 == 0);
+        EXPECT_EQ(Ids(restored.Query(q)), Ids(store.Query(q)));
+      }
+      EXPECT_TRUE(restored.ValidateInvariants().ok());
+    }
+  }
+}
+
 // A snapshot taken while the sorted delta still has an unsorted tail must
 // restore the same rows and answer the same queries.
 TEST(ColumnarScanPropertyTest, SnapshotRoundTripWithUnsortedDeltaTail) {

@@ -7,6 +7,7 @@
 
 #include "util/bitcode.h"
 #include "util/ip.h"
+#include "util/key_set.h"
 #include "util/rng.h"
 #include "util/status.h"
 
@@ -425,6 +426,23 @@ TEST(IpPrefixTest, ParseErrors) {
   EXPECT_FALSE(IpPrefix::Parse("1.2.3.4").ok());
   EXPECT_FALSE(IpPrefix::Parse("1.2.3.4/33").ok());
   EXPECT_FALSE(IpPrefix::Parse("1.2.3.4/-1").ok());
+}
+
+// ---------------------------------------------------------------- KeySet
+
+// Membership agrees with std::unordered_set across rehashes, for the zero
+// key (held out of the table) and for keys that share low bits.
+TEST(KeySetTest, AgreesWithUnorderedSet) {
+  Rng rng(5);
+  KeySet set;
+  std::unordered_set<uint64_t> oracle;
+  for (int i = 0; i < 20000; ++i) {
+    uint64_t key = rng.Uniform(3000);
+    if (rng.Bernoulli(0.3)) key <<= 40;  // TupleKey-shaped: origin bits only
+    EXPECT_EQ(set.Insert(key), oracle.insert(key).second) << key;
+  }
+  EXPECT_EQ(set.size(), oracle.size());
+  EXPECT_FALSE(set.Insert(0));  // 0 is among the keys above
 }
 
 }  // namespace

@@ -50,14 +50,14 @@ class TupleStoreTestPeek {
   }
   static auto& delta_keys(TupleStore& s) { return sorted(s).delta_.keys; }
   static auto& delta_points(TupleStore& s) { return sorted(s).delta_.points; }
-  static auto& delta_ids(TupleStore& s) { return sorted(s).delta_.ids; }
+  static auto& delta_meta(TupleStore& s) { return sorted(s).delta_.meta; }
   // Swaps entries i and j of a sorted run in all three columns at once, so
   // the run stays internally consistent and only its order is wrong.
   template <typename Run>
   static void SwapEntries(TupleStore& s, Run& run, size_t i, size_t j) {
     const size_t dims = sorted(s).dims_;
     std::swap(run.keys[i], run.keys[j]);
-    std::swap(run.ids[i], run.ids[j]);
+    std::swap(run.meta[i], run.meta[j]);
     std::swap_ranges(run.points.begin() + i * dims,
                      run.points.begin() + (i + 1) * dims,
                      run.points.begin() + j * dims);
@@ -286,15 +286,15 @@ TEST(TupleStoreValidatorTest, DetectsPointColumnLengthDrift) {
   ExpectViolation(store.ValidateInvariants(), "point column holds");
 }
 
-TEST(TupleStoreValidatorTest, DetectsRowIdDrift) {
+TEST(TupleStoreValidatorTest, DetectsExtrasOffsetDrift) {
   TupleStore store(std::make_shared<CutTree>(CutTree::Even(TwoDimSchema())), 24);
   store.Insert(TwoDimTuple(100, 200, 1));
   store.Insert(TwoDimTuple(300, 400, 2));
-  // Two entries naming one row: a match would return the wrong carried
-  // values, and the other row could never be returned.
-  auto& ids = TupleStoreTestPeek::delta_ids(store);
-  ids[1] = ids[0];
-  ExpectViolation(store.ValidateInvariants(), "already indexed");
+  // Two entries naming one row's carried values: a match would return the
+  // wrong values, and the other row's could never be returned.
+  auto& meta = TupleStoreTestPeek::delta_meta(store);
+  meta[1].extra = meta[0].extra;
+  ExpectViolation(store.ValidateInvariants(), "already claimed");
 }
 
 TEST(TupleStoreValidatorTest, DetectsSortedPrefixOverrun) {
