@@ -166,8 +166,11 @@ void Network::Send(NodeId from, NodeId to, MessagePtr msg) {
     return;
   }
 
+  // SizeBytes is virtual and may walk the payload (a routed envelope's inner
+  // message, a batch's tuples): read it once.
+  const size_t size_bytes = msg->SizeBytes();
   double tx_sec =
-      static_cast<double>(msg->SizeBytes()) / options_.bandwidth_bytes_per_sec;
+      static_cast<double>(size_bytes) / options_.bandwidth_bytes_per_sec;
   SimTime queue_wait = link.busy_until > now ? link.busy_until - now : 0;
   SimTime depart = std::max(now, link.busy_until) + FromSeconds(tx_sec);
   link.busy_until = depart;
@@ -179,10 +182,10 @@ void Network::Send(NodeId from, NodeId to, MessagePtr msg) {
   link.last_arrival = arrival;
   SimTime delay = arrival - now;
   link.stats.messages++;
-  link.stats.bytes += msg->SizeBytes();
+  link.stats.bytes += size_bytes;
   if (msgs_counter_ != nullptr) {
     msgs_counter_->Inc();
-    bytes_counter_->Inc(msg->SizeBytes());
+    bytes_counter_->Inc(size_bytes);
     queue_wait_ms_->Record(ToSeconds(queue_wait) * 1e3);
     delivery_delay_ms_->Record(ToSeconds(delay) * 1e3);
   }

@@ -25,6 +25,7 @@ TupleStore::TupleStore(CutTreeRef cuts, TupleStoreConfig config)
       opts_(config.options),
       runs_(SchemaDims(cuts_), opts_.compaction, opts_.compact_min_delta,
             opts_.compact_ratio, config.metrics),
+      scan_box_(2 * SchemaDims(cuts_)),
       cover_cache_(config.cover_cache) {
   MIND_CHECK(code_len_ > 0 && code_len_ <= BitCode::kMaxLen);
   if (cover_cache_ == nullptr) {
@@ -76,7 +77,7 @@ void TupleStore::Scan(const Rect& rect, Fn&& fn) const {
   const int len = std::min(opts_.cover_len, code_len_);
   const CoverRanges* cover =
       cover_cache_->GetOrCompute(rect, cuts_, len, opts_.max_cover_codes);
-  scan::Box box(2 * dims());
+  scan::Box& box = scan_box_;
   for (size_t d = 0; d < dims(); ++d) {
     const Interval& iv = rect.interval(static_cast<int>(d));
     box[2 * d] = iv.lo;

@@ -164,6 +164,10 @@ class TupleStore {
   SortedRunsBackend runs_;
   mutable uint64_t scan_rows_examined_ = 0;
   mutable uint64_t scan_rows_matched_ = 0;
+  // Scan's query box (2 * dims words), rewritten in full by every Scan so
+  // that a scan allocates nothing.
+  // mind-digest: skip(per-scan scratch; no state survives a Scan)
+  mutable scan::Box scan_box_;
   // mind-digest: skip(derived size estimate; recomputable from digested rows)
   uint64_t approx_bytes_ = 0;
   CoverCache* cover_cache_ = nullptr;  // never null after construction

@@ -29,6 +29,16 @@ FlowGenerator::FlowGenerator(const Topology& topology,
     IpAddr b = static_cast<IpAddr>((i * 151) % 256);
     prefixes_.emplace_back((a << 24) | (b << 16), options.prefix_len);
   }
+  for (Backbone b : {Backbone::kAbilene, Backbone::kGeant}) {
+    for (uint32_t k = 0; k < kKeepTablePackets; ++k) {
+      keep_[static_cast<size_t>(b)][k] =
+          KeepFormula(Topology::SamplingRate(b), k);
+    }
+  }
+}
+
+double FlowGenerator::KeepFormula(double p, uint32_t packets) {
+  return 1.0 - std::pow(1.0 - p, static_cast<double>(packets));
 }
 
 bool FlowGenerator::InHotSet(size_t prefix_idx, int hour) const {
@@ -45,16 +55,16 @@ bool FlowGenerator::InHotSet(size_t prefix_idx, int hour) const {
 const std::vector<size_t>& FlowGenerator::DayPermutation(int day) {
   MIND_CHECK_GE(day, 0);
   while (static_cast<int>(day_perms_.size()) <= day) {
+    std::vector<size_t> perm;
     if (day_perms_.empty()) {
       // Day 0: a fixed random assignment of prefixes to popularity ranks.
-      std::vector<size_t> perm(prefixes_.size());
+      perm.resize(prefixes_.size());
       for (size_t i = 0; i < perm.size(); ++i) perm[i] = i;
       Rng rng = Rng(options_.seed).Fork(0xDA40);
       rng.Shuffle(&perm);
-      day_perms_.push_back(std::move(perm));
     } else {
       // Next day: bounded drift — a few random rank transpositions.
-      std::vector<size_t> perm = day_perms_.back();
+      perm = day_perms_.back();
       Rng rng = Rng(options_.seed).Fork(0xDA41 + day_perms_.size());
       size_t swaps = static_cast<size_t>(
           options_.day_drift * static_cast<double>(perm.size()));
@@ -63,8 +73,13 @@ const std::vector<size_t>& FlowGenerator::DayPermutation(int day) {
         size_t b = rng.Uniform(perm.size());
         std::swap(perm[a], perm[b]);
       }
-      day_perms_.push_back(std::move(perm));
     }
+    std::vector<uint32_t> home(perm.size());
+    for (size_t rank = 0; rank < perm.size(); ++rank) {
+      home[rank] = static_cast<uint32_t>(HomeRouter(perm[rank]));
+    }
+    day_perms_.push_back(std::move(perm));
+    day_homes_.push_back(std::move(home));
   }
   return day_perms_[day];
 }
@@ -92,6 +107,7 @@ void FlowGenerator::Generate(
     const std::function<void(const FlowRecord&)>& emit) {
   MIND_CHECK(t0_sec >= 0 && t1_sec <= 86400.0 && t0_sec <= t1_sec);
   const auto& perm = DayPermutation(day);
+  const std::vector<uint32_t>& home = day_homes_[static_cast<size_t>(day)];
   uint64_t window_key = (static_cast<uint64_t>(day) << 20) ^
                         (static_cast<uint64_t>(t0_sec * 16));
   Rng rng = Rng(options_.seed).Fork(0xF70 ^ window_key);
@@ -143,9 +159,9 @@ void FlowGenerator::Generate(
       // pick a uniform local prefix.
       size_t src_idx = prefixes_.size();
       for (int attempt = 0; attempt < 8; ++attempt) {
-        size_t candidate = perm[popularity_.Sample(&rng)];
-        if (HomeRouter(candidate) == static_cast<int>(r)) {
-          src_idx = candidate;
+        const size_t rank = popularity_.Sample(&rng);
+        if (home[rank] == r) {
+          src_idx = perm[rank];
           break;
         }
       }
@@ -193,9 +209,9 @@ void FlowGenerator::Generate(
       int n_obs = observers[0] == observers[1] ? 1 : 2;
       for (int o = 0; o < n_obs; ++o) {
         int router = observers[o];
-        double p = Topology::SamplingRate(topology_.router(router).backbone);
-        double keep = 1.0 - std::pow(1.0 - p, static_cast<double>(raw_packets));
-        if (!rng.Bernoulli(keep)) continue;
+        const Backbone backbone = topology_.router(router).backbone;
+        double p = Topology::SamplingRate(backbone);
+        if (!rng.Bernoulli(KeepProbability(backbone, raw_packets))) continue;
         FlowRecord obs = f;
         obs.router = router;
         // NetFlow with sampling reports the sampled volume.

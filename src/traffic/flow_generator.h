@@ -14,6 +14,8 @@
 #ifndef MIND_TRAFFIC_FLOW_GENERATOR_H_
 #define MIND_TRAFFIC_FLOW_GENERATOR_H_
 
+#include <array>
+#include <cstdint>
 #include <functional>
 #include <vector>
 
@@ -92,7 +94,21 @@ class FlowGenerator {
   /// Whether a prefix belongs to the given hour's hot set.
   bool InHotSet(size_t prefix_idx, int hour) const;
 
+  /// Flows with fewer raw packets than this read their keep probability
+  /// from a table; larger ones compute it.
+  static constexpr uint32_t kKeepTablePackets = 256;
+
+  /// The chance that a flow of `packets` raw packets leaves at least one
+  /// sampled packet on backbone `b`: 1 - (1 - p)^packets at the backbone's
+  /// sampling rate p. Tabled values are that same expression, computed once.
+  double KeepProbability(Backbone b, uint32_t packets) const {
+    return packets < kKeepTablePackets
+               ? keep_[static_cast<size_t>(b)][packets]
+               : KeepFormula(Topology::SamplingRate(b), packets);
+  }
+
  private:
+  static double KeepFormula(double p, uint32_t packets);
   const std::vector<size_t>& DayPermutation(int day);
   double HourNoise(int day, int router, int hour);
 
@@ -103,6 +119,12 @@ class FlowGenerator {
   DiurnalCurve diurnal_;
   // perm[day][rank] = prefix index at that rank
   std::vector<std::vector<size_t>> day_perms_;
+  // home[day][rank] = HomeRouter(perm[day][rank]), built with each day's
+  // permutation: the source-prefix tries compare this and read perm only on
+  // a hit.
+  std::vector<std::vector<uint32_t>> day_homes_;
+  // keep_[backbone][n] = KeepFormula(SamplingRate(backbone), n).
+  std::array<std::array<double, kKeepTablePackets>, 2> keep_{};
   std::vector<uint16_t> common_ports_;
   ZipfSampler port_popularity_;
 };

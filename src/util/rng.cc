@@ -1,6 +1,6 @@
 #include "util/rng.h"
 
-#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 
@@ -15,41 +15,11 @@ uint64_t SplitMix64(uint64_t* x) {
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
   return z ^ (z >> 31);
 }
-
-uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
-// ZipfSampler's guide-table slot for x in [0, 1] with k slots. Monotone in x,
-// rounding included, which is all ZipfSampler::Rank relies on.
-size_t GuideBucket(double x, size_t k) {
-  return std::min(static_cast<size_t>(x * static_cast<double>(k)), k - 1);
-}
 }  // namespace
 
 Rng::Rng(uint64_t seed) : seed_(seed) {
   uint64_t sm = seed;
   for (auto& s : s_) s = SplitMix64(&sm);
-}
-
-uint64_t Rng::Next() {
-  const uint64_t result = Rotl(s_[1] * 5, 7) * 9;
-  const uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = Rotl(s_[3], 45);
-  return result;
-}
-
-uint64_t Rng::Uniform(uint64_t n) {
-  MIND_CHECK_GT(n, 0u);
-  // Rejection sampling to avoid modulo bias.
-  uint64_t threshold = (0 - n) % n;
-  for (;;) {
-    uint64_t r = Next();
-    if (r >= threshold) return r % n;
-  }
 }
 
 uint64_t Rng::UniformRange(uint64_t lo, uint64_t hi) {
@@ -58,12 +28,6 @@ uint64_t Rng::UniformRange(uint64_t lo, uint64_t hi) {
   if (span == UINT64_MAX) return Next();
   return lo + Uniform(span + 1);
 }
-
-double Rng::UniformDouble() {
-  return static_cast<double>(Next() >> 11) * 0x1.0p-53;
-}
-
-bool Rng::Bernoulli(double p) { return UniformDouble() < p; }
 
 double Rng::Exponential(double lambda) {
   MIND_CHECK_GT(lambda, 0.0);
@@ -126,7 +90,7 @@ uint64_t CounterMix(uint64_t seed, uint64_t stream, uint64_t counter) {
   // Three SplitMix64 finalization rounds over a seed/stream/counter blend.
   // Not cryptographic; the goal is full avalanche so that adjacent counters
   // and adjacent streams are statistically independent.
-  uint64_t x = seed ^ Rotl(stream, 24) ^ 0x9e3779b97f4a7c15ull;
+  uint64_t x = seed ^ std::rotl(stream, 24) ^ 0x9e3779b97f4a7c15ull;
   x += counter * 0xd1342543de82ef95ull;
   for (int round = 0; round < 3; ++round) {
     x ^= stream + 0x2545f4914f6cdd1dull;
@@ -197,15 +161,6 @@ ZipfSampler::ZipfSampler(size_t n, double s) {
     while (i < n && GuideBucket(cdf_[i], guide_.size()) < j) ++i;
     guide_[j] = static_cast<uint32_t>(i);
   }
-}
-
-size_t ZipfSampler::Rank(double u) const {
-  // guide_ counts the CDF entries in buckets below u's. GuideBucket is
-  // monotone, so all of those entries are < u, and the walk forward from
-  // there stops exactly at lower_bound's rank.
-  size_t i = guide_[GuideBucket(u, guide_.size())];
-  while (i < cdf_.size() && cdf_[i] < u) ++i;
-  return std::min(i, cdf_.size() - 1);
 }
 
 double ZipfSampler::pmf(size_t rank) const {

@@ -6,14 +6,20 @@
 #ifndef MIND_UTIL_RNG_H_
 #define MIND_UTIL_RNG_H_
 
+#include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
+#include "util/logging.h"
+
 namespace mind {
 
 /// xoshiro256** PRNG seeded via SplitMix64. Not cryptographic; fast and
-/// statistically solid for simulation.
+/// statistically solid for simulation. The per-draw primitives (Next,
+/// Uniform, UniformDouble, Bernoulli) are defined inline below: the trace
+/// generator makes ~45 M of them to replay seven minutes of fig21's trace.
 class Rng {
  public:
   explicit Rng(uint64_t seed = 0x5eed);
@@ -21,7 +27,8 @@ class Rng {
   /// Next raw 64 random bits.
   uint64_t Next();
 
-  /// Uniform integer in [0, n); n must be > 0.
+  /// Uniform integer in [0, n); n must be > 0. Consumes one Next() per
+  /// rejection round; a power-of-two n never rejects.
   uint64_t Uniform(uint64_t n);
 
   /// Uniform integer in [lo, hi] inclusive; requires lo <= hi.
@@ -116,11 +123,57 @@ class ZipfSampler {
   size_t n() const { return cdf_.size(); }
 
  private:
+  // The guide-table slot for x in [0, 1] with k slots. Monotone in x,
+  // rounding included, which is all Rank relies on.
+  static size_t GuideBucket(double x, size_t k) {
+    return std::min(static_cast<size_t>(x * static_cast<double>(k)), k - 1);
+  }
+
   std::vector<double> cdf_;
   // guide_[j] = number of CDF entries whose guide bucket is below j; an x in
   // [0, 1] falls in bucket min(floor(x * 4n), 4n - 1).
   std::vector<uint32_t> guide_;
 };
+
+inline uint64_t Rng::Next() {
+  const uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
+  const uint64_t t = s_[1] << 17;
+  s_[2] ^= s_[0];
+  s_[3] ^= s_[1];
+  s_[1] ^= s_[2];
+  s_[0] ^= s_[3];
+  s_[2] ^= t;
+  s_[3] = std::rotl(s_[3], 45);
+  return result;
+}
+
+inline uint64_t Rng::Uniform(uint64_t n) {
+  MIND_CHECK_GT(n, 0u);
+  // For n = 2^k the rejection threshold (0 - n) % n is 0 and r % n is
+  // r & (n - 1): the same draw without either division.
+  if ((n & (n - 1)) == 0) return Next() & (n - 1);
+  // Rejection sampling to avoid modulo bias.
+  const uint64_t threshold = (0 - n) % n;
+  for (;;) {
+    const uint64_t r = Next();
+    if (r >= threshold) return r % n;
+  }
+}
+
+inline double Rng::UniformDouble() {
+  return static_cast<double>(Next() >> 11) * 0x1.0p-53;
+}
+
+inline bool Rng::Bernoulli(double p) { return UniformDouble() < p; }
+
+inline size_t ZipfSampler::Rank(double u) const {
+  // guide_ counts the CDF entries in buckets below u's. GuideBucket is
+  // monotone, so all of those entries are < u, and the walk forward from
+  // there stops exactly at lower_bound's rank.
+  size_t i = guide_[GuideBucket(u, guide_.size())];
+  while (i < cdf_.size() && cdf_[i] < u) ++i;
+  return std::min(i, cdf_.size() - 1);
+}
 
 /// Piecewise-linear diurnal modulation curve: value in [floor, 1] as a
 /// function of seconds-of-day, peaking mid-day. Models the day/night traffic

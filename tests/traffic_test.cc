@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
 #include <set>
 #include <sstream>
+#include <vector>
 
 #include "space/histogram.h"
 #include "space/mismatch.h"
@@ -170,10 +172,30 @@ TEST_F(GeneratorTest, PrefixHomingConsistent) {
   EXPECT_GT(matched, recs.size() / 3);  // src-side observations
 }
 
+// The keep table holds 1 - (1 - p)^n exactly as the formula computes it, so
+// the Bernoulli keep-test draws against the same double with or without it.
+TEST_F(GeneratorTest, KeepTableEqualsFormulaBitForBit) {
+  for (Backbone b : {Backbone::kAbilene, Backbone::kGeant}) {
+    const double p = Topology::SamplingRate(b);
+    std::vector<uint32_t> packets;
+    for (uint32_t n = 0; n < FlowGenerator::kKeepTablePackets + 64; ++n) {
+      packets.push_back(n);
+    }
+    for (uint32_t n : {1000u, 2857u, 714285u, UINT32_MAX}) packets.push_back(n);
+    for (uint32_t n : packets) {
+      const double want = 1.0 - std::pow(1.0 - p, static_cast<double>(n));
+      ASSERT_EQ(std::bit_cast<uint64_t>(gen_->KeepProbability(b, n)),
+                std::bit_cast<uint64_t>(want))
+          << "backbone " << static_cast<int>(b) << " packets " << n;
+    }
+  }
+}
+
 // Golden output: an FNV-1a hash over every field of every record, in emission
-// order. The generator's indexed Zipf search and per-hour memos must consume
-// and map RNG draws exactly as a plain lower_bound inverse-CDF search with
-// per-flow HourNoise would, so these values change only with a deliberate
+// order. The generator's indexed Zipf search, per-hour memos and its
+// rank-to-home and keep-probability tables must consume and map RNG draws
+// exactly as a plain lower_bound inverse-CDF search with per-flow HourNoise,
+// HomeRouter and pow would, so these values change only with a deliberate
 // digest re-roll.
 uint64_t HashRecords(const std::vector<FlowRecord>& recs) {
   uint64_t h = 0xcbf29ce484222325ull;
@@ -221,6 +243,16 @@ TEST(GeneratorGoldenTest, OutputHashPinned) {
       // The fig21 trace options: 400 peak flows/router/s at 11:00.
       {0x21f1, 400, 0, 39600, 39630, 6983, 0xf52caf2347404926ull},
       {0x21f1, 400, 1, 43195, 43205, 2250, 0xc414f1c2907af33cull},
+      // The rest of perfbench backbone_live's day-0 sample: 30 s windows
+      // from 11:00 (the first is the 39600 row above).
+      {0x21f1, 400, 0, 39630, 39660, 6880, 0xa2f2800ac4a5ad58ull},
+      {0x21f1, 400, 0, 39660, 39690, 6867, 0xdc27f12535e8232bull},
+      {0x21f1, 400, 0, 39690, 39720, 6915, 0x4941d377e457adabull},
+      // t0 >= 65536 s on an odd day: the window key (day << 20) ^ (t0 * 16)
+      // collides with day 0's at t0 - 65536 = 100 s, so this window forks
+      // that window's RNG stream. Pinned as it stands; removing the
+      // collision re-pins this row.
+      {0x21f1, 400, 1, 65636, 65646, 2040, 0xd0b5cff6526f759cull},
   };
   const Topology topo = Topology::AbileneGeant();
   std::unique_ptr<FlowGenerator> gen;

@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <set>
 #include <unordered_set>
+#include <utility>
+#include <vector>
 
 #include "util/bitcode.h"
 #include "util/ip.h"
@@ -355,6 +358,111 @@ TEST(ZipfTest, RankMatchesLowerBound) {
         ASSERT_EQ(zipf.Rank(u), want) << "n=" << n << " s=" << s << " u=" << u;
       }
     }
+  }
+}
+
+// The per-draw primitives as they were defined out of line in rng.cc before
+// they moved into rng.h, kept verbatim (Uniform without its power-of-two
+// path). The inlined versions must reproduce them draw for draw: moving them
+// changed no stream.
+class OutOfLineRng {
+ public:
+  explicit OutOfLineRng(uint64_t seed) {
+    uint64_t sm = seed;
+    for (auto& s : s_) s = SplitMix64(&sm);
+  }
+  uint64_t Next() {
+    const uint64_t result = Rotl(s_[1] * 5, 7) * 9;
+    const uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = Rotl(s_[3], 45);
+    return result;
+  }
+  uint64_t Uniform(uint64_t n) {
+    uint64_t threshold = (0 - n) % n;
+    for (;;) {
+      uint64_t r = Next();
+      if (r >= threshold) return r % n;
+    }
+  }
+  double UniformDouble() {
+    return static_cast<double>(Next() >> 11) * 0x1.0p-53;
+  }
+  bool Bernoulli(double p) { return UniformDouble() < p; }
+
+ private:
+  static uint64_t SplitMix64(uint64_t* x) {
+    uint64_t z = (*x += 0x9e3779b97f4a7c15ull);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    return z ^ (z >> 31);
+  }
+  static uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
+  uint64_t s_[4];
+};
+
+class OutOfLineZipf {
+ public:
+  OutOfLineZipf(size_t n, double s) : cdf_(n) {
+    double sum = 0.0;
+    for (size_t i = 0; i < n; ++i) {
+      sum += 1.0 / std::pow(static_cast<double>(i + 1), s);
+      cdf_[i] = sum;
+    }
+    for (auto& c : cdf_) c /= sum;
+    guide_.resize(4 * n);
+    size_t i = 0;
+    for (size_t j = 0; j < guide_.size(); ++j) {
+      while (i < n && GuideBucket(cdf_[i], guide_.size()) < j) ++i;
+      guide_[j] = static_cast<uint32_t>(i);
+    }
+  }
+  size_t Rank(double u) const {
+    size_t i = guide_[GuideBucket(u, guide_.size())];
+    while (i < cdf_.size() && cdf_[i] < u) ++i;
+    return std::min(i, cdf_.size() - 1);
+  }
+
+ private:
+  static size_t GuideBucket(double x, size_t k) {
+    return std::min(static_cast<size_t>(x * static_cast<double>(k)), k - 1);
+  }
+  std::vector<double> cdf_;
+  std::vector<uint32_t> guide_;
+};
+
+// Interleaves Uniform over bounds that take each path (n = 1, powers of two
+// up to 2^63, bounds that reject often such as 2^63 + 1 and 2^64 - 1, the
+// trace generator's 272 and 64 512), Zipf samples and Bernoulli draws in one
+// stream per seed, so a single diverging draw desynchronizes every later one.
+TEST(RngInlineTest, DrawsMatchOutOfLineDefinitions) {
+  std::vector<uint64_t> bounds = {1, 272, 64512, (uint64_t{1} << 63) + 1,
+                                  UINT64_MAX, 3, 1000003};
+  for (int k = 1; k < 64; ++k) bounds.push_back(uint64_t{1} << k);
+  const std::pair<size_t, double> zipfs[] = {
+      {1, 0.9}, {2, 1.0}, {15, 1.2}, {272, 0.9}, {4096, 0.5}};
+  std::vector<ZipfSampler> inlined;
+  std::vector<OutOfLineZipf> reference;
+  for (const auto& [n, s] : zipfs) {
+    inlined.emplace_back(n, s);
+    reference.emplace_back(n, s);
+  }
+  for (uint64_t seed = 0; seed < 300; ++seed) {
+    Rng rng(seed * 0x9e3779b97f4a7c15ull + 1);
+    OutOfLineRng ref(seed * 0x9e3779b97f4a7c15ull + 1);
+    for (size_t i = 0; i < 4 * bounds.size(); ++i) {
+      const uint64_t n = bounds[(i * 7 + seed) % bounds.size()];
+      ASSERT_EQ(rng.Uniform(n), ref.Uniform(n)) << "seed " << seed << " n " << n;
+      const size_t z = (i + seed) % inlined.size();
+      ASSERT_EQ(inlined[z].Sample(&rng), reference[z].Rank(ref.UniformDouble()))
+          << "seed " << seed << " zipf n " << zipfs[z].first;
+      ASSERT_EQ(rng.Bernoulli(0.3), ref.Bernoulli(0.3)) << "seed " << seed;
+    }
+    ASSERT_EQ(rng.Next(), ref.Next()) << "seed " << seed;
   }
 }
 
