@@ -36,6 +36,14 @@ Tuple& TupleAt(InsertBatchMsg& m, size_t i) { return m.tuples[i]; }
 const BitCode& CodeAt(const InsertMsg& m, size_t) { return m.code; }
 const BitCode& CodeAt(const InsertBatchMsg& m, size_t i) { return m.codes[i]; }
 
+// Adds the sorted, distinct `add` to the sorted, distinct `into`.
+void UnionInto(const std::vector<NodeId>& add, std::vector<NodeId>* into) {
+  const auto mid = static_cast<std::ptrdiff_t>(into->size());
+  into->insert(into->end(), add.begin(), add.end());
+  std::inplace_merge(into->begin(), into->begin() + mid, into->end());
+  into->erase(std::unique(into->begin(), into->end()), into->end());
+}
+
 }  // namespace
 
 MindNode::MindNode(Simulator* sim, OverlayOptions overlay_options,
@@ -452,7 +460,6 @@ Result<uint64_t> MindNode::Query(const std::string& index, const Rect& rect,
   pq.rect = rect;
   pq.callback = std::move(callback);
   pq.started = events_->now();
-  pq.visited.insert(id());
   tm_.queries->Inc();
 
   if (versions.empty()) {
@@ -530,7 +537,8 @@ void MindNode::HandleQueryCode(const std::shared_ptr<QueryMsg>& m,
     if (st == nullptr) return;
     CutTreeRef cuts = st->primary.Cuts(m->version);
     if (cuts == nullptr) return;
-    for (const BitCode& child : cuts->IntersectingChildren(m->rect, code)) {
+    for (const BitCode& child :
+         cuts->IntersectingChildren(m->rect, code, &split_cursor_)) {
       int cpl = my.CommonPrefixLen(child);
       if (cpl == std::min(my.length(), child.length())) {
         HandleQueryCode(m, child);  // still (partly) ours: keep splitting
@@ -644,7 +652,6 @@ void MindNode::OnQueryReply(const QueryReplyMsg& m) {
                     << " (" << m.rows.size() << " tuples)";
   }
   tit->second.AddReply(m.resolver, m.covered, m.rows, !m.supplemental);
-  it->second.visited.insert(m.resolver);
   for (auto& [v, tracker] : it->second.trackers) {
     if (!tracker.IsComplete()) return;
   }
@@ -663,17 +670,19 @@ void MindNode::FinalizeQuery(uint64_t query_id, bool complete) {
   result.latency = events_->now() - pq.started;
   tm_.query_latency_ms->Record(ToSeconds(result.latency) * 1e3);
   if (!complete) tm_.query_timeouts->Inc();
-  std::unordered_set<NodeId> responders, positive;
   // The one place reply rows become tuples.
   result.tuples = MergeResults(pq.trackers);
+  std::vector<NodeId> responders, positive;  // unions over versions, sorted
   for (auto& [v, tracker] : pq.trackers) {
-    for (NodeId r : tracker.responders()) responders.insert(r);
-    for (NodeId r : tracker.positive_responders()) positive.insert(r);
+    UnionInto(tracker.responders(), &responders);
+    UnionInto(tracker.positive_responders(), &positive);
   }
   result.responders = responders.size();
   result.positive_responders = positive.size();
-  for (NodeId r : responders) pq.visited.insert(r);
-  result.nodes_visited = pq.visited.size();
+  // The originator and every responder (a reply reaches its tracker only).
+  result.nodes_visited =
+      responders.size() +
+      (std::binary_search(responders.begin(), responders.end(), id()) ? 0 : 1);
   QueryCallback cb = std::move(pq.callback);
   queries_.erase(it);
   if (cb) {

@@ -272,7 +272,6 @@ class MindNode {
     QueryCallback callback;
     SimTime started = 0;
     std::map<VersionId, QueryTracker> trackers;
-    std::unordered_set<NodeId> visited;  // filled via on_query_visit wiring
     EventId timeout_event = 0;
   };
 
@@ -335,6 +334,10 @@ class MindNode {
   /// versions never collide. Excluded from DigestInto by design.
   // mind-digest: skip(pure cache; hits and misses produce identical results)
   CoverCache cover_cache_;
+  /// The cursor HandleQueryCode's splits walk in place, kept so a split
+  /// allocates nothing.
+  // mind-digest: skip(walk scratch; reset at the start of every split)
+  CutTree::Cursor split_cursor_;
 
   std::map<std::string, IndexState> indices_;
   // mind-digest: skip(in-flight bookkeeping; completions land in digested state)

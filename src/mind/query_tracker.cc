@@ -1,5 +1,9 @@
 #include "mind/query_tracker.h"
 
+#include <algorithm>
+#include <functional>
+#include <utility>
+
 #include "util/logging.h"
 
 namespace mind {
@@ -8,6 +12,20 @@ namespace {
 // Codes one completion check may examine: bounds the work of a single call
 // when a wide query's replies arrive out of walk order.
 constexpr int kCoverBudget = 20000;
+
+// The order of the covered-code set. Any strict order serves an exact
+// lookup; (length, bits) is the cheapest to compare.
+bool CodeLess(const BitCode& a, const BitCode& b) {
+  return a.length() != b.length() ? a.length() < b.length()
+                                  : a.bits() < b.bits();
+}
+
+// Adds `v` to `set`, which is sorted by `less` and distinct.
+template <typename T, typename Less = std::less<T>>
+void InsertSorted(std::vector<T>* set, const T& v, Less less = Less()) {
+  auto it = std::lower_bound(set->begin(), set->end(), v, less);
+  if (it == set->end() || less(v, *it)) set->insert(it, v);
+}
 }  // namespace
 
 QueryTracker::QueryTracker(Rect rect, BitCode root, CutTreeRef cuts,
@@ -25,25 +43,25 @@ QueryTracker::QueryTracker(Rect rect, BitCode root, CutTreeRef cuts,
         &metrics->counter("mind.query.cover_budget_exhausted");
   }
   rows_.dims = static_cast<size_t>(rect_.dims());
-  Pending top{root_, cuts_->Root()};
+  Pending& top = pending_.emplace_back(Pending{root_, cuts_->Root()});
   for (int i = 0; i < root_.length(); ++i) {
     if (!cuts_->Descend(&top.cursor, root_.bit(i))) return;  // vacuous
   }
-  PushIfIntersecting(std::move(top));
+  if (Admit(&top)) depth_ = 1;
 }
 
 void QueryTracker::AddReply(NodeId resolver, const BitCode& code,
                             const TupleColumns& rows, bool authoritative) {
   ++replies_;
   if (replies_counter_ != nullptr) replies_counter_->Inc();
-  responders_.insert(resolver);
+  InsertSorted(&responders_, resolver);
   if (!rows.empty()) {
-    positive_responders_.insert(resolver);
+    InsertSorted(&positive_responders_, resolver);
     MIND_CHECK_EQ(rows.dims, rows_.dims);
   }
   if (authoritative) {
     covered_.push_back(code);
-    covered_codes_.insert(code);
+    InsertSorted(&covered_codes_, code, CodeLess);
   }
   for (size_t i = 0; i < rows.size(); ++i) {
     if (seen_tuples_.Insert(rows.key(i))) {
@@ -56,26 +74,33 @@ void QueryTracker::AddReply(NodeId resolver, const BitCode& code,
 
 bool QueryTracker::IsComplete() {
   int budget = kCoverBudget;
-  while (!pending_.empty()) {
+  while (depth_ > 0) {
     if (--budget < 0) {
       if (budget_exhausted_counter_ != nullptr) {
         budget_exhausted_counter_->Inc();
       }
       return false;
     }
-    if (Covered(&pending_.back())) {
-      pending_.pop_back();
+    if (Covered(&pending_[depth_ - 1])) {
+      --depth_;
       continue;
     }
-    if (pending_.back().code.length() >= max_split_len_) return false;
-    Pending node = std::move(pending_.back());
-    pending_.pop_back();
-    // Child 1 goes under child 0 so the walk keeps child-0-first order.
-    Pending high{node.code.Child(1), node.cursor, node.tested};
-    if (cuts_->Descend(&high.cursor, 1)) PushIfIntersecting(std::move(high));
-    node.code = node.code.Child(0);
-    cuts_->Descend(&node.cursor, 0);  // the low side is never empty
-    PushIfIntersecting(std::move(node));
+    if (pending_[depth_ - 1].code.length() >= max_split_len_) return false;
+    // Split in place: the top becomes its child 1 and the slot above it
+    // child 0, so the walk keeps child-0-first order. Assigning the cursor
+    // into the retired slot reuses that slot's Rect storage.
+    if (depth_ == pending_.size()) pending_.emplace_back();
+    Pending& high = pending_[depth_ - 1];
+    Pending& low = pending_[depth_];
+    low.code = high.code.Child(0);
+    low.cursor = high.cursor;
+    low.tested = high.tested;
+    cuts_->Descend(&low.cursor, 0);  // the low side is never empty
+    high.code = high.code.Child(1);
+    const bool keep_high = cuts_->Descend(&high.cursor, 1) && Admit(&high);
+    const bool keep_low = Admit(&low);
+    if (!keep_high) std::swap(high, low);
+    depth_ = depth_ - 1 + (keep_high ? 1 : 0) + (keep_low ? 1 : 0);
   }
   return true;
 }
@@ -88,12 +113,14 @@ bool QueryTracker::Covered(Pending* p) {
   return false;
 }
 
-void QueryTracker::PushIfIntersecting(Pending p) {
-  if (!p.cursor.rect.Intersects(rect_)) return;
+bool QueryTracker::Admit(Pending* p) const {
+  if (!p->cursor.rect.Intersects(rect_)) return false;
   // A reply the parent was tested against covers this child only if its
   // code is the child's: any shorter one would have covered the parent.
-  p.exact = p.tested > 0 && covered_codes_.count(p.code) > 0;
-  pending_.push_back(std::move(p));
+  p->exact = p->tested > 0 && std::binary_search(covered_codes_.begin(),
+                                                 covered_codes_.end(), p->code,
+                                                 CodeLess);
+  return true;
 }
 
 std::vector<Tuple> MergeResults(

@@ -7,7 +7,6 @@
 #define MIND_MIND_QUERY_TRACKER_H_
 
 #include <map>
-#include <unordered_set>
 #include <vector>
 
 #include "sim/message.h"
@@ -62,10 +61,11 @@ class QueryTracker {
   /// The distinct rows received so far, in first-seen order.
   const TupleColumns& rows() const { return rows_; }
   size_t reply_count() const { return replies_; }
-  const std::unordered_set<NodeId>& responders() const { return responders_; }
+  /// The distinct nodes that replied, in ascending id order.
+  const std::vector<NodeId>& responders() const { return responders_; }
   /// Responders whose reply carried at least one tuple (the rest answered
-  /// negatively, §3.6).
-  const std::unordered_set<NodeId>& positive_responders() const {
+  /// negatively, §3.6), in ascending id order.
+  const std::vector<NodeId>& positive_responders() const {
     return positive_responders_;
   }
   const BitCode& root() const { return root_; }
@@ -84,19 +84,25 @@ class QueryTracker {
 
   // Tests `p` against the replies it was not tested against yet.
   bool Covered(Pending* p);
-  // Pushes `p` unless its rectangle is disjoint from the query. `p.tested`
-  // must be covered_.size(): the root's 0, or a just-tested parent's.
-  void PushIfIntersecting(Pending p);
+  // False if `p`'s rectangle is disjoint from the query; else sets
+  // `p->exact`. `p->tested` must be covered_.size(): the root's 0, or a
+  // just-tested parent's.
+  bool Admit(Pending* p) const;
 
   Rect rect_;
   BitCode root_;
   CutTreeRef cuts_;
   int max_split_len_;
   std::vector<BitCode> covered_;  // authoritative reply codes, arrival order
-  std::unordered_set<BitCode, BitCode::Hash> covered_codes_;  // the same set
-  std::vector<Pending> pending_;  // walk stack; the next subtree is at back()
-  std::unordered_set<NodeId> responders_;
-  std::unordered_set<NodeId> positive_responders_;
+  std::vector<BitCode> covered_codes_;  // the same codes, distinct, sorted
+  // Walk stack: pending_[0, depth_); the next subtree is pending_[depth_-1].
+  // Entries past depth_ are retired but keep their cursor's Rect storage,
+  // which a split reuses, so the walk allocates only when the stack grows
+  // deeper than it has been.
+  std::vector<Pending> pending_;
+  size_t depth_ = 0;
+  std::vector<NodeId> responders_;           // sorted, distinct
+  std::vector<NodeId> positive_responders_;  // sorted, distinct
   KeySet seen_tuples_;  // TupleKey of every row in rows_
   TupleColumns rows_;
   size_t replies_ = 0;

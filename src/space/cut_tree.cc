@@ -190,10 +190,22 @@ int CutTree::BuildBalancedRec(CutTree* tree, const Histogram& hist,
 
 CutTree::Cursor CutTree::Root() const {
   Cursor c;
-  c.rect = Rect::FullSpace(schema_);
-  c.node = nodes_.empty() ? -1 : 0;
-  c.depth = 0;
+  ResetToRoot(&c);
   return c;
+}
+
+void CutTree::ResetToRoot(Cursor* c) const {
+  const int k = schema_.dims();
+  if (c->rect.dims() != k) {
+    c->rect = Rect::FullSpace(schema_);
+  } else {
+    for (int d = 0; d < k; ++d) {
+      const AttributeDef& a = schema_.attr(d);
+      *c->rect.mutable_interval(d) = Interval{a.min, a.max};
+    }
+  }
+  c->node = nodes_.empty() ? -1 : 0;
+  c->depth = 0;
 }
 
 int CutTree::CursorDim(const Cursor& c) const {
@@ -329,26 +341,32 @@ BitCode CutTree::MinimalContainingCode(const Rect& query, int max_len) const {
   return code;
 }
 
-std::vector<BitCode> CutTree::IntersectingChildren(const Rect& query,
-                                                   const BitCode& code) const {
-  std::vector<BitCode> out;
-  Cursor c = Root();
+CutTree::Children CutTree::IntersectingChildren(const Rect& query,
+                                                const BitCode& code,
+                                                Cursor* scratch) const {
+  Children out;
+  ResetToRoot(scratch);
   for (int i = 0; i < code.length(); ++i) {
-    if (!Descend(&c, code.bit(i))) return out;  // empty region: no children
+    if (!Descend(scratch, code.bit(i))) return out;  // empty region: no children
   }
+  const Step step = StepFrom(*scratch);
   for (int bit = 0; bit <= 1; ++bit) {
-    Cursor child = c;
-    if (!Descend(&child, bit)) continue;
-    if (child.rect.Intersects(query)) out.push_back(code.Child(bit));
+    if (!Descend(scratch, bit)) continue;
+    if (scratch->rect.Intersects(query)) out.push_back(code.Child(bit));
+    step.Undo(scratch);
   }
   return out;
 }
 
-void CutTree::CoverRec(const Cursor& c, const Rect& query, int len,
+CutTree::Children CutTree::IntersectingChildren(const Rect& query,
+                                                const BitCode& code) const {
+  Cursor scratch;
+  return IntersectingChildren(query, code, &scratch);
+}
+
+void CutTree::CoverRec(Cursor* c, const Rect& query, int len,
                        size_t max_codes, BitCode* prefix,
                        std::vector<BitCode>* out, bool* overflow) const {
-  if (*overflow) return;
-  if (!c.rect.Intersects(query)) return;
   if (prefix->length() == len) {
     if (out->size() >= max_codes) {
       *overflow = true;
@@ -357,12 +375,18 @@ void CutTree::CoverRec(const Cursor& c, const Rect& query, int len,
     out->push_back(*prefix);
     return;
   }
-  for (int bit = 0; bit <= 1; ++bit) {
-    Cursor child = c;
-    if (!Descend(&child, bit)) continue;
-    prefix->PushBack(bit);
-    CoverRec(child, query, len, max_codes, prefix, out, overflow);
-    prefix->PopBack();
+  // A child differs from `c` only on the cut dimension, so that interval
+  // alone decides whether it still intersects the query.
+  const Step step = StepFrom(*c);
+  const Interval& qi = query.interval(step.dim);
+  for (int bit = 0; bit <= 1 && !*overflow; ++bit) {
+    if (!Descend(c, bit)) continue;
+    if (c->rect.interval(step.dim).Intersects(qi)) {
+      prefix->PushBack(bit);
+      CoverRec(c, query, len, max_codes, prefix, out, overflow);
+      prefix->PopBack();
+    }
+    step.Undo(c);
   }
 }
 
@@ -426,17 +450,27 @@ Status CutTree::ValidateInvariants() const {
   return Status::OK();
 }
 
-Result<std::vector<BitCode>> CutTree::Cover(const Rect& query, int len,
-                                            size_t max_codes) const {
+Status CutTree::Cover(const Rect& query, int len, size_t max_codes,
+                      Cursor* scratch, std::vector<BitCode>* out) const {
   MIND_CHECK(len >= 0 && len <= BitCode::kMaxLen);
-  std::vector<BitCode> out;
+  out->clear();
+  ResetToRoot(scratch);
+  if (!scratch->rect.Intersects(query)) return Status::OK();
   BitCode prefix;
   bool overflow = false;
-  CoverRec(Root(), query, len, max_codes, &prefix, &out, &overflow);
+  CoverRec(scratch, query, len, max_codes, &prefix, out, &overflow);
   if (overflow) {
     return Status::OutOfRange("query cover exceeds max_codes at len " +
                               std::to_string(len));
   }
+  return Status::OK();
+}
+
+Result<std::vector<BitCode>> CutTree::Cover(const Rect& query, int len,
+                                            size_t max_codes) const {
+  Cursor scratch;
+  std::vector<BitCode> out;
+  MIND_RETURN_NOT_OK(Cover(query, len, max_codes, &scratch, &out));
   return out;
 }
 

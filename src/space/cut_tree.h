@@ -61,32 +61,63 @@ class CutTree {
   /// query ∩ space. This is where a query is first routed (§3.6).
   BitCode MinimalContainingCode(const Rect& query, int max_len) const;
 
-  /// The children codes of `code` (one bit longer) whose rectangles
-  /// intersect `query`; 0, 1 or 2 entries. Used by nodes to split queries
-  /// into sub-queries. `rect` must be the rectangle of `code`.
-  std::vector<BitCode> IntersectingChildren(const Rect& query,
-                                            const BitCode& code) const;
-
-  /// All codes of length exactly `len` whose rectangles intersect `query`.
-  /// Errors with OutOfRange if more than `max_codes` would be produced.
-  Result<std::vector<BitCode>> Cover(const Rect& query, int len,
-                                     size_t max_codes = 65536) const;
-
-  /// Dimension cut at a given depth.
-  int DimAtDepth(int depth) const { return depth % schema_.dims(); }
-
   /// Walking state: the region of the code walked so far and its
-  /// materialized node (or -1). A walker that visits many codes carries one
-  /// cursor per code and steps it with Descend instead of re-walking each
-  /// code from the root with RectForCode.
+  /// materialized node (or -1). Descend steps it one level; a walk that
+  /// visits many codes descends one cursor and climbs back instead of
+  /// re-walking each code from the root with RectForCode.
   struct Cursor {
     Rect rect;
     int node = -1;
     int depth = 0;
   };
 
+  /// Up to two child codes, in bit order. A value, so a split allocates
+  /// nothing.
+  class Children {
+   public:
+    size_t size() const { return size_; }
+    const BitCode& operator[](size_t i) const { return codes_[i]; }
+    const BitCode* begin() const { return codes_; }
+    const BitCode* end() const { return codes_ + size_; }
+
+   private:
+    friend class CutTree;
+    void push_back(const BitCode& c) { codes_[size_++] = c; }
+
+    BitCode codes_[2];
+    size_t size_ = 0;
+  };
+
+  /// The children codes of `code` (one bit longer) whose rectangles
+  /// intersect `query`; 0, 1 or 2 entries, none if `code` walks into an
+  /// empty side. Used by nodes to split queries into sub-queries.
+  /// `scratch` is the caller's storage for the walk's cursor: its value on
+  /// entry is ignored, and a caller that keeps it across calls makes the
+  /// walk allocation-free. The two-argument form uses a cursor of its own.
+  Children IntersectingChildren(const Rect& query, const BitCode& code,
+                                Cursor* scratch) const;
+  Children IntersectingChildren(const Rect& query, const BitCode& code) const;
+
+  /// All codes of length exactly `len` whose rectangles intersect `query`,
+  /// in ascending key order (child 0 before child 1), into `out` (cleared
+  /// first). Errors with OutOfRange if more than `max_codes` would be
+  /// produced; `out` then holds the first `max_codes`. `scratch` is the
+  /// walk's cursor, as for IntersectingChildren: one cursor descends in
+  /// place and climbs back, so with caller-kept `scratch` and `out` the walk
+  /// allocates only when `out` outgrows its capacity.
+  Status Cover(const Rect& query, int len, size_t max_codes, Cursor* scratch,
+               std::vector<BitCode>* out) const;
+  /// The same cover, returned by value (fresh scratch and buffer).
+  Result<std::vector<BitCode>> Cover(const Rect& query, int len,
+                                     size_t max_codes = 65536) const;
+
+  /// Dimension cut at a given depth.
+  int DimAtDepth(int depth) const { return depth % schema_.dims(); }
+
   /// Cursor at the root region (the empty code).
   Cursor Root() const;
+  /// Moves `c` to the root region, reusing its rectangle's storage.
+  void ResetToRoot(Cursor* c) const;
   /// Descends one level. Returns false if that side is empty (only possible
   /// for bit==1 on a single-value interval).
   bool Descend(Cursor* c, int bit) const;
@@ -126,7 +157,27 @@ class CutTree {
   // Cut value applied at the cursor's depth within its rect.
   Value CutValue(const Cursor& c) const;
 
-  void CoverRec(const Cursor& c, const Rect& query, int len, size_t max_codes,
+  // Descend changes one interval, `node` and `depth`. A walk that descends
+  // one cursor in place records them before a step and restores them on
+  // the way back up, instead of copying the cursor (and its Rect) per child.
+  struct Step {
+    int dim;
+    Interval iv;
+    int node;
+    void Undo(Cursor* c) const {
+      *c->rect.mutable_interval(dim) = iv;
+      c->node = node;
+      --c->depth;
+    }
+  };
+  Step StepFrom(const Cursor& c) const {
+    const int dim = CursorDim(c);
+    return Step{dim, c.rect.interval(dim), c.node};
+  }
+
+  // Appends the cover of `c`'s subtree; `c` intersects `query` and is left
+  // where it was.
+  void CoverRec(Cursor* c, const Rect& query, int len, size_t max_codes,
                 BitCode* prefix, std::vector<BitCode>* out, bool* overflow) const;
 
   static int BuildBalancedRec(CutTree* tree, const Histogram& hist,

@@ -22,14 +22,14 @@ uint64_t EntryDigest(const Rect& rect, const CutTree* cuts, int len) {
 }  // namespace
 
 CoverRanges ComputeCoverRanges(const CutTree& cuts, const Rect& rect, int len,
-                               size_t max_codes) {
+                               size_t max_codes, CoverScratch* scratch) {
   CoverRanges out;
-  auto cover = cuts.Cover(rect, len, max_codes);
-  if (!cover.ok()) {
+  if (!cuts.Cover(rect, len, max_codes, &scratch->cursor, &scratch->codes)
+           .ok()) {
     out.fallback = true;
     return out;
   }
-  for (const BitCode& code : cover.value()) {
+  for (const BitCode& code : scratch->codes) {
     uint64_t lo = CodeKey(code);
     uint64_t hi = CodeKeyEnd(code);
     // CoverRec emits codes in ascending key order (bit-0 child first), so
@@ -55,6 +55,7 @@ void CoverCache::Invalidate() {
   // clear() keeps the bucket array; swapping with an empty table frees it.
   decltype(table_)().swap(table_);
   entries_ = 0;
+  scratch_ = CoverScratch();
 }
 
 const CoverRanges* CoverCache::GetOrCompute(const Rect& rect,
@@ -79,7 +80,7 @@ const CoverRanges* CoverCache::GetOrCompute(const Rect& rect,
   e.rect = rect;
   e.cuts = cuts;
   e.len = len;
-  e.cover = ComputeCoverRanges(*cuts, rect, len, max_codes);
+  e.cover = ComputeCoverRanges(*cuts, rect, len, max_codes, &scratch_);
   std::vector<Entry>& chain = table_[key];
   chain.push_back(std::move(e));
   ++entries_;

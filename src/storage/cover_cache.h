@@ -60,10 +60,19 @@ struct CoverRanges {
   std::vector<KeyRange> ranges;
 };
 
+/// What a cover walk reuses from one call to the next: the cut-tree cursor
+/// it descends in place and the buffer its codes land in. Kept by the
+/// caller, so a warm walk allocates only the ranges it returns.
+struct CoverScratch {
+  CutTree::Cursor cursor;
+  std::vector<BitCode> codes;
+};
+
 /// Merged key ranges of `cuts.Cover(rect, len, max_codes)` (fallback on
-/// cover overflow). Pure; the cache and cache-less scans share it.
+/// cover overflow), walked in `scratch`. Pure in its result; the cache and
+/// cache-less scans share it.
 CoverRanges ComputeCoverRanges(const CutTree& cuts, const Rect& rect, int len,
-                               size_t max_codes);
+                               size_t max_codes, CoverScratch* scratch);
 
 class CoverCache {
  public:
@@ -77,9 +86,10 @@ class CoverCache {
   const CoverRanges* GetOrCompute(const Rect& rect, const CutTreeRef& cuts,
                                   int len, size_t max_codes);
 
-  /// Drops every entry and releases the table's memory now. A lazy clear
-  /// at the next lookup would keep a crashed node's trees pinned, and leave
-  /// a node that is not queried again holding its old covers.
+  /// Drops every entry and releases the table's memory, walk scratch
+  /// included, now. A lazy clear at the next lookup would keep a crashed
+  /// node's trees pinned, and leave a node that is not queried again
+  /// holding its old covers.
   void Invalidate();
 
   /// Cached entry count.
@@ -102,6 +112,7 @@ class CoverCache {
   // cuts, len) comparison below, never trusted.
   std::unordered_map<uint64_t, std::vector<Entry>> table_;
   size_t entries_ = 0;
+  CoverScratch scratch_;  // the walk of every miss
   telemetry::Counter* hits_ = nullptr;
   telemetry::Counter* misses_ = nullptr;
 };

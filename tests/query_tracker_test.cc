@@ -43,7 +43,7 @@ TEST(QueryTrackerTest, SingleReplyCoveringRootCompletes) {
   tracker.AddReply(3, BitCode(), Rows({T(1)}));
   EXPECT_TRUE(tracker.IsComplete());
   EXPECT_EQ(tracker.rows().size(), 1u);
-  EXPECT_EQ(tracker.responders().count(3), 1u);
+  EXPECT_EQ(tracker.responders(), std::vector<NodeId>{3});
 }
 
 TEST(QueryTrackerTest, BothChildrenNeededWhenQueryStraddles) {
@@ -103,9 +103,8 @@ TEST(QueryTrackerTest, PositiveRespondersTracked) {
   QueryTracker tracker(q, BitCode(), Cuts(), 16);
   tracker.AddReply(1, BitCode::FromString("0"), {});        // negative
   tracker.AddReply(2, BitCode::FromString("1"), Rows({T(1)}));  // positive
-  EXPECT_EQ(tracker.responders().size(), 2u);
-  EXPECT_EQ(tracker.positive_responders().size(), 1u);
-  EXPECT_EQ(tracker.positive_responders().count(2), 1u);
+  EXPECT_EQ(tracker.responders(), (std::vector<NodeId>{1, 2}));
+  EXPECT_EQ(tracker.positive_responders(), std::vector<NodeId>{2});
 }
 
 TEST(QueryTrackerTest, ParentReplySubsumesChildGaps) {

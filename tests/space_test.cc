@@ -463,6 +463,162 @@ TEST(CutTreeBalancedTest, CoverAndPointCodesConsistent) {
   }
 }
 
+// ---------------------------------------------- cover and split vs an oracle
+
+// A random Even or Balanced tree over 1-6 dimensions. Some dimensions hold
+// a single value (every high side along them is empty) and some only a few
+// (descent reaches single-value intervals within 12 levels).
+CutTree RandomTree(Rng* rng) {
+  const int dims = 1 + static_cast<int>(rng->Uniform(6));
+  std::vector<AttributeDef> attrs;
+  for (int d = 0; d < dims; ++d) {
+    std::string name = "d";
+    name += std::to_string(d);
+    const Value lo = rng->Uniform(100);
+    Value span = 0;
+    switch (rng->Uniform(4)) {
+      case 0:
+        span = 0;
+        break;
+      case 1:
+        span = rng->Uniform(8);
+        break;
+      default:
+        span = rng->Uniform(uint64_t{1} << (4 + rng->Uniform(28)));
+    }
+    attrs.push_back({name, lo, lo + span});
+  }
+  Schema schema(attrs);
+  if (rng->Bernoulli(0.5)) return CutTree::Even(schema);
+  Histogram hist(schema, 8);
+  const Rect space = Rect::FullSpace(schema);
+  for (int i = 0; i < 200; ++i) {
+    Point p(dims);
+    for (int d = 0; d < dims; ++d) {
+      const Interval iv = space.interval(d);
+      const Value span = iv.hi - iv.lo;
+      p[d] = iv.lo + rng->Uniform(rng->Bernoulli(0.7) ? span / 8 + 1 : span + 1);
+    }
+    hist.Add(p);
+  }
+  auto tree = CutTree::Balanced(schema, hist, static_cast<int>(rng->Uniform(9)));
+  MIND_CHECK(tree.ok());
+  return std::move(*tree);
+}
+
+// A query box inside the space, or (now and then) poking past its edges.
+Rect RandomBox(Rng* rng, const Schema& schema) {
+  std::vector<Interval> ivs;
+  for (int d = 0; d < schema.dims(); ++d) {
+    const AttributeDef& a = schema.attr(d);
+    const Value lo = rng->Bernoulli(0.1) ? 0 : a.min;
+    const Value hi = rng->Bernoulli(0.1) ? a.max + 5 : a.max;
+    Value x = rng->UniformRange(lo, hi);
+    Value y = rng->Bernoulli(0.5) ? x + rng->Uniform((hi - x) / 8 + 1)
+                                  : rng->UniformRange(lo, hi);
+    if (x > y) std::swap(x, y);
+    ivs.push_back({x, y});
+  }
+  return Rect(ivs);
+}
+
+// Every code of length `len` whose rectangle intersects `query`, in
+// ascending key order.
+std::vector<BitCode> OracleCover(const CutTree& t, const Rect& query, int len) {
+  std::vector<BitCode> out;
+  for (uint64_t bits = 0; bits < (uint64_t{1} << len); ++bits) {
+    const BitCode code = BitCode::FromBits(bits, len);
+    auto rect = t.RectForCode(code);
+    if (rect.has_value() && rect->Intersects(query)) out.push_back(code);
+  }
+  return out;
+}
+
+std::vector<BitCode> Codes(const CutTree::Children& kids) {
+  return std::vector<BitCode>(kids.begin(), kids.end());
+}
+
+TEST(CutTreeCoverPropertyTest, CoverAndSplitMatchOracle) {
+  Rng rng(2811);
+  CutTree::Cursor shared;  // one caller's scratch, across trees of any arity
+  std::vector<BitCode> shared_out;
+  int nonempty = 0, overflow_checked = 0, empty_sides = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    const CutTree t = RandomTree(&rng);
+    const Rect query = RandomBox(&rng, t.schema());
+    const int len = static_cast<int>(rng.Uniform(13));
+    const std::vector<BitCode> oracle = OracleCover(t, query, len);
+    nonempty += !oracle.empty();
+    empty_sides += OracleCover(t, Rect::FullSpace(t.schema()), len).size() <
+                   (size_t{1} << len);
+
+    auto fresh = t.Cover(query, len);
+    ASSERT_TRUE(fresh.ok()) << "trial " << trial;
+    EXPECT_EQ(*fresh, oracle) << "trial " << trial << " len " << len;
+    ASSERT_TRUE(t.Cover(query, len, 65536, &shared, &shared_out).ok());
+    EXPECT_EQ(shared_out, oracle) << "shared scratch, trial " << trial;
+
+    // max_codes == count passes; one fewer overflows.
+    const size_t count = oracle.size();
+    ASSERT_TRUE(t.Cover(query, len, count, &shared, &shared_out).ok());
+    EXPECT_EQ(shared_out, oracle);
+    if (count > 0) {
+      ++overflow_checked;
+      EXPECT_TRUE(t.Cover(query, len, count - 1).status().IsOutOfRange());
+      EXPECT_TRUE(t.Cover(query, len, count - 1, &shared, &shared_out)
+                      .IsOutOfRange());
+    }
+
+    // Splits of every code of length < 12 along a random path, and of
+    // random codes (some walking into an empty side).
+    BitCode code;
+    for (int depth = 0; depth < 12; ++depth) {
+      std::vector<BitCode> expect;
+      for (int bit = 0; bit <= 1; ++bit) {
+        auto rect = t.RectForCode(code.Child(bit));
+        if (rect.has_value() && rect->Intersects(query)) {
+          expect.push_back(code.Child(bit));
+        }
+      }
+      EXPECT_EQ(Codes(t.IntersectingChildren(query, code)), expect)
+          << "trial " << trial << " code " << code.ToString();
+      EXPECT_EQ(Codes(t.IntersectingChildren(query, code, &shared)), expect)
+          << "shared scratch, trial " << trial << " code " << code.ToString();
+      code.PushBack(static_cast<int>(rng.Uniform(2)));
+    }
+  }
+  // The sweep reaches the cases it is meant to.
+  EXPECT_GT(nonempty, 150);
+  EXPECT_GT(overflow_checked, 150);
+  EXPECT_GT(empty_sides, 30);
+}
+
+TEST(CutTreeCoverPropertyTest, BackToBackCallsOnSharedScratchAgree) {
+  Rng rng(2812);
+  for (int trial = 0; trial < 100; ++trial) {
+    const CutTree a = RandomTree(&rng);
+    const CutTree b = RandomTree(&rng);
+    const Rect qa = RandomBox(&rng, a.schema());
+    const Rect qb = RandomBox(&rng, b.schema());
+    const int len = static_cast<int>(rng.Uniform(13));
+    CutTree::Cursor scratch;
+    std::vector<BitCode> out;
+    // a, then b (possibly another arity), then a again on the same scratch.
+    ASSERT_TRUE(a.Cover(qa, len, 65536, &scratch, &out).ok());
+    EXPECT_EQ(out, *a.Cover(qa, len));
+    ASSERT_TRUE(b.Cover(qb, len, 65536, &scratch, &out).ok());
+    EXPECT_EQ(out, *b.Cover(qb, len));
+    ASSERT_TRUE(a.Cover(qa, len, 65536, &scratch, &out).ok());
+    EXPECT_EQ(out, *a.Cover(qa, len));
+    // The code of a's low corner (CodeForPoint clamps into the space).
+    const BitCode code = a.CodeForPoint(Point(a.schema().dims(), 0), len);
+    EXPECT_EQ(Codes(a.IntersectingChildren(qa, code, &scratch)),
+              Codes(a.IntersectingChildren(qa, code)));
+    EXPECT_EQ(Codes(b.IntersectingChildren(qb, code, &scratch)),
+              Codes(b.IntersectingChildren(qb, code)));
+  }
+}
+
 // Property sweep over schemas/dimensions: code/rect duality holds for any
 // dimensionality and domain shape. gtest prints the raw bytes of a param into
 // the test names, so the struct must have no padding: `dims` is 64-bit.

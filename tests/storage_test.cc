@@ -232,8 +232,9 @@ TEST(TupleStoreTest, FreezeCompactionAtVersionBoundary) {
 
 TEST(CoverCacheTest, RangesAreMergedSortedAndDisjoint) {
   auto cuts = EvenCuts();
-  CoverRanges cr =
-      ComputeCoverRanges(*cuts, Rect({{0, 4999}, {0, 9999}}), 12, 4096);
+  CoverScratch scratch;
+  CoverRanges cr = ComputeCoverRanges(*cuts, Rect({{0, 4999}, {0, 9999}}), 12,
+                                      4096, &scratch);
   ASSERT_FALSE(cr.fallback);
   ASSERT_FALSE(cr.ranges.empty());
   for (size_t i = 0; i < cr.ranges.size(); ++i) {
@@ -334,8 +335,9 @@ TupleStoreConfig BackendConfig() {
 uint64_t ExpectedExamined(const CutTree& cuts, const Rect& q, int cover_len,
                           size_t max_cover_codes, int code_len,
                           const std::vector<Tuple>& tuples) {
+  CoverScratch scratch;
   const CoverRanges cover =
-      ComputeCoverRanges(cuts, q, cover_len, max_cover_codes);
+      ComputeCoverRanges(cuts, q, cover_len, max_cover_codes, &scratch);
   uint64_t n = 0;
   for (const Tuple& t : tuples) {
     const uint64_t key = CodeKey(cuts.CodeForPoint(t.point, code_len));
