@@ -85,8 +85,6 @@ class IngestPipeline {
   /// Tuples currently buffered across all lanes.
   size_t queued_tuples() const;
   /// Tuples refused by a kDefer lane and parked in the holdover buffer.
-  /// Driver-side state: a MindNet snapshot deliberately excludes it, which
-  /// is why SaveSnapshot refuses to run while the pipeline is mid-flight.
   size_t holdover_tuples() const { return holdover_.size(); }
 
  private:

@@ -4,7 +4,6 @@
 #ifndef MIND_MIND_MIND_NET_H_
 #define MIND_MIND_MIND_NET_H_
 
-#include <iosfwd>
 #include <memory>
 #include <unordered_map>
 #include <unordered_set>
@@ -88,25 +87,6 @@ class MindNet {
   /// Runs the non-quiescent validators every `interval` of virtual time,
   /// piggybacked on event execution (aborts via MIND_CHECK on violation).
   void EnablePeriodicValidation(SimTime interval);
-
-  // ---- snapshot / restore (MSN1, DESIGN.md §14) -------------------------
-
-  /// Serializes the whole deployment — clock, RNGs, network liveness and
-  /// outage plans, every node's overlay and index state — as one versioned
-  /// binary stream (format MSN1). Requires quiescence: the only pending
-  /// events allowed are the nodes' re-armable heartbeat timers; anything
-  /// else (in-flight queries, joins, failure-injector callbacks) is an error
-  /// naming the offender. The header records StateDigest() so a
-  /// restore can prove bit-identity.
-  Status SaveSnapshot(std::ostream& out) const;
-
-  /// Restores a SaveSnapshot stream into this *freshly constructed* net
-  /// (same size and topology options; never run). The thread and shard
-  /// counts may differ from the saved net's, because keyed event ordering is
-  /// engine-independent. After restoring, recomputes
-  /// StateDigest() and errors unless it equals the saved digest, so a
-  /// corrupted or divergent restore can never run silently.
-  Status LoadSnapshot(std::istream& in);
 
  private:
   std::unique_ptr<Simulator> sim_;

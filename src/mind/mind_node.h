@@ -231,29 +231,6 @@ class MindNode {
   /// and whatever the metrics registry holds.
   void DigestInto(Fnv64* out) const;
 
-  // ---- snapshot (MSN1, DESIGN.md §14) --------------------------------------
-
-  /// Visits every cut tree referenced by this node's version chains (primary
-  /// and replica, every index) so the snapshot layer can intern trees shared
-  /// across nodes and write each distinct tree once.
-  void ForEachCutTree(const std::function<void(const CutTreeRef&)>& fn) const;
-
-  /// Serializes this node's application state: the overlay section, every
-  /// index (definition, synced versions, primary and replica chains), the
-  /// local sequence counters, the DAC clock and the RNG cursor. Requires
-  /// application-level quiescence — an originated query awaiting completion
-  /// or a histogram collection round in flight is an error naming the node
-  /// and the pending count. `tree_index` maps a chain's cut tree to its slot
-  /// in the snapshot's interned tree table.
-  Status SaveSnapshotState(SnapWriter* w,
-                           const std::function<uint32_t(const CutTreeRef&)>&
-                               tree_index) const;
-
-  /// Restores state written by SaveSnapshotState into this freshly
-  /// constructed node. `trees` is the deserialized interned tree table.
-  Status LoadSnapshotState(SnapReader* r,
-                           const std::vector<CutTreeRef>& trees);
-
  private:
   struct IndexState {
     IndexDef def;
@@ -344,8 +321,7 @@ class MindNode {
   std::unordered_map<uint64_t, PendingQuery> queries_;
   uint64_t query_seq_ = 0;
   // Inserts and trains originated here. Nothing reads it back, but
-  // DigestInto mixes it and MSN1 snapshots carry it, so dropping it would
-  // re-pin every digest and bump the snapshot version.
+  // DigestInto mixes it, so dropping it would re-pin every digest.
   uint64_t insert_seq_ = 0;
 
   // local storage-thread model (the DAC queue)

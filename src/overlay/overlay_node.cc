@@ -126,38 +126,29 @@ void OverlayNode::SendRaw(NodeId to, MessagePtr msg) {
 }
 
 void OverlayNode::PrunePeers() {
-  if (static_cast<int>(peers_.size()) <=
-      options_.max_peers_per_level * (code_.length() + 1)) {
-    return;
-  }
-  // Bucket peers by common-prefix level; keep the sibling plus the
-  // lowest-id peers per level (deterministic).
-  std::unordered_map<int, std::vector<NodeId>> by_level;
-  for (const auto& [peer, pcode] : peers_) {
-    by_level[code_.CommonPrefixLen(pcode)].push_back(peer);
-  }
-  PeerTable kept;
-  const BitCode sibling =
-      code_.length() > 0 ? code_.Sibling() : BitCode();
-  for (auto& [level, ids] : by_level) {
-    std::sort(ids.begin(), ids.end());
-    int quota = options_.max_peers_per_level;
-    // The exact sibling is structurally special (takeover, replication):
-    // keep it beyond quota if needed.
-    for (NodeId peer : ids) {
-      const BitCode& pcode = peers_[peer];
-      if (code_.length() > 0 && pcode == sibling) {
-        kept[peer] = pcode;
-      }
+  const int quota = options_.max_peers_per_level;
+  if (static_cast<int>(peers_.size()) <= quota * (code_.length() + 1)) return;
+  // Keep the sibling plus the lowest-id `quota` peers per common-prefix
+  // level (deterministic). The table iterates in ascending id order, so
+  // one pass that counts the peers kept at each level keeps exactly those.
+  // The exact sibling is structurally special (takeover, replication): it
+  // is kept beyond the quota and does not count against its level.
+  std::array<int, BitCode::kMaxLen + 1> kept_at_level{};
+  const bool has_sibling = code_.length() > 0;
+  const BitCode sibling = has_sibling ? code_.Sibling() : BitCode();
+  for (auto it = peers_.begin(); it != peers_.end();) {
+    if (has_sibling && it->second == sibling) {
+      ++it;
+      continue;
     }
-    for (NodeId peer : ids) {
-      if (kept.count(peer)) continue;
-      if (quota <= 0) break;
-      kept[peer] = peers_[peer];
-      --quota;
+    int& kept = kept_at_level[code_.CommonPrefixLen(it->second)];
+    if (kept < quota) {
+      ++kept;
+      ++it;
+    } else {
+      it = peers_.erase(it);
     }
   }
-  peers_ = std::move(kept);
 }
 
 void OverlayNode::SendDirect(NodeId to, MessagePtr msg) {

@@ -161,26 +161,6 @@ class OverlayNode : public Host {
   /// table) into `out`. Independent of hash-table layout.
   void DigestInto(Fnv64* out) const;
 
-  /// Serializes the node's durable overlay state for the MSN1 snapshot
-  /// (DESIGN.md §14). The snapshot model is quiescent-except-timers: every
-  /// pending event must be a re-armable heartbeat, so any in-flight join,
-  /// retry queue, ring search, vacancy probe or watch is an error naming the
-  /// offending structure. Dedup sets (broadcast/ring/probe ids) are NOT
-  /// saved: their id allocators are, so post-restore ids can never collide
-  /// with pre-snapshot ones.
-  Status SaveSnapshotState(SnapWriter* w) const;
-  /// Restores state saved by SaveSnapshotState into this freshly
-  /// constructed node and re-arms its heartbeat timer under its saved
-  /// (time, band, ukey) key. Keyed digests ignore per-queue insertion
-  /// sequences, which is what lets a snapshot restore into a different
-  /// thread/shard count.
-  Status LoadSnapshotState(SnapReader* r);
-
-  /// True while the heartbeat timer is live in the event queue — the one
-  /// event class the snapshot layer re-arms (MindNet's save-time quiescence
-  /// audit counts these against the queues' total pending events).
-  bool HasPendingHeartbeat() const;
-
  private:
   friend class OverlayTestPeek;
 

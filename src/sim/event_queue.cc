@@ -302,14 +302,4 @@ void EventQueue::CollectKeyed(std::vector<std::array<uint64_t, 3>>* out) const {
   }
 }
 
-bool EventQueue::EventInfo(EventId id, PendingInfo* out) const {
-  uint32_t slot = DecodeLive(id);
-  if (slot == kNone || !slots_[slot].live) return false;
-  const Slot& s = slots_[slot];
-  out->time = s.time;
-  out->ukey = s.ukey;
-  out->band = s.band;
-  return true;
-}
-
 }  // namespace mind

@@ -150,17 +150,6 @@ class EventQueue {
   /// across all shard queues and digests that.
   void CollectKeyed(std::vector<std::array<uint64_t, 3>>* out) const;
 
-  /// Ordering key of a live pending event. Snapshot save records a pending
-  /// heartbeat timer's key so restore can re-arm it (src/mind/snapshot.cc).
-  struct PendingInfo {
-    SimTime time = 0;
-    uint64_t ukey = 0;
-    uint8_t band = 0;
-  };
-
-  /// Looks up a live event by handle; false if the id is stale/invalid.
-  bool EventInfo(EventId id, PendingInfo* out) const;
-
  private:
   friend class EventQueueTestPeek;  // corruption injection in validator tests
 

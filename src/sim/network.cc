@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "sim/parallel_engine.h"
-#include "util/snapio.h"
 #include "util/logging.h"
 
 namespace mind {
@@ -294,184 +293,6 @@ Network::LinkStats Network::GetLinkStats(NodeId from, NodeId to) const {
   if (static_cast<size_t>(from) >= links_.size()) return LinkStats{};
   const LinkState* link = links_[static_cast<size_t>(from)].Find(to);
   return link != nullptr ? link->stats : LinkStats{};
-}
-
-namespace {
-constexpr uint64_t kNetSectionMark = 0x4d534e314e455431ull;  // "MSN1NET1"
-
-// Sorted (key, value) view of an unordered map, so the stream is independent
-// of hash-table iteration order.
-template <typename Map>
-std::vector<std::pair<typename Map::key_type, typename Map::mapped_type>>
-SortedEntries(const Map& m) {
-  std::vector<std::pair<typename Map::key_type, typename Map::mapped_type>> v(
-      m.begin(), m.end());
-  std::sort(v.begin(), v.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  return v;
-}
-}  // namespace
-
-void Network::SaveSnapshotState(SnapWriter* w) const {
-  w->U64(kNetSectionMark);
-  w->U64(hosts_.size());
-  for (const HostState& h : hosts_) {
-    w->U8(h.up ? 1 : 0);
-    w->U64(h.loopback_count);
-  }
-
-  w->U64(links_.size());
-  for (const LinkRow& row : links_) {
-    std::vector<std::pair<NodeId, const LinkState*>> entries;
-    entries.reserve(row.active_links());
-    row.ForEachLink([&entries](NodeId dst, const LinkState& state) {
-      entries.emplace_back(dst, &state);
-    });
-    std::sort(entries.begin(), entries.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    w->U64(entries.size());
-    for (const auto& [dst, link] : entries) {
-      w->U32(static_cast<uint32_t>(dst));
-      w->U64(link->busy_until);
-      w->U64(link->last_arrival);
-      w->U64(link->send_count);
-      w->U64(link->stats.messages);
-      w->U64(link->stats.bytes);
-      // cached_latency / latency_epoch are a memo; restore refills them.
-    }
-  }
-
-  w->U64(node_outages_.size());
-  for (const auto& plan : node_outages_) {
-    w->U64(plan.size());
-    for (const Outage& o : plan) {
-      w->U64(o.from);
-      w->U64(o.until);
-    }
-  }
-
-  const auto link_plans = SortedEntries(link_outages_);
-  w->U64(link_plans.size());
-  for (const auto& [key, plan] : link_plans) {
-    w->U64(key);
-    w->U64(plan.size());
-    for (const Outage& o : plan) {
-      w->U64(o.from);
-      w->U64(o.until);
-    }
-  }
-
-  const auto overrides = SortedEntries(latency_override_);
-  w->U64(overrides.size());
-  for (const auto& [key, latency] : overrides) {
-    w->U64(key);
-    w->U64(latency);
-  }
-}
-
-Status Network::LoadSnapshotState(SnapReader* r) {
-  MIND_CHECK(!InParallelPhase()) << "LoadSnapshotState during a parallel phase";
-  MIND_RETURN_NOT_OK(r->Expect64(kNetSectionMark, "network.section"));
-  uint64_t host_count;
-  MIND_ASSIGN_OR_RETURN(host_count, r->U64("network.host_count"));
-  if (host_count != hosts_.size()) {
-    return r->FieldError("network.host_count",
-                         "snapshot has " + std::to_string(host_count) +
-                             " hosts but this fabric has " +
-                             std::to_string(hosts_.size()));
-  }
-  for (HostState& h : hosts_) {
-    uint8_t up;
-    MIND_ASSIGN_OR_RETURN(up, r->U8("network.host.up"));
-    if (up > 1) return r->FieldError("network.host.up", "not a boolean");
-    h.up = up != 0;
-    MIND_ASSIGN_OR_RETURN(h.loopback_count, r->U64("network.host.loopback"));
-  }
-
-  uint64_t row_count;
-  MIND_ASSIGN_OR_RETURN(row_count, r->U64("network.link_rows"));
-  if (row_count > hosts_.size()) {
-    return r->FieldError("network.link_rows", "more rows than hosts");
-  }
-  links_.clear();
-  links_.resize(hosts_.size());
-  for (uint64_t from = 0; from < row_count; ++from) {
-    uint64_t n;
-    MIND_ASSIGN_OR_RETURN(n, r->U64("network.link_row.count"));
-    if (n > hosts_.size()) {
-      return r->FieldError("network.link_row.count",
-                           "row " + std::to_string(from) + " claims " +
-                               std::to_string(n) + " links in a fleet of " +
-                               std::to_string(hosts_.size()));
-    }
-    for (uint64_t i = 0; i < n; ++i) {
-      uint32_t dst;
-      MIND_ASSIGN_OR_RETURN(dst, r->U32("network.link.dst"));
-      if (dst >= hosts_.size()) {
-        return r->FieldError("network.link.dst",
-                             "destination " + std::to_string(dst) +
-                                 " out of range");
-      }
-      LinkState& link =
-          links_[static_cast<size_t>(from)].FindOrInsert(
-              static_cast<NodeId>(dst));
-      MIND_ASSIGN_OR_RETURN(link.busy_until, r->U64("network.link.busy_until"));
-      MIND_ASSIGN_OR_RETURN(link.last_arrival,
-                            r->U64("network.link.last_arrival"));
-      MIND_ASSIGN_OR_RETURN(link.send_count, r->U64("network.link.send_count"));
-      MIND_ASSIGN_OR_RETURN(link.stats.messages,
-                            r->U64("network.link.messages"));
-      MIND_ASSIGN_OR_RETURN(link.stats.bytes, r->U64("network.link.bytes"));
-    }
-  }
-
-  uint64_t plan_nodes;
-  MIND_ASSIGN_OR_RETURN(plan_nodes, r->U64("network.node_outages.count"));
-  if (plan_nodes > hosts_.size()) {
-    return r->FieldError("network.node_outages.count", "more plans than hosts");
-  }
-  node_outages_.clear();
-  node_outages_.resize(plan_nodes);
-  for (uint64_t i = 0; i < plan_nodes; ++i) {
-    uint64_t n;
-    MIND_ASSIGN_OR_RETURN(n, r->U64("network.node_outages.len"));
-    node_outages_[i].resize(n);
-    for (uint64_t j = 0; j < n; ++j) {
-      MIND_ASSIGN_OR_RETURN(node_outages_[i][j].from,
-                            r->U64("network.node_outage.from"));
-      MIND_ASSIGN_OR_RETURN(node_outages_[i][j].until,
-                            r->U64("network.node_outage.until"));
-    }
-  }
-
-  uint64_t link_plan_count;
-  MIND_ASSIGN_OR_RETURN(link_plan_count, r->U64("network.link_outages.count"));
-  link_outages_.clear();
-  for (uint64_t i = 0; i < link_plan_count; ++i) {
-    uint64_t key, n;
-    MIND_ASSIGN_OR_RETURN(key, r->U64("network.link_outages.key"));
-    MIND_ASSIGN_OR_RETURN(n, r->U64("network.link_outages.len"));
-    auto& plan = link_outages_[key];
-    plan.resize(n);
-    for (uint64_t j = 0; j < n; ++j) {
-      MIND_ASSIGN_OR_RETURN(plan[j].from, r->U64("network.link_outage.from"));
-      MIND_ASSIGN_OR_RETURN(plan[j].until, r->U64("network.link_outage.until"));
-    }
-  }
-
-  uint64_t override_count;
-  MIND_ASSIGN_OR_RETURN(override_count,
-                        r->U64("network.latency_override.count"));
-  latency_override_.clear();
-  for (uint64_t i = 0; i < override_count; ++i) {
-    uint64_t key, latency;
-    MIND_ASSIGN_OR_RETURN(key, r->U64("network.latency_override.key"));
-    MIND_ASSIGN_OR_RETURN(latency, r->U64("network.latency_override.value"));
-    latency_override_[key] = latency;
-  }
-  // Overrides may differ from the construction-time table; invalidate memos.
-  ++latency_epoch_;
-  return Status::OK();
 }
 
 }  // namespace mind

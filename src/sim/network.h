@@ -21,9 +21,6 @@
 
 namespace mind {
 
-class SnapReader;
-class SnapWriter;
-
 /// Latitude/longitude in degrees; used to derive propagation delays.
 struct GeoPoint {
   double lat_deg = 0.0;
@@ -164,16 +161,6 @@ class Network {
 
   EventQueue* events() const { return events_; }
 
-  /// Serializes the fabric's mutable state — host up flags and loopback
-  /// counters, per-directed-link FIFO clocks and send counters, planned
-  /// outages and latency overrides — in canonical
-  /// (sender, destination) order. Latency memos are a pure cache and are not
-  /// saved. Part of the MSN1 snapshot (DESIGN.md §14).
-  void SaveSnapshotState(SnapWriter* w) const;
-  /// Restores state saved by SaveSnapshotState into a freshly constructed
-  /// fabric with the same registered hosts.
-  Status LoadSnapshotState(SnapReader* r);
-
  private:
   struct HostState {
     Host* host = nullptr;
@@ -235,15 +222,6 @@ class Network {
     }
     size_t active_links() const { return size_; }
     size_t HeapBytes() const { return slots_.size() * sizeof(Slot); }
-
-    /// Visits every active (dst, state) pair in table order; snapshot save
-    /// sorts by dst afterwards so the stream is layout-independent.
-    template <typename F>
-    void ForEachLink(F&& f) const {
-      for (const auto& s : slots_) {
-        if (s.dst != kInvalidNode) f(s.dst, s.state);
-      }
-    }
 
    private:
     struct Slot {

@@ -51,16 +51,6 @@ void Simulator::Deliver(uint64_t key, std::function<void()> fn) {
   deliveries_.push_back(Delivery{events_.now(), key, std::move(fn)});
 }
 
-size_t Simulator::pending_events() const {
-  size_t n = events_.pending();
-  if (engine_ != nullptr) {
-    for (int s = 0; s < engine_->shard_count(); ++s) {
-      n += engine_->shard_queue(s).pending();
-    }
-  }
-  return n;
-}
-
 void Simulator::DigestEventsKeyed(Fnv64* out) const {
   std::vector<std::array<uint64_t, 3>> keys;
   events_.CollectKeyed(&keys);

@@ -103,9 +103,6 @@ class Simulator {
   /// pending event — across all shard queues, sorted — into `out`.
   void DigestEventsKeyed(Fnv64* out) const;
 
-  /// Number of pending events across the global and every shard queue.
-  size_t pending_events() const;
-
  private:
   EventQueue events_;
   // The registry outlives network_/failures_ (declared first) so instruments

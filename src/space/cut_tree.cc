@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "util/logging.h"
-#include "util/snapio.h"
 #include "util/validate.h"
 
 namespace mind {
@@ -472,82 +471,6 @@ Result<std::vector<BitCode>> CutTree::Cover(const Rect& query, int len,
   std::vector<BitCode> out;
   MIND_RETURN_NOT_OK(Cover(query, len, max_codes, &scratch, &out));
   return out;
-}
-
-void CutTree::SaveSnapshotState(SnapWriter* w) const {
-  w->U32(static_cast<uint32_t>(schema_.dims()));
-  for (const AttributeDef& a : schema_.attrs()) {
-    w->Str(a.name);
-    w->U64(a.min);
-    w->U64(a.max);
-  }
-  w->U32(static_cast<uint32_t>(materialized_depth_));
-  w->U64(nodes_.size());
-  for (const Node& n : nodes_) {
-    w->U64(n.cut);
-    w->U16(static_cast<uint16_t>(n.dim));
-    w->U32(static_cast<uint32_t>(n.child0));
-    w->U32(static_cast<uint32_t>(n.child1));
-  }
-}
-
-Result<CutTree> CutTree::LoadSnapshotState(SnapReader* r) {
-  uint32_t dims;
-  MIND_ASSIGN_OR_RETURN(dims, r->U32("cut_tree.dims"));
-  if (dims == 0 || dims > 64) {
-    return r->FieldError("cut_tree.dims", "implausible dimension count " +
-                                              std::to_string(dims));
-  }
-  std::vector<AttributeDef> attrs(dims);
-  for (AttributeDef& a : attrs) {
-    MIND_ASSIGN_OR_RETURN(a.name, r->Str("cut_tree.attr.name", 1024));
-    MIND_ASSIGN_OR_RETURN(a.min, r->U64("cut_tree.attr.min"));
-    MIND_ASSIGN_OR_RETURN(a.max, r->U64("cut_tree.attr.max"));
-  }
-  CutTree tree{Schema(std::move(attrs))};
-  MIND_RETURN_NOT_OK(tree.schema_.Validate());
-
-  uint32_t depth;
-  MIND_ASSIGN_OR_RETURN(depth, r->U32("cut_tree.materialized_depth"));
-  if (depth > 24) {
-    return r->FieldError("cut_tree.materialized_depth",
-                         "depth " + std::to_string(depth) + " beyond limit 24");
-  }
-  tree.materialized_depth_ = static_cast<int>(depth);
-
-  uint64_t node_count;
-  MIND_ASSIGN_OR_RETURN(node_count, r->U64("cut_tree.node_count"));
-  if (node_count > (uint64_t{1} << 26)) {
-    return r->FieldError("cut_tree.node_count", "implausible node count " +
-                                                    std::to_string(node_count));
-  }
-  tree.nodes_.resize(node_count);
-  for (Node& n : tree.nodes_) {
-    MIND_ASSIGN_OR_RETURN(n.cut, r->U64("cut_tree.node.cut"));
-    uint16_t dim;
-    MIND_ASSIGN_OR_RETURN(dim, r->U16("cut_tree.node.dim"));
-    n.dim = static_cast<int16_t>(dim);
-    if (n.dim < 0 || n.dim >= tree.schema_.dims()) {
-      return r->FieldError("cut_tree.node.dim",
-                           "dimension " + std::to_string(n.dim) +
-                               " outside schema with " +
-                               std::to_string(tree.schema_.dims()) + " dims");
-    }
-    uint32_t c0, c1;
-    MIND_ASSIGN_OR_RETURN(c0, r->U32("cut_tree.node.child0"));
-    MIND_ASSIGN_OR_RETURN(c1, r->U32("cut_tree.node.child1"));
-    n.child0 = static_cast<int32_t>(c0);
-    n.child1 = static_cast<int32_t>(c1);
-    const auto valid_child = [&](int32_t c) {
-      return c == -1 || (c >= 0 && static_cast<uint64_t>(c) < node_count);
-    };
-    if (!valid_child(n.child0) || !valid_child(n.child1)) {
-      return r->FieldError("cut_tree.node.child",
-                           "child index outside the node table");
-    }
-  }
-  MIND_RETURN_NOT_OK(tree.ValidateInvariants());
-  return tree;
 }
 
 }  // namespace mind

@@ -34,9 +34,6 @@
 
 namespace mind {
 
-class SnapReader;
-class SnapWriter;
-
 class CutTree {
  public:
   /// Pure midpoint cuts (no materialized nodes).
@@ -130,14 +127,6 @@ class CutTree {
   /// side only where the child link is absent. Returns OK trivially when
   /// MIND_VALIDATORS is off (see util/validate.h).
   Status ValidateInvariants() const;
-
-  /// Serializes the full tree — schema, materialized depth, node table — for
-  /// the MSN1 snapshot (DESIGN.md §14). Trees are immutable once installed,
-  /// so the snapshot layer interns them and writes each distinct tree once.
-  void SaveSnapshotState(SnapWriter* w) const;
-  /// Reconstructs a tree written by SaveSnapshotState; the restored tree is
-  /// validated (ValidateInvariants) before being returned.
-  static Result<CutTree> LoadSnapshotState(SnapReader* r);
 
  private:
   friend class CutTreeTestPeek;  // corruption injection in validator tests

@@ -40,8 +40,7 @@
 //     digests, histogram mass and query-processing latency are
 //     order-independent by construction; reply rows keep emit order, so a
 //     client's QueryResult (and the result digest) sees it.
-//   * ScanAllRows visits every row exactly once (digests, histograms,
-//     snapshots).
+//   * ScanAllRows visits every row exactly once (digests, histograms).
 //   * Compact() is layout-only: results, counts and digests are identical
 //     whether or not it ever runs.
 #ifndef MIND_STORAGE_SORTED_RUNS_BACKEND_H_

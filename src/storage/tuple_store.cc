@@ -5,7 +5,6 @@
 
 #include "telemetry/metrics.h"
 #include "util/logging.h"
-#include "util/snapio.h"
 #include "util/validate.h"
 
 namespace mind {
@@ -151,63 +150,6 @@ void TupleStore::DigestInto(Fnv64* out) const {
 void TupleStore::DigestEmptyInto(Fnv64* out) {
   OrderIndependentAccumulator acc;
   acc.DigestInto(out);
-}
-
-void TupleStore::SaveSnapshotState(SnapWriter* w) const {
-  w->U64(scan_rows_examined_);
-  w->U64(scan_rows_matched_);
-  w->U64(runs_.size());
-  runs_.ScanAllRows([this, w](const RowView& r) {
-    w->U64(r.key);
-    w->U64(static_cast<uint64_t>(static_cast<int64_t>(r.origin)));
-    w->U64(r.seq);
-    w->U32(static_cast<uint32_t>(dims()));
-    for (size_t d = 0; d < dims(); ++d) w->U64(r.point[d]);
-    w->U32(static_cast<uint32_t>(r.extra_len));
-    for (size_t e = 0; e < r.extra_len; ++e) w->U64(r.extra[e]);
-  });
-}
-
-Status TupleStore::LoadSnapshotState(SnapReader* r) {
-  MIND_ASSIGN_OR_RETURN(scan_rows_examined_, r->U64("store.rows_examined"));
-  MIND_ASSIGN_OR_RETURN(scan_rows_matched_, r->U64("store.rows_matched"));
-  uint64_t rows;
-  MIND_ASSIGN_OR_RETURN(rows, r->U64("store.row_count"));
-  for (uint64_t i = 0; i < rows; ++i) {
-    uint64_t key;
-    MIND_ASSIGN_OR_RETURN(key, r->U64("store.row.key"));
-    Tuple tuple;
-    uint64_t origin;
-    MIND_ASSIGN_OR_RETURN(origin, r->U64("store.row.origin"));
-    tuple.origin = static_cast<int>(static_cast<int64_t>(origin));
-    MIND_ASSIGN_OR_RETURN(tuple.seq, r->U64("store.row.seq"));
-    uint32_t point_len;
-    MIND_ASSIGN_OR_RETURN(point_len, r->U32("store.row.point_len"));
-    if (point_len != dims()) {
-      return r->FieldError("store.row.point_len",
-                           "row " + std::to_string(i) + " has " +
-                               std::to_string(point_len) +
-                               " coordinates, schema has " +
-                               std::to_string(dims()));
-    }
-    tuple.point.resize(point_len);
-    for (Value& v : tuple.point) {
-      MIND_ASSIGN_OR_RETURN(v, r->U64("store.row.point"));
-    }
-    uint32_t extra_len;
-    MIND_ASSIGN_OR_RETURN(extra_len, r->U32("store.row.extra_len"));
-    if (extra_len > 4096) {
-      return r->FieldError("store.row.extra_len", "implausible carried-value "
-                                                  "count " +
-                                                      std::to_string(extra_len));
-    }
-    tuple.extra.resize(extra_len);
-    for (Value& v : tuple.extra) {
-      MIND_ASSIGN_OR_RETURN(v, r->U64("store.row.extra"));
-    }
-    InsertRow(key, std::move(tuple));
-  }
-  return Status::OK();
 }
 
 std::vector<Tuple> TupleStore::AllTuples() const {

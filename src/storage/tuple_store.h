@@ -134,15 +134,6 @@ class TupleStore {
   /// digest must be byte-identical to a materialized-but-empty store's.
   static void DigestEmptyInto(Fnv64* out);
 
-  /// Serializes the scan counters and every stored row for the MSN1 snapshot
-  /// (DESIGN.md §14). The physical base/delta layout is NOT preserved — it is
-  /// digest- and timing-transparent by contract, so restore may re-pack rows
-  /// freely.
-  void SaveSnapshotState(SnapWriter* w) const;
-  /// Restores rows and counters written by SaveSnapshotState into this
-  /// freshly constructed, empty store.
-  Status LoadSnapshotState(SnapReader* r);
-
  private:
   friend class TupleStoreTestPeek;  // corruption injection in validator tests
 

@@ -1,7 +1,6 @@
 #include "storage/version_manager.h"
 
 #include "util/logging.h"
-#include "util/snapio.h"
 #include "util/validate.h"
 
 namespace mind {
@@ -139,74 +138,6 @@ void IndexVersions::DigestInto(Fnv64* out) const {
       TupleStore::DigestEmptyInto(out);
     }
   }
-}
-
-void IndexVersions::SaveSnapshotState(
-    SnapWriter* w,
-    const std::function<uint32_t(const CutTreeRef&)>& tree_index) const {
-  w->U64(epoch_);
-  w->U64(entries_.size());
-  for (const Entry& e : entries_) {
-    w->U32(e.id);
-    w->U64(e.start);
-    w->U32(tree_index(e.cuts));
-    if (e.store == nullptr) {
-      w->U8(0);  // lazy: the version has never been written
-    } else {
-      w->U8(1);
-      e.store->SaveSnapshotState(w);
-    }
-  }
-}
-
-Status IndexVersions::LoadSnapshotState(SnapReader* r,
-                                        const std::vector<CutTreeRef>& trees) {
-  if (!entries_.empty()) {
-    return Status::Internal("snapshot: restoring into a non-empty chain");
-  }
-  MIND_ASSIGN_OR_RETURN(epoch_, r->U64("versions.epoch"));
-  uint64_t count;
-  MIND_ASSIGN_OR_RETURN(count, r->U64("versions.count"));
-  if (count > (uint64_t{1} << 20)) {
-    return r->FieldError("versions.count",
-                         "implausible chain length " + std::to_string(count));
-  }
-  entries_.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    Entry e;
-    MIND_ASSIGN_OR_RETURN(e.id, r->U32("versions.entry.id"));
-    MIND_ASSIGN_OR_RETURN(e.start, r->U64("versions.entry.start"));
-    uint32_t tree_idx;
-    MIND_ASSIGN_OR_RETURN(tree_idx, r->U32("versions.entry.tree"));
-    if (tree_idx >= trees.size()) {
-      return r->FieldError("versions.entry.tree",
-                           "tree index " + std::to_string(tree_idx) +
-                               " outside the interned table of " +
-                               std::to_string(trees.size()));
-    }
-    e.cuts = trees[tree_idx];
-    if (!entries_.empty()) {
-      if (e.id <= entries_.back().id) {
-        return r->FieldError("versions.entry.id",
-                             "version ids not strictly increasing");
-      }
-      if (e.start < entries_.back().start) {
-        return r->FieldError("versions.entry.start",
-                             "version start times decrease");
-      }
-    }
-    uint8_t materialized;
-    MIND_ASSIGN_OR_RETURN(materialized, r->U8("versions.entry.materialized"));
-    if (materialized > 1) {
-      return r->FieldError("versions.entry.materialized", "not a boolean");
-    }
-    if (materialized != 0) {
-      e.store = std::make_unique<TupleStore>(e.cuts, config_);
-      MIND_RETURN_NOT_OK(e.store->LoadSnapshotState(r));
-    }
-    entries_.push_back(std::move(e));
-  }
-  return Status::OK();
 }
 
 size_t IndexVersions::TotalTuples() const {

@@ -8,7 +8,6 @@
 #define MIND_STORAGE_VERSION_MANAGER_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -96,18 +95,6 @@ class IndexVersions {
 
   /// Folds the version chain (ids, start times, store contents) into `out`.
   void DigestInto(Fnv64* out) const;
-
-  /// Serializes the chain for the MSN1 snapshot (DESIGN.md §14).
-  /// `tree_index` maps each entry's cut tree to its index in the snapshot's
-  /// interned tree table (trees are shared across nodes and written once).
-  /// Lazy (never-written) stores serialize as a single absent flag.
-  void SaveSnapshotState(SnapWriter* w,
-                         const std::function<uint32_t(const CutTreeRef&)>&
-                             tree_index) const;
-  /// Restores a chain written by SaveSnapshotState into this freshly
-  /// constructed (empty) manager; `trees` is the deserialized interned tree
-  /// table.
-  Status LoadSnapshotState(SnapReader* r, const std::vector<CutTreeRef>& trees);
 
  private:
   friend class VersionManagerTestPeek;  // corruption injection in validator tests

@@ -2,7 +2,6 @@
 
 #include <bit>
 #include <cmath>
-#include <cstring>
 
 #include "util/logging.h"
 
@@ -116,25 +115,6 @@ double CounterLogNormal(uint64_t seed, uint64_t stream, uint64_t counter,
   double u2 = CounterUniformDouble(seed, stream, counter * 2 + 1);
   double normal = std::sqrt(-2.0 * std::log(u1)) * std::cos(2.0 * M_PI * u2);
   return std::exp(mu + sigma * normal);
-}
-
-Rng::State Rng::SaveState() const {
-  State st;
-  for (int i = 0; i < 4; ++i) st.words[i] = s_[i];
-  st.words[4] = seed_;
-  st.words[5] = have_cached_normal_ ? 1 : 0;
-  uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(cached_normal_));
-  std::memcpy(&bits, &cached_normal_, sizeof(bits));
-  st.words[6] = bits;
-  return st;
-}
-
-void Rng::LoadState(const State& st) {
-  for (int i = 0; i < 4; ++i) s_[i] = st.words[i];
-  seed_ = st.words[4];
-  have_cached_normal_ = st.words[5] != 0;
-  std::memcpy(&cached_normal_, &st.words[6], sizeof(cached_normal_));
 }
 
 Rng Rng::Fork(uint64_t stream_id) const {

@@ -69,15 +69,6 @@ class Rng {
     }
   }
 
-  /// Full generator state as 7 words for snapshotting: s_[0..3], seed, the
-  /// cached-normal flag, and the cached normal's IEEE-754 bits. Restoring
-  /// these words reproduces the exact draw sequence mid-stream.
-  struct State {
-    uint64_t words[7];
-  };
-  State SaveState() const;
-  void LoadState(const State& st);
-
  private:
   uint64_t s_[4];
   uint64_t seed_;

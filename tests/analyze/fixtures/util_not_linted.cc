@@ -28,8 +28,6 @@ Slab* Fresh() { return new Slab(); }
 
 std::shared_ptr<Slab> Shared() { return std::make_shared<Slab>(); }
 
-#ifndef MIND_TELEMETRY_DISABLED
-int Traced() { return 1; }
-#endif
+void* Block(size_t n) { return malloc(n); }
 
 }  // namespace mind

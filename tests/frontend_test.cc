@@ -445,6 +445,37 @@ TEST(IngestPipelineTest, DeferBackpressureIsLossless) {
   EXPECT_EQ(TotalPrimaryTuples(*net, "index2_octets"), 40u);
 }
 
+TEST(IngestPipelineTest, DeferHoldoverDrainsOnceThePipelineIsDone) {
+  Topology topo = Topology::Abilene();
+  auto net = MakeNet(topo, 0xfe05);
+  // The same burst as above, stepped finely enough to catch tuples parked
+  // in the holdover buffer mid-flight; by the time the pipeline reports done
+  // and the net settles, neither the lane nor the holdover may keep any.
+  VectorTraceSource src(HeavyFlows(/*pairs=*/40, /*router=*/0));
+  IngestOptions opts;
+  opts.feed_index1 = false;
+  opts.feed_index3 = false;
+  opts.batcher.batch_max_tuples = 4;
+  opts.batcher.queue_max_tuples = 8;
+  opts.batcher.policy = OverflowPolicy::kDefer;
+  IngestPipeline pipe(net.get(), &src, opts);
+  pipe.Start();
+  bool held_over = false;
+  for (int i = 0; i < 8000 && !pipe.done(); ++i) {
+    net->sim().RunFor(FromMillis(125));
+    held_over = held_over || pipe.holdover_tuples() > 0;
+  }
+  ASSERT_TRUE(pipe.done());
+  net->sim().RunFor(FromSeconds(30));
+
+  EXPECT_TRUE(held_over)
+      << "back-pressure never parked a tuple in the holdover buffer";
+  EXPECT_EQ(pipe.queued_tuples(), 0u);
+  EXPECT_EQ(pipe.holdover_tuples(), 0u);
+  EXPECT_EQ(pipe.tuples_dropped(), 0u);
+  EXPECT_EQ(TotalPrimaryTuples(*net, "index2_octets"), 40u);
+}
+
 TEST(IngestPipelineTest, DropNewestCountsWhatItSheds) {
   Topology topo = Topology::Abilene();
   auto net = MakeNet(topo, 0xfe04);

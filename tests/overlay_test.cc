@@ -1,13 +1,25 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "overlay_harness.h"
 #include "util/rng.h"
 
 namespace mind {
+
+class OverlayTestPeek {
+ public:
+  static BitCode& code(OverlayNode& n) { return n.code_; }
+  static PeerTable& peers(OverlayNode& n) { return n.peers_; }
+  static void PrunePeers(OverlayNode& n) { n.PrunePeers(); }
+};
+
 namespace {
 
 struct AppMsg : Message {
@@ -83,6 +95,102 @@ TEST(OverlayJoinTest, PeerTablesHaveEntryPerBitPosition) {
                         << " lacks a peer differing first at bit " << i;
     }
   }
+}
+
+// ---------------------------------------------------------------- Pruning
+
+// PrunePeers as first written, the reference for the one-pass version:
+// bucket the peers by common-prefix level, then keep the exact sibling and
+// the `quota` lowest-id other peers of each level.
+PeerTable PruneOracle(const BitCode& code, const PeerTable& peers, int quota) {
+  if (static_cast<int>(peers.size()) <= quota * (code.length() + 1)) {
+    return peers;
+  }
+  std::map<int, std::vector<NodeId>> by_level;
+  for (const auto& [peer, pcode] : peers) {
+    by_level[code.CommonPrefixLen(pcode)].push_back(peer);
+  }
+  PeerTable kept;
+  for (auto& [level, ids] : by_level) {
+    std::sort(ids.begin(), ids.end());
+    for (NodeId peer : ids) {
+      if (code.length() > 0 && peers.at(peer) == code.Sibling()) {
+        kept[peer] = peers.at(peer);
+      }
+    }
+    int left = quota;
+    for (NodeId peer : ids) {
+      if (kept.count(peer)) continue;
+      if (left <= 0) break;
+      kept[peer] = peers.at(peer);
+      --left;
+    }
+  }
+  return kept;
+}
+
+// A random code whose common prefix with `code` is `level` bits long: it
+// flips bit `level` and may extend past it, or, at level == code.length(),
+// extends `code` itself.
+BitCode CodeAtLevel(const BitCode& code, int level, Rng* rng) {
+  BitCode c = code.Prefix(level);
+  if (level < code.length()) c.PushBack(1 - code.bit(level));
+  const int extra = static_cast<int>(rng->Uniform(3)) +
+                    (level == code.length() ? 1 : 0);
+  for (int i = 0; i < extra; ++i) {
+    c.PushBack(static_cast<int>(rng->Uniform(2)));
+  }
+  return c;
+}
+
+std::vector<std::pair<NodeId, std::string>> Entries(const PeerTable& peers) {
+  std::vector<std::pair<NodeId, std::string>> out;
+  for (const auto& [peer, pcode] : peers) {
+    out.emplace_back(peer, pcode.ToString());
+  }
+  return out;
+}
+
+TEST(OverlayPruneTest, OnePassKeepsWhatTheBucketedPruneKept) {
+  constexpr NodeId kSiblingId = 1000;
+  size_t pruned = 0;
+  for (int quota : {1, 2, 3}) {
+    OverlayOptions opts;
+    opts.max_peers_per_level = quota;
+    OverlayFleet fleet = BuildOverlay(1, opts);
+    OverlayNode& node = fleet[0];
+    Rng rng(static_cast<uint64_t>(29 + quota));
+    for (int trial = 0; trial < 200; ++trial) {
+      const int len = 1 + static_cast<int>(rng.Uniform(8));
+      const BitCode code = BitCode::FromBits(rng.Next(), len);
+      PeerTable peers;
+      // Several peers per level, ours extended included; a level-(len - 1)
+      // draw with no extension is the sibling itself.
+      const uint64_t n = rng.Uniform(static_cast<uint64_t>(6 * (len + 1)));
+      for (uint64_t i = 0; i < n; ++i) {
+        const int level = static_cast<int>(rng.Uniform(len + 1));
+        peers[static_cast<NodeId>(1 + rng.Uniform(500))] =
+            CodeAtLevel(code, level, &rng);
+      }
+      // The sibling past its level's quota: `quota` lower-id peers of its
+      // level come first in the ascending pass.
+      for (int i = 0; i < quota; ++i) {
+        peers[static_cast<NodeId>(600 + i)] =
+            code.Sibling().Child(static_cast<int>(rng.Uniform(2)));
+      }
+      peers[kSiblingId] = code.Sibling();
+
+      const PeerTable want = PruneOracle(code, peers, quota);
+      if (want.size() < peers.size()) ++pruned;
+      OverlayTestPeek::code(node) = code;
+      OverlayTestPeek::peers(node) = peers;
+      OverlayTestPeek::PrunePeers(node);
+      EXPECT_EQ(Entries(node.peers()), Entries(want))
+          << "quota " << quota << " code " << code.ToString();
+      EXPECT_EQ(node.peers().count(kSiblingId), 1u);
+    }
+  }
+  EXPECT_GT(pruned, 300u) << "too few tables exceeded the quota";
 }
 
 // ---------------------------------------------------------------- Routing

@@ -393,6 +393,8 @@ struct MindRunResult {
   size_t stored = 0;
   size_t tuples = 0;
   std::vector<SimTime> latencies;  // merged commit order
+  // (tuples returned, complete) per range query, in delivery order.
+  std::vector<std::pair<size_t, bool>> queries;
   // Virtual-time window trace (thread-count independent).
   uint64_t windows = 0;
   uint64_t events = 0;
@@ -403,11 +405,17 @@ struct MindRunResult {
 
 // A small end-to-end MIND deployment: build, index, inserts, settling — then
 // the state digest. `threads == 0` is the sequential engine; anything else
-// the sharded parallel engine.
-MindRunResult RunMindWorkload(int threads, bool with_failures) {
+// the sharded parallel engine, over `shards` shards (0: the default count).
+// `live` adds heartbeat timers through the whole run and two range queries
+// after the inserts, so the engines must also agree on timer events and on
+// what each query returns.
+MindRunResult RunMindWorkload(int threads, bool with_failures,
+                              bool live = false, int shards = 0) {
   MindNetOptions opts;
   opts.sim.seed = 0xfeed;
   opts.sim.threads = threads;
+  opts.sim.shards = shards;
+  if (live) opts.overlay.heartbeat_interval = FromSeconds(5);
   if (with_failures) {
     opts.sim.failures.link_flaps_per_pair_hour = 2.0;
     opts.sim.failures.node_crashes_per_hour = 0.0;  // planned blackouts only
@@ -428,8 +436,23 @@ MindRunResult RunMindWorkload(int threads, bool with_failures) {
     EXPECT_TRUE(net.node(src).Insert("par_idx", std::move(t)).ok());
     net.sim().RunFor(FromMillis(40));
   }
-  net.sim().RunFor(FromSeconds(60));
   MindRunResult r;
+  if (live) {
+    auto record = [&r](const QueryResult& qr) {
+      r.queries.emplace_back(qr.tuples.size(), qr.complete);
+    };
+    EXPECT_TRUE(net.node(2)
+                    .Query("par_idx",
+                           Rect({{0, 4999}, {0, UINT64_MAX}, {0, 9999}}),
+                           record)
+                    .ok());
+    EXPECT_TRUE(net.node(7)
+                    .Query("par_idx",
+                           Rect({{0, 9999}, {1050, 1120}, {2000, 8000}}),
+                           record)
+                    .ok());
+  }
+  net.sim().RunFor(FromSeconds(60));
   r.digest = net.StateDigest();
   r.stored = net.stored().size();
   r.tuples = net.TotalPrimaryTuples("par_idx");
@@ -455,6 +478,45 @@ TEST(ParallelEngineTest, MindNetDigestIdenticalAcrossThreadCounts) {
     EXPECT_EQ(par.tuples, serial.tuples) << "threads=" << threads;
     EXPECT_EQ(par.latencies, serial.latencies) << "threads=" << threads;
   }
+}
+
+// The serial run of the live workload, checked for the figures every engine
+// comparison against it relies on: all inserts stored, both queries answered
+// in full with rows.
+MindRunResult LiveSerialBaseline() {
+  MindRunResult serial = RunMindWorkload(0, false, /*live=*/true);
+  EXPECT_EQ(serial.stored, 120u);
+  EXPECT_EQ(serial.tuples, 120u);
+  EXPECT_EQ(serial.queries.size(), 2u);
+  for (const auto& [tuples, complete] : serial.queries) {
+    EXPECT_GT(tuples, 0u);
+    EXPECT_TRUE(complete);
+  }
+  return serial;
+}
+
+void ExpectSameLiveRun(const MindRunResult& par, const MindRunResult& serial) {
+  EXPECT_EQ(par.digest, serial.digest);
+  EXPECT_EQ(par.stored, serial.stored);
+  EXPECT_EQ(par.tuples, serial.tuples);
+  EXPECT_EQ(par.latencies, serial.latencies);
+  EXPECT_EQ(par.queries, serial.queries);
+}
+
+TEST(ParallelEngineTest, MindNetLiveDigestIdenticalAcrossThreadCounts) {
+  MindRunResult serial = LiveSerialBaseline();
+  for (int threads : {1, 2, 4}) {
+    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+    ExpectSameLiveRun(RunMindWorkload(threads, false, /*live=*/true), serial);
+  }
+}
+
+TEST(ParallelEngineTest, MindNetLiveDigestIdenticalAcrossShardCounts) {
+  // Ordering keys are engine-independent, so a shard count other than the
+  // default agrees with the serial engine too.
+  MindRunResult serial = LiveSerialBaseline();
+  ExpectSameLiveRun(RunMindWorkload(2, false, /*live=*/true, /*shards=*/5),
+                    serial);
 }
 
 // Full thread-count matrix against the sequential digest, with planned link

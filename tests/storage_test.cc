@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -15,7 +14,6 @@
 #include "storage/version_manager.h"
 #include "telemetry/metrics.h"
 #include "util/rng.h"
-#include "util/snapio.h"
 
 namespace mind {
 namespace {
@@ -546,7 +544,7 @@ TEST(ColumnarScanPropertyTest, BothBackendsMatchBruteForce) {
 // The reply path's column scan returns QueryInto's tuples, in QueryInto's
 // order, appended after whatever the columns already hold, and counts the
 // same rows examined and matched: on rows with and without carried values,
-// on an unsorted delta tail, after Compact() and after a snapshot restore.
+// on an unsorted delta tail and after Compact().
 void ExpectColumnScanMatchesQueryInto(const TupleStore& store, const Rect& q,
                                       bool columns_first) {
   SCOPED_TRACE(q.ToString());
@@ -629,57 +627,8 @@ TEST(ColumnarScanPropertyTest, ColumnScanMatchesQueryInto) {
       store.Compact();
       ExpectColumnScanMatchesQueryInto(store, Rect::FullSpace(cuts->schema()),
                                        false);
-      std::stringstream buf;
-      SnapWriter w(&buf);
-      store.SaveSnapshotState(&w);
-      ASSERT_TRUE(w.status().ok());
-      TupleStore restored(cuts, PropertyStoreConfig(pc));
-      SnapReader r(&buf);
-      ASSERT_TRUE(restored.LoadSnapshotState(&r).ok());
-      for (int i = 0; i < 10; ++i) {
-        const Rect q = random_rect();
-        ExpectColumnScanMatchesQueryInto(restored, q, i % 2 == 0);
-        EXPECT_EQ(Ids(restored.Query(q)), Ids(store.Query(q)));
-      }
-      EXPECT_TRUE(restored.ValidateInvariants().ok());
     }
   }
-}
-
-// A snapshot taken while the sorted delta still has an unsorted tail must
-// restore the same rows and answer the same queries.
-TEST(ColumnarScanPropertyTest, SnapshotRoundTripWithUnsortedDeltaTail) {
-  Rng rng(71);
-  auto cuts = EvenCuts();
-  TupleStoreConfig cfg = BackendConfig();
-  cfg.options.compaction = false;
-  TupleStore store(cuts, cfg);
-  for (int i = 0; i < 40; ++i) store.Insert(MakeTuple(i * 200, i * 200, 0, i));
-  (void)store.Count(Rect({{0, 9999}, {0, 9999}}));  // sorts the delta
-  // Descending inserts after the last scan: an unsorted tail.
-  for (int i = 40; i < 80; ++i) {
-    store.Insert(MakeTuple(9999 - rng.Uniform(5000), rng.Uniform(10000), 1, i));
-  }
-  std::stringstream buf;
-  SnapWriter w(&buf);
-  store.SaveSnapshotState(&w);
-  ASSERT_TRUE(w.status().ok());
-  TupleStore restored(cuts, cfg);
-  SnapReader r(&buf);
-  ASSERT_TRUE(restored.LoadSnapshotState(&r).ok());
-  EXPECT_EQ(restored.size(), store.size());
-  EXPECT_EQ(restored.approx_bytes(), store.approx_bytes());
-  Fnv64 d_store, d_restored;
-  store.DigestInto(&d_store);
-  restored.DigestInto(&d_restored);
-  EXPECT_EQ(d_store.value(), d_restored.value());
-  for (int iter = 0; iter < 20; ++iter) {
-    Value x1 = rng.Uniform(10000), x2 = rng.Uniform(10000);
-    Rect q({{std::min(x1, x2), std::max(x1, x2)}, {0, 9999}});
-    EXPECT_EQ(Ids(restored.Query(q)), Ids(store.Query(q))) << q.ToString();
-  }
-  EXPECT_EQ(restored.scan_rows_examined(), store.scan_rows_examined());
-  EXPECT_TRUE(restored.ValidateInvariants().ok());
 }
 
 // ---------------------------------------------------------------- Versions

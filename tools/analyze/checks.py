@@ -27,9 +27,6 @@ the simulation-facing directories LINT_DIRS only:
                     clock_gettime; virtual time comes from EventQueue::now().
   libc-rand         no rand()/srand()/std::random_device; all randomness
                     flows through the seeded mind::Rng.
-  telemetry-divergence  no branching on MIND_TELEMETRY_DISABLED: telemetry
-                    always records and no build defines the macro, so such
-                    a branch is a compile-out path creeping back in.
   concurrency       no threading headers or primitives outside
                     src/sim/parallel_engine.*, the one place threads exist.
   raw-alloc         no malloc/raw `new`/std::make_shared in the pooled
@@ -690,7 +687,7 @@ def check_suppression_reasons(model):
 
 
 # ---------------------------------------------------------------------------
-# Checks 6-10: source-text rules. They need no declarations, only each file's
+# Checks 6-9: source-text rules. They need no declarations, only each file's
 # lines, and apply only under LINT_DIRS (src/util, say, is never linted).
 
 LINT_DIRS = ("src/sim", "src/overlay", "src/mind", "src/space", "src/storage",
@@ -724,11 +721,6 @@ _TEXT_RULES = {
          "libc randomness is forbidden; use the seeded mind::Rng"),
         (re.compile(r"\brandom_device\b"),
          "std::random_device is unseedable; use the seeded mind::Rng"),
-    ],
-    "telemetry-divergence": [
-        (re.compile(r"MIND_TELEMETRY_DISABLED"),
-         "telemetry always records and no build defines "
-         "MIND_TELEMETRY_DISABLED; simulation code may not branch on it"),
     ],
     "concurrency": [
         (re.compile(r"#\s*include\s*<(thread|mutex|shared_mutex|atomic|"

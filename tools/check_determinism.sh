@@ -16,19 +16,14 @@
 #       probe leg that pulls records through GeneratorTraceSource, so the
 #       pin also guards the generator's output stream, or
 #   (d) the closed-loop digest drifts from its pinned value, or
-#   (e) the pinned digest fails to survive an MSN1 snapshot save/load cycle
-#       (`--snapshot-roundtrip`: the restore's internal digest gate plus the
-#       printed pre-snapshot digest), serial and parallel -- week-long
-#       campaigns must resume bit-identically, or
-#   (f) any closed-loop leg prints a different `result_digest` -- the digest
+#   (e) any closed-loop leg prints a different `result_digest` -- the digest
 #       of the query results delivered to the client, in delivery order --
 #       or it drifts from its pinned value. The state digest does not see
 #       the output clients see (which results arrive, in what order, with
 #       what latency and tuples); this does.
 #
 # There is one delivery semantics, so there is one pinned closed-loop digest
-# and one pinned result digest: every engine and snapshot leg must print
-# both.
+# and one pinned result digest: every engine leg must print both.
 #
 # Usage: tools/check_determinism.sh [build-dir]   (default: build-determinism)
 set -euo pipefail
@@ -128,21 +123,6 @@ for t in 1 2 4 8; do
     echo "FAIL: parallel engine at ${t} thread(s) diverged from the" \
          "sequential digest -- a shard executed something the" \
          "conservative window should have forbidden" >&2
-    fail=1
-  fi
-done
-
-echo
-echo "== snapshot roundtrip (MSN1 save/load must preserve the digest) =="
-for flags in "" "--threads=4"; do
-  out="$(probe "${probe_bin}" ${flags} --snapshot-roundtrip)"
-  check_result "${flags:-serial} snapshot leg" "${out}"
-  snap="${out% *}"
-  echo "${flags:-serial} through save/load:  ${snap}  results ${out#* }"
-  if [[ "${snap}" != "${PINNED}" ]]; then
-    echo "FAIL: digest ${snap} != pinned ${PINNED} after a ${flags:-serial}" \
-         "snapshot save/load cycle -- the MSN1 format dropped or distorted" \
-         "state" >&2
     fail=1
   fi
 done

@@ -22,12 +22,6 @@
 //                   streaming ingest with batching plus the admission-
 //                   controlled query service with standing queries and
 //                   deadline cancellations
-//   --snapshot-roundtrip
-//                   after the scenario, push the final state through an MSN1
-//                   SaveSnapshot/LoadSnapshot cycle into a fresh net; the
-//                   load's internal digest gate makes any divergence a hard
-//                   failure, and the digest printed is the pre-snapshot one,
-//                   so the pinned digest must survive the cycle
 // The script asserts that the flagless run and every --threads=N value print
 // the SAME pinned digest (engine identity, and no regression of the
 // historical replay digest), and that the --frontend digest matches its pin.
@@ -35,7 +29,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <optional>
-#include <sstream>
 #include <vector>
 
 #include "bench/common.h"
@@ -127,27 +120,16 @@ int RunFrontendScenario(MindNet& net, const Topology& topo) {
 int main(int argc, char** argv) {
   int threads = 0;
   bool use_frontend = false;
-  bool snapshot_roundtrip = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--threads=", 10) == 0) {
       threads = std::atoi(argv[i] + 10);
     } else if (std::strcmp(argv[i], "--frontend") == 0) {
       use_frontend = true;
-    } else if (std::strcmp(argv[i], "--snapshot-roundtrip") == 0) {
-      snapshot_roundtrip = true;
     } else {
-      std::fprintf(stderr,
-                   "usage: %s [--threads=N] [--frontend] "
-                   "[--snapshot-roundtrip]\n",
+      std::fprintf(stderr, "usage: %s [--threads=N] [--frontend]\n",
                    argv[0]);
       return 2;
     }
-  }
-  if (use_frontend && snapshot_roundtrip) {
-    std::fprintf(stderr,
-                 "--snapshot-roundtrip applies to the closed-loop scenario "
-                 "only (drop --frontend)\n");
-    return 2;
   }
 
   Topology topo = Topology::AbileneGeant();
@@ -218,43 +200,6 @@ int main(int argc, char** argv) {
   net.sim().RunFor(FromSeconds(60));
   results.Mix(static_cast<uint64_t>(volley.size()));
   for (const QueryResult& r : volley) MixResult(r, &results);
-
-  if (snapshot_roundtrip) {
-    // Quiescence is a window (heartbeat messages are periodically in
-    // flight): step in 100 ms increments until SaveSnapshot accepts. The
-    // digest printed below is the pre-snapshot one, so stepping here cannot
-    // move the pinned value.
-    std::ostringstream buf;
-    Status save = Status::OK();
-    bool saved = false;
-    for (int i = 0; i < 200 && !saved; ++i) {
-      std::ostringstream attempt;
-      save = net.SaveSnapshot(attempt);
-      if (save.ok()) {
-        buf.str(attempt.str());
-        saved = true;
-      } else {
-        net.sim().RunFor(FromMillis(100));
-      }
-    }
-    if (!saved) {
-      std::fprintf(stderr, "snapshot never reached a quiescent window: %s\n",
-                   save.ToString().c_str());
-      return 1;
-    }
-    MindNet restored(topo.size(), mopts);
-    std::istringstream in(buf.str());
-    // LoadSnapshot recomputes StateDigest and refuses the restore unless it
-    // is bit-identical to the digest recorded at save time.
-    Status load = restored.LoadSnapshot(in);
-    if (!load.ok()) {
-      std::fprintf(stderr, "snapshot roundtrip failed: %s\n",
-                   load.ToString().c_str());
-      return 1;
-    }
-    std::fprintf(stderr, "snapshot_roundtrip ok (%zu bytes)\n",
-                 buf.str().size());
-  }
 
   std::printf("state_digest %s\n", DigestToHex(final_digest).c_str());
   std::printf("result_digest %s\n", DigestToHex(results.value()).c_str());
