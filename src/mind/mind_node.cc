@@ -413,12 +413,10 @@ void MindNode::CommitInserts(const std::shared_ptr<InsertT>& m, int hops) {
       tm_.insert_hops->Record(static_cast<double>(hops));
       if (on_stored_) {
         StoredInfo info;
-        info.index = m->index;
-        info.version = m->version;
-        info.origin = origin;
-        info.storer = id();
         info.committed_at = commit_at;
         info.latency = commit_at - m->sent_at;
+        info.origin = origin;
+        info.storer = id();
         info.hops = hops;
         on_stored_(info);
       }
@@ -538,7 +536,7 @@ void MindNode::HandleQueryCode(const std::shared_ptr<QueryMsg>& m,
     CutTreeRef cuts = st->primary.Cuts(m->version);
     if (cuts == nullptr) return;
     for (const BitCode& child :
-         cuts->IntersectingChildren(m->rect, code, &split_cursor_)) {
+         cuts->IntersectingChildren(m->rect, code, &walk_cursor_)) {
       int cpl = my.CommonPrefixLen(child);
       if (cpl == std::min(my.length(), child.length())) {
         HandleQueryCode(m, child);  // still (partly) ours: keep splitting
@@ -576,16 +574,15 @@ void MindNode::ResolveAndReply(const QueryMsg& m, const BitCode& code) {
                        (replicas ? replicas->scan_rows_examined() : 0);
   uint64_t matched0 = (primary ? primary->scan_rows_matched() : 0) +
                       (replicas ? replicas->scan_rows_matched() : 0);
-  auto region = cuts->RectForCode(code);
-  std::optional<Rect> scan_rect;
-  if (region.has_value()) scan_rect = region->Intersect(m.rect);
-  if (scan_rect.has_value()) {
-    if (primary != nullptr) primary->QueryColumns(*scan_rect, &reply->rows);
+  // The scan rectangle is the code's region clipped to the query, built on
+  // the walk cursor: no split is mid-walk here (IntersectingChildren returns
+  // before its caller's loop body runs), so a resolve builds no Rect.
+  if (cuts->WalkTo(code, &walk_cursor_) && walk_cursor_.rect.ClipTo(m.rect)) {
+    const Rect& scan_rect = walk_cursor_.rect;
+    if (primary != nullptr) primary->QueryColumns(scan_rect, &reply->rows);
     // Replica data answers for failed primaries (transparent failover, §3.8);
     // the originator de-duplicates.
-    if (replicas != nullptr) {
-      replicas->QueryColumns(*scan_rect, &reply->rows);
-    }
+    if (replicas != nullptr) replicas->QueryColumns(scan_rect, &reply->rows);
   }
   uint64_t examined1 = (primary ? primary->scan_rows_examined() : 0) +
                        (replicas ? replicas->scan_rows_examined() : 0);

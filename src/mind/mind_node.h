@@ -168,15 +168,15 @@ class MindNode {
   size_t pending_query_count() const { return queries_.size(); }
 
   /// Fired at the *storing* node when a tuple commits (primary copy).
+  /// 32 bytes: benches keep one per commit for a whole run.
   struct StoredInfo {
-    std::string index;
-    VersionId version = 0;
-    NodeId origin = kInvalidNode;
-    NodeId storer = kInvalidNode;
     SimTime committed_at = 0;  // virtual time of the commit
     SimTime latency = 0;       // insert-call to commit
+    NodeId origin = kInvalidNode;
+    NodeId storer = kInvalidNode;
     int hops = 0;              // overlay hops of the insert path
   };
+  static_assert(sizeof(StoredInfo) == 32);
   using StoredFn = std::function<void(const StoredInfo&)>;
   void set_on_stored(StoredFn fn) { on_stored_ = std::move(fn); }
 
@@ -311,10 +311,10 @@ class MindNode {
   /// versions never collide. Excluded from DigestInto by design.
   // mind-digest: skip(pure cache; hits and misses produce identical results)
   CoverCache cover_cache_;
-  /// The cursor HandleQueryCode's splits walk in place, kept so a split
-  /// allocates nothing.
-  // mind-digest: skip(walk scratch; reset at the start of every split)
-  CutTree::Cursor split_cursor_;
+  /// The cursor HandleQueryCode's splits and ResolveAndReply's scan
+  /// rectangle walk in place, kept so neither allocates.
+  // mind-digest: skip(walk scratch; reset at the start of every walk)
+  CutTree::Cursor walk_cursor_;
 
   std::map<std::string, IndexState> indices_;
   // mind-digest: skip(in-flight bookkeeping; completions land in digested state)

@@ -295,4 +295,10 @@ Network::LinkStats Network::GetLinkStats(NodeId from, NodeId to) const {
   return link != nullptr ? link->stats : LinkStats{};
 }
 
+size_t Network::LinkTableBytes() const {
+  size_t bytes = links_.capacity() * sizeof(LinkRow);
+  for (const LinkRow& row : links_) bytes += row.HeapBytes();
+  return bytes;
+}
+
 }  // namespace mind

@@ -152,6 +152,11 @@ class Network {
   };
   LinkStats GetLinkStats(NodeId from, NodeId to) const;
 
+  /// Heap bytes held by the per-directed-link table: the per-sender row
+  /// vector plus every row's slots (64 bytes each, capacity included).
+  /// Telemetry only; serial context.
+  size_t LinkTableBytes() const;
+
   /// Observer invoked on each delivery with (from, to, total one-way delay).
   /// Used by the Fig 8 bench to trace per-link transmission delays.
   /// Serial context only: every shard consults the observer on delivery, so
@@ -178,8 +183,9 @@ class Network {
   // is touched exclusively by the shard that owns its sender. Outages live
   // in the sparse maps below (shared, but frozen while shards execute),
   // keeping this hot-path struct lean.
-  // alignas(64): one directed link's hot state occupies exactly one cache
-  // line, so a shard worker's send never shares a line with another link.
+  // alignas(64): one directed link's hot state, its row key included,
+  // occupies exactly one cache line. A send's probe reads that one line, and
+  // a shard worker's send never shares a line with another link.
   struct alignas(64) LinkState {
     SimTime busy_until = 0;    // FIFO transmit queue tail (directed)
     SimTime last_arrival = 0;  // enforces in-order (TCP-like) delivery
@@ -191,6 +197,9 @@ class Network {
     // Pure cache — never digested, bumping the epoch never changes results.
     SimTime cached_latency = 0;
     uint64_t latency_epoch = 0;  // 0 = never filled (epochs start at 1)
+    // The LinkRow key: this link's destination, kInvalidNode in an empty
+    // slot. It fills what would otherwise be the line's padding.
+    NodeId dst = kInvalidNode;
   };
   struct Outage {
     SimTime from = 0;
@@ -199,35 +208,33 @@ class Network {
 
   /// One sender's destination table: open-addressed, power-of-two capacity,
   /// linear probing, no erase (links never disappear, only their hosts do).
-  /// Behavior is identical to the former dense row — storage layout is the
-  /// only change, and nothing iterates a row in table order.
+  /// A slot is the link's LinkState, keyed by its `dst`. Behavior is
+  /// identical to the former dense row — storage layout is the only change,
+  /// and nothing iterates a row in table order.
   class LinkRow {
    public:
     LinkState& FindOrInsert(NodeId to) {
       if (slots_.empty()) Rehash(8);
       size_t i = Probe(to);
-      if (slots_[i].dst == to) return slots_[i].state;
+      if (slots_[i].dst == to) return slots_[i];
       if ((size_ + 1) * 4 > slots_.size() * 3) {
         Rehash(slots_.size() * 2);
         i = Probe(to);
       }
       slots_[i].dst = to;
       ++size_;
-      return slots_[i].state;
+      return slots_[i];
     }
     const LinkState* Find(NodeId to) const {
       if (slots_.empty()) return nullptr;
       const size_t i = Probe(to);
-      return slots_[i].dst == to ? &slots_[i].state : nullptr;
+      return slots_[i].dst == to ? &slots_[i] : nullptr;
     }
-    size_t active_links() const { return size_; }
-    size_t HeapBytes() const { return slots_.size() * sizeof(Slot); }
+    size_t HeapBytes() const { return slots_.capacity() * sizeof(Slot); }
 
    private:
-    struct Slot {
-      NodeId dst = kInvalidNode;
-      LinkState state;
-    };
+    using Slot = LinkState;
+    static_assert(sizeof(Slot) == 64, "one cache line per directed link");
     size_t Probe(NodeId to) const {
       const size_t mask = slots_.size() - 1;
       size_t i = (static_cast<uint64_t>(static_cast<uint32_t>(to)) *

@@ -306,12 +306,18 @@ BitCode CutTree::CodeForPoint(const Point& p, int len) const {
   return code;
 }
 
-std::optional<Rect> CutTree::RectForCode(const BitCode& code) const {
-  Cursor c = Root();
+bool CutTree::WalkTo(const BitCode& code, Cursor* c) const {
+  ResetToRoot(c);
   for (int i = 0; i < code.length(); ++i) {
-    if (!Descend(&c, code.bit(i))) return std::nullopt;
+    if (!Descend(c, code.bit(i))) return false;
   }
-  return c.rect;
+  return true;
+}
+
+std::optional<Rect> CutTree::RectForCode(const BitCode& code) const {
+  Cursor c;
+  if (!WalkTo(code, &c)) return std::nullopt;
+  return std::move(c.rect);
 }
 
 BitCode CutTree::MinimalContainingCode(const Rect& query, int max_len) const {
@@ -344,10 +350,7 @@ CutTree::Children CutTree::IntersectingChildren(const Rect& query,
                                                 const BitCode& code,
                                                 Cursor* scratch) const {
   Children out;
-  ResetToRoot(scratch);
-  for (int i = 0; i < code.length(); ++i) {
-    if (!Descend(scratch, code.bit(i))) return out;  // empty region: no children
-  }
+  if (!WalkTo(code, scratch)) return out;  // empty region: no children
   const Step step = StepFrom(*scratch);
   for (int bit = 0; bit <= 1; ++bit) {
     if (!Descend(scratch, bit)) continue;

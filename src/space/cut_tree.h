@@ -118,6 +118,10 @@ class CutTree {
   /// Descends one level. Returns false if that side is empty (only possible
   /// for bit==1 on a single-value interval).
   bool Descend(Cursor* c, int bit) const;
+  /// Moves `c` to the region of `code` (from the root, reusing its
+  /// rectangle's storage). Returns false if the code walks into an empty
+  /// side, as RectForCode's nullopt.
+  bool WalkTo(const BitCode& code, Cursor* c) const;
 
   /// Checks materialized-tree well-formedness: every node reachable from the
   /// root exactly once (a shared subtree would give two regions the same

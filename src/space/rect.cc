@@ -39,12 +39,18 @@ bool Rect::Intersects(const Rect& other) const {
 
 std::optional<Rect> Rect::Intersect(const Rect& other) const {
   if (!Intersects(other)) return std::nullopt;
-  std::vector<Interval> ivs(dims());
+  Rect out = *this;
+  out.ClipTo(other);
+  return out;
+}
+
+bool Rect::ClipTo(const Rect& other) {
+  if (!Intersects(other)) return false;
   for (int d = 0; d < dims(); ++d) {
-    ivs[d].lo = std::max(ivs_[d].lo, other.ivs_[d].lo);
-    ivs[d].hi = std::min(ivs_[d].hi, other.ivs_[d].hi);
+    ivs_[d].lo = std::max(ivs_[d].lo, other.ivs_[d].lo);
+    ivs_[d].hi = std::min(ivs_[d].hi, other.ivs_[d].hi);
   }
-  return Rect(std::move(ivs));
+  return true;
 }
 
 std::string Rect::ToString() const {

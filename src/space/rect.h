@@ -49,6 +49,9 @@ class Rect {
 
   /// Intersection, or nullopt if disjoint.
   std::optional<Rect> Intersect(const Rect& other) const;
+  /// Clips this rectangle to `other` in place, reusing its storage. Returns
+  /// false, leaving it unchanged, if the two are disjoint.
+  bool ClipTo(const Rect& other);
 
   /// "[lo1,hi1]x[lo2,hi2]x...".
   std::string ToString() const;

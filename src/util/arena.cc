@@ -6,6 +6,21 @@
 #include <new>
 #include <vector>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
+// A sanitizer runtime replaces malloc, so glibc's counters would not see
+// the process's allocations.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define MIND_MALLOC_REPLACED 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer) || \
+    __has_feature(memory_sanitizer)
+#define MIND_MALLOC_REPLACED 1
+#endif
+#endif
+
 namespace mind {
 namespace pool {
 namespace {
@@ -219,6 +234,19 @@ Stats GatherStats() {
 void ResetPeak() {
   g_peak_bytes.store(g_live_bytes.load(std::memory_order_relaxed),
                      std::memory_order_relaxed);
+}
+
+uint64_t LiveHeapBytes() {
+#if defined(__GLIBC__) && !defined(MIND_MALLOC_REPLACED)
+  const struct mallinfo2 mi = mallinfo2();
+  const uint64_t in_use = mi.uordblks + mi.hblkhd;
+  const Stats s = GatherStats();
+  const uint64_t pooled_free =
+      s.slab_bytes - static_cast<uint64_t>(s.live_bytes);
+  return in_use > pooled_free ? in_use - pooled_free : 0;
+#else
+  return 0;
+#endif
 }
 
 }  // namespace pool

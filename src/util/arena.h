@@ -66,6 +66,14 @@ Stats GatherStats();
 /// Resets the aggregate peak to the current live volume (serial context).
 void ResetPeak();
 
+/// Live heap in bytes, read inside the process: the C allocator's in-use
+/// bytes (glibc mallinfo2: uordblks + hblkhd) minus the pools' free slab
+/// bytes (slab_bytes - live_bytes). Slabs come from ::operator new, so the
+/// allocator counts a pooled-but-free block as in use; this reading does
+/// not. 0 where the allocator cannot be read: outside glibc, and under a
+/// sanitizer runtime that replaces malloc. Telemetry-only, like Stats.
+uint64_t LiveHeapBytes();
+
 /// std-allocator adapter over the pool, for std::allocate_shared message
 /// construction (sim/message.h MakeMessage) and small pooled containers.
 template <typename T>

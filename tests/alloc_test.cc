@@ -1,7 +1,7 @@
-// Allocation bounds of the query walks: the cover walk, the split walk and
-// the completion walk must not allocate per code visited. This executable
-// replaces the global operator new to count calls, so it holds these tests
-// alone.
+// Allocation bounds of the query walks: the cover walk, the split walk, the
+// completion walk and a resolver's scan rectangle must not allocate per code
+// visited. This executable replaces the global operator new to count calls,
+// so it holds these tests alone.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -9,6 +9,8 @@
 #include <new>
 #include <vector>
 
+#include "mind/messages.h"
+#include "mind/mind_net.h"
 #include "mind/query_tracker.h"
 #include "space/cut_tree.h"
 
@@ -132,6 +134,47 @@ TEST(WalkAllocationTest, TrackerAllocatesNothingPerCodeVisited) {
   // 64 entries) and the walk stack by as many slots as it is deep; nothing
   // per split or per reply.
   EXPECT_LE(news, 48u);
+}
+
+TEST(WalkAllocationTest, ResolveBuildsNoRectPerSubQuery) {
+  // Two nodes; node 0 sends node 1 resolve-only sub-queries (the §3.4
+  // forward), so each message runs exactly one ResolveAndReply. Its reply
+  // finds no pending query at node 0 and is dropped there.
+  MindNetOptions opts;
+  MindNet net(2, opts);
+  ASSERT_TRUE(net.Build().ok());
+  IndexDef def;
+  def.name = "idx";
+  def.schema = FourDims();
+  ASSERT_TRUE(net.CreateIndexEverywhere(
+                     def, std::make_shared<CutTree>(CutTree::Even(def.schema)))
+                  .ok());
+  constexpr int kSubQueries = 32;
+  std::vector<std::shared_ptr<QueryMsg>> msgs;
+  for (int round = 0; round < 2; ++round) {
+    for (int i = 0; i < kSubQueries; ++i) {
+      auto m = MakeMessage<QueryMsg>();
+      m->query_id = 1;
+      m->index = def.name;
+      m->version = 1;
+      m->rect = Rect({{1000, 8000}, {1000, 8000}, {1000, 8000}, {0, 9999}});
+      m->code = BitCode::FromBits(static_cast<uint64_t>(i), 8);
+      m->originator = 0;
+      m->resolve_only = true;
+      msgs.push_back(std::move(m));
+    }
+  }
+  auto resolve = [&](int round) {
+    for (int i = 0; i < kSubQueries; ++i) {
+      net.network().Send(0, 1, msgs[round * kSubQueries + i]);
+    }
+    net.sim().RunFor(FromSeconds(5));
+  };
+  resolve(0);  // warm: link rows, event heap, visit set, walk cursor
+  const uint64_t news = NewsDuring([&] { resolve(1); });
+  // Each resolve walks 8 levels and clips to the query on the node's walk
+  // cursor: no region Rect, no optional copy, no intersection Rect.
+  EXPECT_EQ(news, 0u);
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 // Tests for the bounded-memory pool allocator (util/arena.h, DESIGN.md §14):
 // the size classes (pool::Allocate / pool::Deallocate), thread caches and
-// the retired-cache depot. The CI sanitizer job runs this suite under
-// ASan+UBSan: block recycling, cross-thread frees and depot adoption are
-// exactly the paths where a lifetime bug would hide.
+// the retired-cache depot, and the live-heap reading fig22 gates on. The CI
+// sanitizer job runs this suite under ASan+UBSan: block recycling,
+// cross-thread frees and depot adoption are exactly the paths where a
+// lifetime bug would hide.
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -143,6 +144,53 @@ TEST(PoolTest, PooledAllocatorDrivesStdContainers) {
                                           Payload{7, 9});
   EXPECT_EQ(sp->a, 7u);
   EXPECT_EQ(sp->b, 9u);
+}
+
+// ---------------------------------------------------------------- live heap
+
+// pool::LiveHeapBytes reads 0 only where the allocator cannot be read
+// (outside glibc, or under a sanitizer runtime that replaces malloc).
+#define SKIP_IF_HEAP_UNREADABLE()                           \
+  if (pool::LiveHeapBytes() == 0) {                         \
+    GTEST_SKIP() << "allocator not readable in this build"; \
+  }
+
+// Keeps a test allocation observable, so the compiler cannot elide the
+// new/delete pair around it.
+char* volatile g_escape = nullptr;
+
+TEST(LiveHeapTest, AllocatingRaisesTheReadingAndFreeingLowersIt) {
+  SKIP_IF_HEAP_UNREADABLE();
+  for (size_t n : {size_t{4096}, size_t{1} << 20}) {
+    const uint64_t before = pool::LiveHeapBytes();
+    auto* p = new char[n];
+    std::memset(p, 0x5a, n);
+    g_escape = p;
+    const uint64_t held = pool::LiveHeapBytes();
+    EXPECT_GE(held, before + n) << n << " bytes";
+    delete[] p;
+    EXPECT_LE(pool::LiveHeapBytes() + n, held) << n << " bytes";
+  }
+}
+
+TEST(LiveHeapTest, PooledButFreeBlocksAreNotCounted) {
+  SKIP_IF_HEAP_UNREADABLE();
+  // 1 024 blocks of 1 KiB: several fresh 256 KiB slabs unless the free list
+  // already holds them.
+  constexpr size_t kBlocks = 1024;
+  constexpr size_t kBlock = 1024;
+  std::vector<void*> blocks;
+  blocks.reserve(kBlocks);
+  const uint64_t before = pool::LiveHeapBytes();
+  for (size_t i = 0; i < kBlocks; ++i) {
+    blocks.push_back(pool::Allocate(kBlock));
+    std::memset(blocks.back(), 0x6b, kBlock);
+  }
+  EXPECT_GE(pool::LiveHeapBytes(), before + kBlocks * kBlock);
+  for (void* p : blocks) pool::Deallocate(p, kBlock);
+  // The slabs stay reserved, yet the reading returns to within the
+  // allocator's per-slab overhead (page rounding, chunk headers).
+  EXPECT_LT(pool::LiveHeapBytes(), before + kBlocks * kBlock / 16);
 }
 
 }  // namespace

@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.h"
 #include "sim/failure_injector.h"
 #include "sim/network.h"
 #include "sim/simulator.h"
+#include "util/rng.h"
 
 namespace mind {
 namespace {
@@ -305,6 +308,104 @@ TEST_F(NetworkTest, DelayObserverSeesDeliveries) {
   q_.Run();
   EXPECT_EQ(observed, 1);
   EXPECT_GE(total, FromMillis(10));
+}
+
+// ---------------------------------------------------------------- LinkRow
+
+// A sender's links live in an open-addressed row that doubles at 75% load.
+// Random sends from four senders to 47 destinations each cross the 8 -> 16
+// -> 32 -> 64 slot rehashes mid-sequence, with links created early still
+// sending (and still queued) across every move.
+TEST(LinkRowPropertyTest, RandomSendsMatchMapOracleAcrossRehashes) {
+  constexpr int kHosts = 48;
+  constexpr int kSenders = 4;
+  struct Send {
+    NodeId from;
+    NodeId to;
+    SimTime at;
+    size_t bytes;
+  };
+  // Arrival time of every message (by index into `sends`), with only
+  // `keep` links' sends replayed when it is non-null.
+  auto run = [&](const std::vector<Send>& sends,
+                 const std::pair<NodeId, NodeId>* keep,
+                 std::map<std::pair<NodeId, NodeId>, Network::LinkStats>*
+                     stats) {
+    EventQueue q;
+    Network net(&q, NetworkOptions{});  // default jitter: send_count matters
+    std::vector<RecordingHost> hosts(kHosts);
+    for (auto& h : hosts) {
+      h.q = &q;
+      net.AddHost(&h);
+    }
+    for (size_t i = 0; i < sends.size(); ++i) {
+      const Send& s = sends[i];
+      if (keep != nullptr && std::make_pair(s.from, s.to) != *keep) continue;
+      q.ScheduleAt(s.at, [&net, s, i] {
+        net.Send(s.from, s.to,
+                 std::make_shared<TestMsg>(static_cast<int>(i), s.bytes));
+      });
+    }
+    q.Run();
+    std::map<int, SimTime> arrivals;
+    for (const auto& h : hosts) {
+      for (const auto& d : h.received) arrivals[d.value] = d.at;
+    }
+    if (stats != nullptr) {
+      for (NodeId from = 0; from < kHosts; ++from) {
+        for (NodeId to = 0; to < kHosts; ++to) {
+          (*stats)[{from, to}] = net.GetLinkStats(from, to);
+        }
+      }
+    }
+    return arrivals;
+  };
+
+  for (uint64_t seed = 1; seed <= 5; ++seed) {
+    Rng rng(seed);
+    std::vector<Send> sends;
+    std::map<std::pair<NodeId, NodeId>, Network::LinkStats> oracle;
+    SimTime at = 0;
+    for (int i = 0; i < 600; ++i) {
+      at += rng.Uniform(FromMillis(2));
+      Send s;
+      s.from = static_cast<NodeId>(rng.Uniform(kSenders));
+      s.to = static_cast<NodeId>(rng.Uniform(kHosts - 1));
+      if (s.to >= s.from) ++s.to;  // loopback bypasses the link table
+      s.at = at;
+      // Up to 0.25 s of transmit time at 2 MiB/s: links queue.
+      s.bytes = 64 + rng.Uniform(512 * 1024);
+      sends.push_back(s);
+      Network::LinkStats& o = oracle[{s.from, s.to}];
+      ++o.messages;
+      o.bytes += s.bytes;
+    }
+    std::map<std::pair<NodeId, NodeId>, Network::LinkStats> stats;
+    const auto arrivals = run(sends, nullptr, &stats);
+    ASSERT_EQ(arrivals.size(), sends.size());
+    for (const auto& [link, got] : stats) {
+      const auto it = oracle.find(link);
+      const Network::LinkStats want =
+          it != oracle.end() ? it->second : Network::LinkStats{};
+      EXPECT_EQ(got.messages, want.messages)
+          << "seed " << seed << " link " << link.first << "->" << link.second;
+      EXPECT_EQ(got.bytes, want.bytes)
+          << "seed " << seed << " link " << link.first << "->" << link.second;
+    }
+    // A link's arrivals depend only on its own state (queue tail, last
+    // arrival, send counter for jitter and ordering keys). Replaying one
+    // link alone keeps its row at one entry, so equal arrival times mean
+    // every rehash in the full run carried that state over intact.
+    for (const auto& [link, want] : oracle) {
+      const auto alone = run(sends, &link, nullptr);
+      ASSERT_EQ(alone.size(), want.messages);
+      for (const auto& [i, t] : alone) {
+        EXPECT_EQ(arrivals.at(i), t)
+            << "seed " << seed << " link " << link.first << "->"
+            << link.second << " message " << i;
+      }
+    }
+  }
 }
 
 TEST(GeoTest, GreatCircleSanity) {

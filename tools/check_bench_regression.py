@@ -26,7 +26,8 @@ you can drop --wall-threshold to 0.15 for a true like-for-like gate.
 Non-throughput gauges and counters in registry exports are deterministic
 per seed; drift there is a behaviour change, not a perf regression, and is
 reported as a warning only (the determinism probes and tier-1 tests own
-that contract).
+that contract). fig22's `link_table_kb_per_node` gauges are of this kind:
+the link table's slot capacity is a function of the seed.
 
 Comparisons are skipped with a note (never a failure) when the baseline
 file or metric is missing, when the two registry exports disagree on
@@ -63,18 +64,21 @@ def is_sim_derived(name):
 
 
 def is_host_memory_key(name):
-    """Lower-is-better resident-set / pool-footprint gauges. Byte-exact
-    values depend on the host allocator and page cache, so they get the
-    looser wall band instead of the deterministic-drift warning."""
+    """Lower-is-better resident-set / live-heap / pool-footprint gauges.
+    Byte-exact values depend on the host allocator and page cache, so they
+    get the looser wall band instead of the deterministic-drift warning."""
     return ("rss_per_node_kb" in name
+            or "live_heap_kb_per_node" in name
             or (name.startswith("memory.pool.") and name.endswith("_bytes")))
 
 
 def is_gated_elsewhere(name):
-    """Gauges whose acceptance band is an absolute gate inside the bench
-    itself (fig22 exits 1 above 10% RSS growth); relative comparison of two
-    small percentages is pure noise, so the checker only notes them."""
-    return "rss_growth_pct" in name
+    """Growth gauges the checker only notes. fig22 gates live-heap growth
+    itself, in absolute kB per node (it exits 1 above its band), and reports
+    its RSS growth percentage ungated. A relative comparison of two small
+    growth figures is pure noise."""
+    return ("live_heap_growth_kb_per_node" in name
+            or "rss_growth_pct" in name)
 
 
 def load(path):
@@ -160,7 +164,7 @@ def compare_registry(name, baseline, current, threshold, wall_threshold):
         elif is_gated_elsewhere(key):
             if cur_val != base_val:
                 notes.append(f"{name}: {key} {base_val:g} -> {cur_val:g} "
-                             "(gated inside the bench; informational)")
+                             "(informational; not compared)")
         elif cur_val != base_val:
             warnings.append(
                 f"{name}: deterministic gauge {key} drifted "
