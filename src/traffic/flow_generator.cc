@@ -7,6 +7,48 @@
 
 namespace mind {
 
+namespace {
+
+// Raw bytes a flow is capped at: what fits in one reporting window (larger
+// transfers span windows).
+constexpr double kMaxFlowBytes = 5.0e8;
+// Pareto shape of elephant raw bytes.
+constexpr double kElephantShape = 1.1;
+// Source ports are drawn from [1024, 65536).
+constexpr uint64_t kEphemeralPorts = 64512;
+
+uint32_t RawPackets(double raw_bytes) {
+  return static_cast<uint32_t>(std::max(1.0, raw_bytes / 700.0));
+}
+
+// The draw r whose r % n Rng::Uniform(n) returns, consuming the same Next()
+// calls, rejection rounds included; a flow nobody keeps never needs the %.
+// (For n = 2^k the threshold is 0 and r & (n - 1) == r % n.)
+uint64_t UniformDraw(Rng* rng, uint64_t n) {
+  if ((n & (n - 1)) == 0) return rng->Next();
+  const uint64_t threshold = (0 - n) % n;
+  for (;;) {
+    const uint64_t r = rng->Next();
+    if (r >= threshold) return r;
+  }
+}
+
+// Rng::Pareto split in two: ParetoU makes its draws, ParetoBytes its
+// arithmetic (capped at kMaxFlowBytes), so the pow can wait.
+double ParetoU(Rng* rng) {
+  double u;
+  do {
+    u = rng->UniformDouble();
+  } while (u == 0.0);
+  return u;
+}
+
+double ParetoBytes(double scale, double shape, double u) {
+  return std::min(kMaxFlowBytes, scale / std::pow(u, 1.0 / shape));
+}
+
+}  // namespace
+
 FlowGenerator::FlowGenerator(const Topology& topology,
                              FlowGeneratorOptions options)
     : topology_(topology),
@@ -19,6 +61,8 @@ FlowGenerator::FlowGenerator(const Topology& topology,
                      1433, 135, 445, 139}),
       port_popularity_(15, 1.2) {
   MIND_CHECK_GE(options.prefixes_per_router, 1);
+  // Home routers fit a bucket-home byte beside the split marker.
+  MIND_CHECK_LT(topology.size(), size_t{kSplitHome});
   size_t n = topology.size() * static_cast<size_t>(options.prefixes_per_router);
   prefixes_.reserve(n);
   for (size_t i = 0; i < n; ++i) {
@@ -35,6 +79,36 @@ FlowGenerator::FlowGenerator(const Topology& topology,
           KeepFormula(Topology::SamplingRate(b), k);
     }
   }
+  long_law_ = MakeSizeLaw(options.flow_bytes_scale, options.flow_bytes_shape);
+  elephant_law_ = MakeSizeLaw(options.elephant_scale, kElephantShape);
+}
+
+FlowGenerator::SizeLaw FlowGenerator::MakeSizeLaw(double scale,
+                                                  double shape) const {
+  MIND_CHECK_GT(scale, 0.0);
+  MIND_CHECK_GT(shape, 0.0);
+  SizeLaw law;
+  law.scale = scale;
+  law.shape = shape;
+  const size_t buckets = size_t{1} << kSizeBits;
+  for (auto& bound : law.keep_bound) bound.resize(buckets);
+  for (size_t j = 0; j < buckets; ++j) {
+    // The largest flow of bucket j is at its low edge (u -> 0 is the cap).
+    // u^(1/shape) grows with u, but glibc's pow is not guaranteed to be
+    // correctly rounded, so a u just above the edge may compute a few ulps
+    // more bytes than the edge and reach the next whole packet. One packet
+    // more covers that; KeepProbability rises with whole packets by a
+    // factor 1 - p per packet, far above pow's error.
+    const double edge_bytes =
+        j == 0 ? kMaxFlowBytes
+               : ParetoBytes(scale, shape,
+                             std::ldexp(static_cast<double>(j), -kSizeBits));
+    const uint32_t packets = RawPackets(edge_bytes) + 1;
+    for (Backbone b : {Backbone::kAbilene, Backbone::kGeant}) {
+      law.keep_bound[static_cast<size_t>(b)][j] = KeepProbability(b, packets);
+    }
+  }
+  return law;
 }
 
 double FlowGenerator::KeepFormula(double p, uint32_t packets) {
@@ -78,8 +152,16 @@ const std::vector<size_t>& FlowGenerator::DayPermutation(int day) {
     for (size_t rank = 0; rank < perm.size(); ++rank) {
       home[rank] = static_cast<uint32_t>(HomeRouter(perm[rank]));
     }
+    std::vector<uint8_t> bucket_home(ZipfSampler::kBuckets);
+    for (size_t b = 0; b < bucket_home.size(); ++b) {
+      const size_t rank = popularity_.BucketRank(b);
+      bucket_home[b] = rank == ZipfSampler::kSplit
+                           ? kSplitHome
+                           : static_cast<uint8_t>(home[rank]);
+    }
     day_perms_.push_back(std::move(perm));
     day_homes_.push_back(std::move(home));
+    day_bucket_homes_.push_back(std::move(bucket_home));
   }
   return day_perms_[day];
 }
@@ -108,6 +190,8 @@ void FlowGenerator::Generate(
   MIND_CHECK(t0_sec >= 0 && t1_sec <= 86400.0 && t0_sec <= t1_sec);
   const auto& perm = DayPermutation(day);
   const std::vector<uint32_t>& home = day_homes_[static_cast<size_t>(day)];
+  const std::vector<uint8_t>& bucket_home =
+      day_bucket_homes_[static_cast<size_t>(day)];
   uint64_t window_key = (static_cast<uint64_t>(day) << 20) ^
                         (static_cast<uint64_t>(t0_sec * 16));
   Rng rng = Rng(options_.seed).Fork(0xF70 ^ window_key);
@@ -156,10 +240,15 @@ void FlowGenerator::Generate(
 
       // Source prefix: a prefix homed at router r, biased by popularity.
       // Sample global ranks until one homed here (bounded retries), else
-      // pick a uniform local prefix.
+      // pick a uniform local prefix. A try is one draw, settled by its
+      // bucket's home byte unless that byte matches r or marks a split
+      // bucket; only then is the draw mapped to a rank.
       size_t src_idx = prefixes_.size();
       for (int attempt = 0; attempt < 8; ++attempt) {
-        const size_t rank = popularity_.Sample(&rng);
+        const uint64_t x = rng.Next();
+        const uint8_t h = bucket_home[ZipfSampler::Bucket(x)];
+        if (h != r && h != kSplitHome) continue;
+        const size_t rank = popularity_.RankOfDraw(x);
         if (home[rank] == r) {
           src_idx = perm[rank];
           break;
@@ -180,40 +269,74 @@ void FlowGenerator::Generate(
         dst_idx = perm[popularity_.Sample(&rng)];
       }
 
-      FlowRecord f;
-      f.src_ip = prefixes_[src_idx].First() +
-                 static_cast<IpAddr>(rng.Uniform(prefixes_[src_idx].Size()));
-      f.dst_ip = prefixes_[dst_idx].First() +
-                 static_cast<IpAddr>(rng.Uniform(prefixes_[dst_idx].Size()));
-      f.src_port = static_cast<uint16_t>(1024 + rng.Uniform(64512));
-      f.dst_port = common_ports_[port_popularity_.Sample(&rng)];
-      bool short_flow = rng.Bernoulli(options_.short_flow_fraction);
-      double raw_bytes;
-      if (short_flow) {
+      // Address and port draws, in the stream's order; they become field
+      // values only for a flow that some router keeps.
+      const uint64_t src_ip_draw =
+          UniformDraw(&rng, prefixes_[src_idx].Size());
+      const uint64_t dst_ip_draw =
+          UniformDraw(&rng, prefixes_[dst_idx].Size());
+      const uint64_t src_port_draw = UniformDraw(&rng, kEphemeralPorts);
+      const uint64_t dst_port_draw = rng.Next();  // port_popularity_'s draw
+      // A short flow's size is one uniform draw. A long flow or an elephant
+      // (a bulk transfer: the alpha-flow population of Index-2) keeps its
+      // Pareto u, and its pow waits until some keep draw can pass.
+      const SizeLaw* law = nullptr;
+      double pareto_u = 0.0;
+      double raw_bytes = 0.0;
+      if (rng.Bernoulli(options_.short_flow_fraction)) {
         raw_bytes = 40.0 + rng.UniformDouble() * 400.0;
-      } else if (rng.Bernoulli(options_.elephant_fraction)) {
-        // Bulk transfers: the alpha-flow population of Index-2. (Capped at
-        // what fits in one reporting window; larger transfers span windows.)
-        raw_bytes = std::min(5.0e8, rng.Pareto(options_.elephant_scale, 1.1));
       } else {
-        raw_bytes = std::min(5.0e8, rng.Pareto(options_.flow_bytes_scale,
-                                               options_.flow_bytes_shape));
+        law = rng.Bernoulli(options_.elephant_fraction) ? &elephant_law_
+                                                        : &long_law_;
+        pareto_u = ParetoU(&rng);
       }
-      uint32_t raw_packets = static_cast<uint32_t>(
-          std::max(1.0, raw_bytes / 700.0));
-      f.time_sec = static_cast<double>(day) * 86400.0 + t;
 
       // The flow is observed (subject to per-network packet sampling) at the
-      // source's and the destination's home routers.
-      int observers[2] = {static_cast<int>(r), HomeRouter(dst_idx)};
-      int n_obs = observers[0] == observers[1] ? 1 : 2;
+      // source's and the destination's home routers, one keep draw each.
+      const int observers[2] = {static_cast<int>(r), HomeRouter(dst_idx)};
+      const int n_obs = observers[0] == observers[1] ? 1 : 2;
+      Backbone backbones[2] = {};
+      double keep_draws[2] = {};
       for (int o = 0; o < n_obs; ++o) {
-        int router = observers[o];
-        const Backbone backbone = topology_.router(router).backbone;
-        double p = Topology::SamplingRate(backbone);
-        if (!rng.Bernoulli(KeepProbability(backbone, raw_packets))) continue;
+        backbones[o] = topology_.router(observers[o]).backbone;
+        keep_draws[o] = rng.UniformDouble();
+      }
+      if (law != nullptr) {
+        // Scaling by a power of two is exact: j = floor(u * 2^kSizeBits).
+        const size_t j = static_cast<size_t>(pareto_u * (1 << kSizeBits));
+        bool keep_possible = false;
+        for (int o = 0; o < n_obs; ++o) {
+          const size_t b = static_cast<size_t>(backbones[o]);
+          keep_possible |= keep_draws[o] < law->keep_bound[b][j];
+        }
+        if (!keep_possible) continue;
+        raw_bytes = ParetoBytes(law->scale, law->shape, pareto_u);
+      }
+      const uint32_t raw_packets = RawPackets(raw_bytes);
+
+      FlowRecord f;
+      bool filled = false;
+      for (int o = 0; o < n_obs; ++o) {
+        if (!(keep_draws[o] < KeepProbability(backbones[o], raw_packets))) {
+          continue;
+        }
+        if (!filled) {
+          const IpPrefix& src = prefixes_[src_idx];
+          const IpPrefix& dst = prefixes_[dst_idx];
+          f.src_ip =
+              src.First() + static_cast<IpAddr>(src_ip_draw % src.Size());
+          f.dst_ip =
+              dst.First() + static_cast<IpAddr>(dst_ip_draw % dst.Size());
+          f.src_port =
+              static_cast<uint16_t>(1024 + src_port_draw % kEphemeralPorts);
+          f.dst_port =
+              common_ports_[port_popularity_.RankOfDraw(dst_port_draw)];
+          f.time_sec = static_cast<double>(day) * 86400.0 + t;
+          filled = true;
+        }
+        const double p = Topology::SamplingRate(backbones[o]);
         FlowRecord obs = f;
-        obs.router = router;
+        obs.router = observers[o];
         // NetFlow with sampling reports the sampled volume.
         obs.bytes = static_cast<uint64_t>(std::max(40.0, raw_bytes * p));
         obs.packets = static_cast<uint32_t>(

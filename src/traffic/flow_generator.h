@@ -94,6 +94,18 @@ class FlowGenerator {
   /// Whether a prefix belongs to the given hour's hot set.
   bool InHotSet(size_t prefix_idx, int hour) const;
 
+  /// BucketHome of a popularity bucket that a CDF entry splits.
+  static constexpr uint8_t kSplitHome = 0xFF;
+
+  /// The home router of the prefix that every popularity draw in
+  /// ZipfSampler bucket `bucket` picks on `day`, or kSplitHome when the
+  /// bucket is split; a source-prefix try compares it with the arrival
+  /// router. Exposed for tests.
+  uint8_t BucketHome(int day, size_t bucket) {
+    DayPermutation(day);
+    return day_bucket_homes_[static_cast<size_t>(day)][bucket];
+  }
+
   /// Flows with fewer raw packets than this read their keep probability
   /// from a table; larger ones compute it.
   static constexpr uint32_t kKeepTablePackets = 256;
@@ -109,6 +121,18 @@ class FlowGenerator {
 
  private:
   static double KeepFormula(double p, uint32_t packets);
+
+  // A Pareto flow-size law as Generate draws it: raw bytes
+  // min(5e8, scale / u^(1 / shape)) for u = UniformDouble() > 0.
+  struct SizeLaw {
+    double scale = 0.0;
+    double shape = 0.0;
+    // keep_bound[backbone][j] bounds KeepProbability(backbone, packets)
+    // from above for every flow whose u lies in [j, j + 1) * 2^-kSizeBits.
+    std::array<std::vector<double>, 2> keep_bound;
+  };
+  static constexpr int kSizeBits = 12;
+  SizeLaw MakeSizeLaw(double scale, double shape) const;
   const std::vector<size_t>& DayPermutation(int day);
   double HourNoise(int day, int router, int hour);
 
@@ -120,11 +144,16 @@ class FlowGenerator {
   // perm[day][rank] = prefix index at that rank
   std::vector<std::vector<size_t>> day_perms_;
   // home[day][rank] = HomeRouter(perm[day][rank]), built with each day's
-  // permutation: the source-prefix tries compare this and read perm only on
-  // a hit.
+  // permutation: a source-prefix try whose bucket home matches or is split
+  // compares this, and reads perm only on a hit.
   std::vector<std::vector<uint32_t>> day_homes_;
+  // day_bucket_homes_[day][b] = home[day][popularity_.BucketRank(b)], or
+  // kSplitHome for a split bucket.
+  std::vector<std::vector<uint8_t>> day_bucket_homes_;
   // keep_[backbone][n] = KeepFormula(SamplingRate(backbone), n).
   std::array<std::array<double, kKeepTablePackets>, 2> keep_{};
+  SizeLaw long_law_;
+  SizeLaw elephant_law_;
   std::vector<uint16_t> common_ports_;
   ZipfSampler port_popularity_;
 };

@@ -126,6 +126,9 @@ Rng Rng::Fork(uint64_t stream_id) const {
 
 ZipfSampler::ZipfSampler(size_t n, double s) {
   MIND_CHECK_GT(n, 0u);
+  // Every rank and span bound, n - 1 at most, must fit beside kSplitBit.
+  MIND_CHECK_LE(n - 1, size_t{kSplitBit - 1})
+      << "ZipfSampler: " << n << " ranks do not fit a direct-table entry";
   cdf_.resize(n);
   double sum = 0.0;
   for (size_t i = 0; i < n; ++i) {
@@ -134,12 +137,16 @@ ZipfSampler::ZipfSampler(size_t n, double s) {
   }
   for (auto& c : cdf_) c /= sum;
 
-  MIND_CHECK_LT(n, size_t{1} << 30);  // 4n guide entries fit in uint32_t
-  guide_.resize(4 * n);
-  size_t i = 0;
-  for (size_t j = 0; j < guide_.size(); ++j) {
-    while (i < n && GuideBucket(cdf_[i], guide_.size()) < j) ++i;
-    guide_[j] = static_cast<uint32_t>(i);
+  direct_.resize(kBuckets + 1);
+  for (size_t b = 0; b <= kBuckets; ++b) {
+    const double edge = std::ldexp(static_cast<double>(b), -kDirectBits);
+    const double next = std::ldexp(static_cast<double>(b + 1), -kDirectBits);
+    const size_t first = FullRank(edge);
+    direct_[b] = static_cast<uint16_t>(first);
+    // The last u in the bucket is the double just below the next edge.
+    if (b < kBuckets && FullRank(std::nextafter(next, 0.0)) != first) {
+      direct_[b] |= kSplitBit;
+    }
   }
 }
 

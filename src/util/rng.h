@@ -92,20 +92,43 @@ double CounterLogNormal(uint64_t seed, uint64_t stream, uint64_t counter,
                         double mu, double sigma);
 
 /// Zipf(n, s) sampler over ranks {0, .., n-1} with exponent s, using the
-/// inverse-CDF table method with an indexed search: a guide table of 4n
-/// entries points each u-bucket [j/4n, (j+1)/4n) at its first candidate rank,
-/// so a sample walks O(1) CDF entries on average instead of binary-searching
-/// (O(n) setup). Used for popularity of prefixes/ports in traffic generation.
+/// inverse-CDF table method with a direct table: the top 14 bits of a draw
+/// name one of 2^14 equal u-buckets, and a bucket that every u in it maps to
+/// one rank yields that rank from one 2-byte load. A bucket that a CDF entry
+/// splits falls back to a binary search over its own span of the CDF. Setup
+/// is O(n + 2^14 log n); n <= 2^15. Used for popularity of prefixes/ports in
+/// traffic generation.
 class ZipfSampler {
  public:
+  /// Bits of a raw draw that index the direct table.
+  static constexpr int kDirectBits = 14;
+  static constexpr size_t kBuckets = size_t{1} << kDirectBits;
+  /// BucketRank of a bucket that a CDF entry splits.
+  static constexpr size_t kSplit = SIZE_MAX;
+
   ZipfSampler(size_t n, double s);
 
   /// Rank in [0, n); rank 0 is the most popular. Consumes exactly one
-  /// UniformDouble: `Rank(rng->UniformDouble())`.
-  size_t Sample(Rng* rng) const { return Rank(rng->UniformDouble()); }
+  /// Next(), mapped as `Rank(rng->UniformDouble())` would map it.
+  size_t Sample(Rng* rng) const { return RankOfDraw(rng->Next()); }
 
-  /// The inverse CDF at u in [0, 1): the first rank whose cumulative mass is
-  /// >= u (std::lower_bound over the CDF), clamped to n - 1.
+  /// The rank of raw draw x: Rank(u) for the UniformDouble
+  /// u = (x >> 11) * 2^-53 that x gives.
+  size_t RankOfDraw(uint64_t x) const;
+
+  /// The direct-table bucket of raw draw x. Its u lies in
+  /// [b, b + 1) * 2^-14 for b = floor(u * 2^14), which is exactly x >> 50.
+  static size_t Bucket(uint64_t x) { return x >> (64 - kDirectBits); }
+
+  /// The rank every u in bucket b maps to, or kSplit when a CDF entry splits
+  /// the bucket.
+  size_t BucketRank(size_t b) const {
+    const uint16_t e = direct_[b];
+    return (e & kSplitBit) != 0 ? kSplit : e;
+  }
+
+  /// The inverse CDF at u: the first rank whose cumulative mass is >= u
+  /// (std::lower_bound over the CDF), clamped to n - 1.
   size_t Rank(double u) const;
 
   /// Probability mass of a given rank.
@@ -114,16 +137,34 @@ class ZipfSampler {
   size_t n() const { return cdf_.size(); }
 
  private:
-  // The guide-table slot for x in [0, 1] with k slots. Monotone in x,
-  // rounding included, which is all Rank relies on.
-  static size_t GuideBucket(double x, size_t k) {
-    return std::min(static_cast<size_t>(x * static_cast<double>(k)), k - 1);
+  static constexpr uint16_t kSplitBit = 0x8000;
+
+  // lower_bound over the whole CDF, clamped to n - 1.
+  size_t FullRank(double u) const {
+    const size_t i = static_cast<size_t>(
+        std::lower_bound(cdf_.begin(), cdf_.end(), u) - cdf_.begin());
+    return std::min(i, cdf_.size() - 1);
+  }
+
+  // The rank of u in bucket b: the bucket's entry, or for a split bucket
+  // lower_bound over the bucket's span of the CDF.
+  size_t BucketRankOf(size_t b, double u) const {
+    const uint16_t e = direct_[b];
+    if ((e & kSplitBit) == 0) return e;
+    const size_t lo = e & ~kSplitBit;
+    const size_t hi = direct_[b + 1] & ~kSplitBit;
+    return static_cast<size_t>(
+        std::lower_bound(cdf_.begin() + lo, cdf_.begin() + hi, u) -
+        cdf_.begin());
   }
 
   std::vector<double> cdf_;
-  // guide_[j] = number of CDF entries whose guide bucket is below j; an x in
-  // [0, 1] falls in bucket min(floor(x * 4n), 4n - 1).
-  std::vector<uint32_t> guide_;
+  // direct_[b] for b in [0, 2^14] holds F(b) = min(lower_bound(cdf_,
+  // b * 2^-14), n - 1), the rank at the bucket's low edge, and sets
+  // kSplitBit when a later rank is reached inside the bucket. Rank is
+  // monotone, so the ranks of bucket b lie in [F(b), F(b + 1)]: that is the
+  // span BucketRankOf searches. direct_[2^14] only ends the last span.
+  std::vector<uint16_t> direct_;
 };
 
 inline uint64_t Rng::Next() {
@@ -157,17 +198,20 @@ inline double Rng::UniformDouble() {
 
 inline bool Rng::Bernoulli(double p) { return UniformDouble() < p; }
 
-inline size_t ZipfSampler::Rank(double u) const {
-  // guide_ counts the CDF entries in buckets below u's. GuideBucket is
-  // monotone, so all of those entries are < u, and the walk forward from
-  // there stops exactly at lower_bound's rank.
-  size_t i = guide_[GuideBucket(u, guide_.size())];
-  while (i < cdf_.size() && cdf_[i] < u) ++i;
-  return std::min(i, cdf_.size() - 1);
+inline size_t ZipfSampler::RankOfDraw(uint64_t x) const {
+  return BucketRankOf(Bucket(x), static_cast<double>(x >> 11) * 0x1.0p-53);
 }
 
-/// Piecewise-linear diurnal modulation curve: value in [floor, 1] as a
-/// function of seconds-of-day, peaking mid-day. Models the day/night traffic
+inline size_t ZipfSampler::Rank(double u) const {
+  if (!(u >= 0.0 && u < 1.0)) return FullRank(u);
+  // Scaling by 2^14 is exact, so the truncation is floor(u * 2^14).
+  return BucketRankOf(static_cast<size_t>(u * static_cast<double>(kBuckets)),
+                      u);
+}
+
+/// Raised-cosine diurnal modulation curve: value in [floor, 1] as a function
+/// of seconds-of-day, floor + (1 - floor) * 0.5 * (1 + cos φ) with φ the
+/// phase from the peak, so it peaks mid-day. Models the day/night traffic
 /// cycle of backbone links.
 class DiurnalCurve {
  public:

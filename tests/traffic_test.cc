@@ -274,6 +274,313 @@ TEST(GeneratorGoldenTest, OutputHashPinned) {
   }
 }
 
+// ---------------------------------------------------------------- Oracle
+
+// Plain inverse-CDF Zipf: std::lower_bound over the sampler's CDF (built
+// with the same operations in the same order), clamped to n - 1.
+class PlainZipf {
+ public:
+  PlainZipf(size_t n, double s) : cdf_(n) {
+    double sum = 0.0;
+    for (size_t i = 0; i < n; ++i) {
+      sum += 1.0 / std::pow(static_cast<double>(i + 1), s);
+      cdf_[i] = sum;
+    }
+    for (auto& c : cdf_) c /= sum;
+  }
+  size_t Rank(double u) const {
+    const size_t i = static_cast<size_t>(
+        std::lower_bound(cdf_.begin(), cdf_.end(), u) - cdf_.begin());
+    return std::min(i, cdf_.size() - 1);
+  }
+  size_t Sample(Rng* rng) const { return Rank(rng->UniformDouble()); }
+
+ private:
+  std::vector<double> cdf_;
+};
+
+// The day's rank -> prefix permutation, read through RankOnDay.
+std::vector<size_t> PermutationOnDay(FlowGenerator* gen, int day) {
+  std::vector<size_t> perm(gen->prefix_count());
+  for (size_t i = 0; i < perm.size(); ++i) perm[gen->RankOnDay(day, i)] = i;
+  return perm;
+}
+
+// FlowGenerator::Generate as it was before its lookup tables, kept as the
+// reference: every draw in stream order, each mapped as it is drawn, with
+// lower_bound Zipf draws, HomeRouter and a forward hot-set scan per flow,
+// HourNoise per flow, Rng::Pareto's pow for every long flow and the keep
+// formula's pow for every keep-test. The generator must emit the same
+// records, field for field and in the same order.
+std::vector<FlowRecord> ReferenceGenerate(FlowGenerator* gen, int day,
+                                          double t0_sec, double t1_sec) {
+  const FlowGeneratorOptions& opt = gen->options();
+  const Topology& topo = gen->topology();
+  const std::vector<size_t> perm = PermutationOnDay(gen, day);
+  const size_t n_prefixes = gen->prefix_count();
+  const PlainZipf popularity(n_prefixes, opt.popularity_exponent);
+  const PlainZipf port_popularity(15, 1.2);
+  const uint16_t kPorts[] = {80,   443,  25,   53,  110, 143, 22, 21,
+                             3306, 8080, 6881, 1433, 135, 445, 139};
+  const DiurnalCurve diurnal(opt.diurnal_floor);
+  auto hour_noise = [&](int router, int hour) {
+    uint64_t key = (static_cast<uint64_t>(day) << 32) ^
+                   (static_cast<uint64_t>(router) << 8) ^
+                   static_cast<uint64_t>(hour);
+    Rng noise_rng = Rng(opt.seed).Fork(0xA0153 ^ key);
+    return noise_rng.LogNormal(0.0, opt.hour_noise_sigma);
+  };
+  auto next_hot = [&](size_t i, int hour) {
+    for (size_t k = 0; k < n_prefixes; ++k) {
+      const size_t j = (i + k) % n_prefixes;
+      if (gen->InHotSet(j, hour)) return j;
+    }
+    return i;
+  };
+  auto keep = [](Backbone b, uint32_t packets) {
+    return 1.0 - std::pow(1.0 - Topology::SamplingRate(b),
+                          static_cast<double>(packets));
+  };
+
+  std::vector<FlowRecord> out;
+  uint64_t window_key = (static_cast<uint64_t>(day) << 20) ^
+                        (static_cast<uint64_t>(t0_sec * 16));
+  Rng rng = Rng(opt.seed).Fork(0xF70 ^ window_key);
+  const size_t n_routers = topo.size();
+  for (size_t r = 0; r < n_routers; ++r) {
+    double t = t0_sec;
+    while (t < t1_sec) {
+      int hour = static_cast<int>(t / 3600.0);
+      double level = diurnal.At(t) * hour_noise(static_cast<int>(r), hour);
+      double lambda = std::max(1e-6, opt.peak_flows_per_router_sec * level);
+      t += rng.Exponential(lambda);
+      if (t >= t1_sec) break;
+
+      size_t src_idx = n_prefixes;
+      for (int attempt = 0; attempt < 8; ++attempt) {
+        size_t idx = perm[popularity.Sample(&rng)];
+        if (static_cast<size_t>(gen->HomeRouter(idx)) == r) {
+          src_idx = idx;
+          break;
+        }
+      }
+      if (src_idx == n_prefixes) {
+        src_idx = r + n_routers * rng.Uniform(static_cast<uint64_t>(
+                                      opt.prefixes_per_router));
+      }
+      size_t dst_idx;
+      if (rng.Bernoulli(opt.hot_set_fraction)) {
+        dst_idx = next_hot(rng.Uniform(n_prefixes), hour);
+      } else {
+        dst_idx = perm[popularity.Sample(&rng)];
+      }
+
+      FlowRecord f;
+      f.src_ip = gen->prefix(src_idx).First() +
+                 static_cast<IpAddr>(rng.Uniform(gen->prefix(src_idx).Size()));
+      f.dst_ip = gen->prefix(dst_idx).First() +
+                 static_cast<IpAddr>(rng.Uniform(gen->prefix(dst_idx).Size()));
+      f.src_port = static_cast<uint16_t>(1024 + rng.Uniform(64512));
+      f.dst_port = kPorts[port_popularity.Sample(&rng)];
+      double raw_bytes;
+      if (rng.Bernoulli(opt.short_flow_fraction)) {
+        raw_bytes = 40.0 + rng.UniformDouble() * 400.0;
+      } else if (rng.Bernoulli(opt.elephant_fraction)) {
+        raw_bytes = std::min(5.0e8, rng.Pareto(opt.elephant_scale, 1.1));
+      } else {
+        raw_bytes = std::min(
+            5.0e8, rng.Pareto(opt.flow_bytes_scale, opt.flow_bytes_shape));
+      }
+      uint32_t raw_packets =
+          static_cast<uint32_t>(std::max(1.0, raw_bytes / 700.0));
+      f.time_sec = static_cast<double>(day) * 86400.0 + t;
+
+      int observers[2] = {static_cast<int>(r), gen->HomeRouter(dst_idx)};
+      int n_obs = observers[0] == observers[1] ? 1 : 2;
+      for (int o = 0; o < n_obs; ++o) {
+        int router = observers[o];
+        const Backbone backbone = topo.router(router).backbone;
+        double p = Topology::SamplingRate(backbone);
+        if (!rng.Bernoulli(keep(backbone, raw_packets))) continue;
+        FlowRecord obs = f;
+        obs.router = router;
+        obs.bytes = static_cast<uint64_t>(std::max(40.0, raw_bytes * p));
+        obs.packets = static_cast<uint32_t>(
+            std::max(1.0, static_cast<double>(raw_packets) * p));
+        out.push_back(obs);
+      }
+    }
+
+    double expected_scans =
+        opt.scans_per_router_hour * (t1_sec - t0_sec) / 3600.0;
+    uint64_t n_scans = rng.Poisson(expected_scans);
+    for (uint64_t s = 0; s < n_scans; ++s) {
+      double t_start = t0_sec + rng.UniformDouble() * (t1_sec - t0_sec);
+      double t_end =
+          std::min(t1_sec, t_start + 5.0 + rng.UniformDouble() * 25.0);
+      size_t src_idx = r + n_routers * rng.Uniform(static_cast<uint64_t>(
+                                           opt.prefixes_per_router));
+      size_t dst_idx = rng.Uniform(n_prefixes);
+      IpAddr scanner =
+          gen->prefix(src_idx).First() +
+          static_cast<IpAddr>(rng.Uniform(gen->prefix(src_idx).Size()));
+      double raw_probes = std::clamp(
+          opt.scan_probes_scale * rng.Pareto(1.0, 1.3), 100.0, 200000.0);
+      uint16_t port = rng.Bernoulli(0.5) ? 445 : 3306;
+      int observers[2] = {static_cast<int>(r), gen->HomeRouter(dst_idx)};
+      int n_obs = observers[0] == observers[1] ? 1 : 2;
+      for (int o = 0; o < n_obs; ++o) {
+        int router = observers[o];
+        double p = Topology::SamplingRate(topo.router(router).backbone);
+        uint64_t k = rng.Poisson(raw_probes * p);
+        for (uint64_t i = 0; i < k; ++i) {
+          FlowRecord f;
+          f.src_ip = scanner;
+          f.dst_ip =
+              gen->prefix(dst_idx).First() +
+              static_cast<IpAddr>(rng.Uniform(gen->prefix(dst_idx).Size()));
+          f.src_port = 40000;
+          f.dst_port = port;
+          f.bytes = 40 + rng.Uniform(20);
+          f.packets = 1;
+          f.time_sec = static_cast<double>(day) * 86400.0 + t_start +
+                       rng.UniformDouble() * (t_end - t_start);
+          f.router = router;
+          out.push_back(f);
+        }
+      }
+    }
+  }
+  return out;
+}
+
+struct OracleCase {
+  const char* name;
+  Topology topology;
+  FlowGeneratorOptions options;
+};
+
+FlowGeneratorOptions OracleOptions() {
+  FlowGeneratorOptions opts;
+  opts.peak_flows_per_router_sec = 40;
+  opts.seed = 0x0AC1E;
+  return opts;
+}
+
+// Runs each case over days 0-3: a window starting at 0 s, one across an
+// hour boundary, one at noon and one ending at 86 400 s, comparing every
+// record with the reference.
+void ExpectMatchesReference(const std::vector<OracleCase>& cases) {
+  struct Window {
+    int day;
+    double t0, t1;
+  };
+  const Window kWindows[] = {
+      {0, 0, 60}, {1, 3570, 3630}, {2, 43170, 43230}, {3, 86340, 86400}};
+  for (const OracleCase& c : cases) {
+    FlowGenerator gen(c.topology, c.options);
+    for (const Window& w : kWindows) {
+      SCOPED_TRACE(::testing::Message() << c.name << " day " << w.day << " ["
+                                        << w.t0 << ", " << w.t1 << ")");
+      const std::vector<FlowRecord> got = gen.GenerateVec(w.day, w.t0, w.t1);
+      const std::vector<FlowRecord> want =
+          ReferenceGenerate(&gen, w.day, w.t0, w.t1);
+      ASSERT_GT(want.size(), 0u);
+      ASSERT_EQ(got.size(), want.size());
+      for (size_t i = 0; i < want.size(); ++i) {
+        const FlowRecord& g = got[i];
+        const FlowRecord& x = want[i];
+        ASSERT_TRUE(g.src_ip == x.src_ip && g.dst_ip == x.dst_ip &&
+                    g.src_port == x.src_port && g.dst_port == x.dst_port &&
+                    g.bytes == x.bytes && g.packets == x.packets &&
+                    std::bit_cast<uint64_t>(g.time_sec) ==
+                        std::bit_cast<uint64_t>(x.time_sec) &&
+                    g.router == x.router)
+            << "record " << i << " of " << want.size() << ": bytes "
+            << g.bytes << " vs " << x.bytes << ", router " << g.router
+            << " vs " << x.router;
+      }
+    }
+  }
+}
+
+// The Pareto size laws around the default: the keep bounds' buckets, the
+// pow that waits for a passing keep draw, and the share of short flows.
+TEST(GeneratorOracleTest, SizeLaws) {
+  std::vector<OracleCase> cases;
+  auto add = [&cases](const char* name, auto edit) {
+    FlowGeneratorOptions opts = OracleOptions();
+    edit(&opts);
+    cases.push_back({name, Topology::AbileneGeant(), opts});
+  };
+  add("defaults", [](FlowGeneratorOptions*) {});
+  add("elephant_fraction 0.5",
+      [](FlowGeneratorOptions* o) { o->elephant_fraction = 0.5; });
+  add("short_flow_fraction 0",
+      [](FlowGeneratorOptions* o) { o->short_flow_fraction = 0.0; });
+  add("short_flow_fraction 1",
+      [](FlowGeneratorOptions* o) { o->short_flow_fraction = 1.0; });
+  add("flow_bytes_shape 0.6",
+      [](FlowGeneratorOptions* o) { o->flow_bytes_shape = 0.6; });
+  add("flow_bytes_shape 3.0",
+      [](FlowGeneratorOptions* o) { o->flow_bytes_shape = 3.0; });
+  ExpectMatchesReference(cases);
+}
+
+// The prefix universe: its size sets the popularity CDF's direct table and
+// the bucket-home bytes, and prefix_len the address draws' bound.
+TEST(GeneratorOracleTest, PrefixUniverse) {
+  std::vector<OracleCase> cases;
+  for (int per_router : {1, 100}) {
+    FlowGeneratorOptions opts = OracleOptions();
+    opts.prefixes_per_router = per_router;
+    cases.push_back({per_router == 1 ? "prefixes_per_router 1"
+                                     : "prefixes_per_router 100",
+                     Topology::AbileneGeant(), opts});
+  }
+  for (int len : {8, 24}) {
+    FlowGeneratorOptions opts = OracleOptions();
+    opts.prefix_len = len;
+    cases.push_back({len == 8 ? "prefix_len 8" : "prefix_len 24",
+                     Topology::AbileneGeant(), opts});
+  }
+  ExpectMatchesReference(cases);
+}
+
+// Each topology alone: one backbone's sampling rate for every observer.
+TEST(GeneratorOracleTest, Topologies) {
+  ExpectMatchesReference({{"Abilene", Topology::Abilene(), OracleOptions()},
+                          {"Geant", Topology::Geant(), OracleOptions()}});
+}
+
+// Each day's bucket-home byte is the home router of the prefix that every
+// draw in the bucket picks, or kSplitHome exactly where the bucket's two
+// ends map to different ranks.
+TEST_F(GeneratorTest, BucketHomeMatchesRankOnEveryBucket) {
+  const size_t n = gen_->prefix_count();
+  const PlainZipf popularity(n, opts_.popularity_exponent);
+  for (int day = 0; day <= 3; ++day) {
+    const std::vector<size_t> perm = PermutationOnDay(gen_.get(), day);
+    size_t split = 0;
+    for (size_t b = 0; b < ZipfSampler::kBuckets; ++b) {
+      const double lo =
+          std::ldexp(static_cast<double>(b), -ZipfSampler::kDirectBits);
+      const double hi = std::nextafter(
+          std::ldexp(static_cast<double>(b + 1), -ZipfSampler::kDirectBits),
+          0.0);
+      const size_t rank = popularity.Rank(lo);
+      const uint8_t want =
+          rank == popularity.Rank(hi)
+              ? static_cast<uint8_t>(gen_->HomeRouter(perm[rank]))
+              : FlowGenerator::kSplitHome;
+      split += want == FlowGenerator::kSplitHome;
+      ASSERT_EQ(gen_->BucketHome(day, b), want)
+          << "day " << day << " bucket " << b;
+    }
+    EXPECT_LT(split, n);  // a CDF entry splits at most one bucket
+  }
+}
+
 // ---------------------------------------------------------------- Aggregator
 
 TEST(AggregatorTest, GroupsByWindowAndPrefixPair) {

@@ -323,12 +323,15 @@ TEST(ZipfTest, EmpiricalMatchesPmf) {
 }
 
 // Rank(u) must be exactly std::lower_bound's rank (clamped to n - 1) for every
-// u, so the indexed search maps RNG draws exactly as a binary search would.
-// Probes sit on and next to each CDF entry and each guide-table bucket edge
-// j / 4n, where an off-by-one guide entry or bucket would show.
+// u, so the direct table maps RNG draws exactly as a binary search would.
+// Probes sit on and next to each CDF entry, each direct-table bucket edge
+// b / 2^14 (where an off-by-one bucket, entry or split span would show) and
+// each edge j / 4n of a finer or coarser grid. RankOfDraw must agree with
+// Rank on the draws just below and at each bucket edge. n = 2^15 is the
+// largest n whose ranks fit a table entry; one more is refused.
 TEST(ZipfTest, RankMatchesLowerBound) {
   for (size_t n : {size_t{1}, size_t{2}, size_t{15}, size_t{272},
-                   size_t{4096}}) {
+                   size_t{4096}, size_t{1} << 15}) {
     for (double s : {0.5, 0.9, 1.2, 2.0}) {
       ZipfSampler zipf(n, s);
       // The sampler's CDF, rebuilt with the same operations in the same
@@ -351,14 +354,30 @@ TEST(ZipfTest, RankMatchesLowerBound) {
       for (size_t j = 0; j <= k; ++j) {
         around(static_cast<double>(j) / static_cast<double>(k));
       }
+      for (size_t b = 0; b <= ZipfSampler::kBuckets; ++b) {
+        around(std::ldexp(static_cast<double>(b), -ZipfSampler::kDirectBits));
+      }
       for (double u : probes) {
         size_t want = static_cast<size_t>(
             std::lower_bound(cdf.begin(), cdf.end(), u) - cdf.begin());
         want = std::min(want, n - 1);
         ASSERT_EQ(zipf.Rank(u), want) << "n=" << n << " s=" << s << " u=" << u;
       }
+      for (uint64_t b = 0; b < ZipfSampler::kBuckets; ++b) {
+        const uint64_t edge = b << (64 - ZipfSampler::kDirectBits);
+        for (uint64_t x : {edge, edge - 1, edge + 2047, edge + 2048}) {
+          const double u = static_cast<double>(x >> 11) * 0x1.0p-53;
+          ASSERT_EQ(ZipfSampler::Bucket(x), static_cast<size_t>(
+                                                 u * ZipfSampler::kBuckets))
+              << "x=" << x;
+          ASSERT_EQ(zipf.RankOfDraw(x), zipf.Rank(u))
+              << "n=" << n << " s=" << s << " x=" << x;
+        }
+      }
     }
   }
+  EXPECT_DEATH(ZipfSampler((size_t{1} << 15) + 1, 0.9),
+               "do not fit a direct-table entry");
 }
 
 // The per-draw primitives as they were defined out of line in rng.cc before
