@@ -148,7 +148,8 @@ void QueryService::Dispatch(uint64_t ticket) {
       p.index, p.rect,
       [this, ticket](const QueryResult& r) { OnCoreResult(ticket, r); });
   if (!qid.ok()) {
-    // The core refused (unknown index, bad arity): complete as failed.
+    // The core refused (unknown index, bad arity, an inverted interval):
+    // complete as failed.
     QueryResult failed;
     failed.complete = false;
     OnCoreResult(ticket, failed);

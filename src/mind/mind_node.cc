@@ -442,6 +442,11 @@ Result<uint64_t> MindNode::Query(const std::string& index, const Rect& rect,
   if (rect.dims() != st->def.schema.dims()) {
     return Status::InvalidArgument("query arity mismatch for " + index);
   }
+  for (int d = 0; d < rect.dims(); ++d) {
+    if (rect.interval(d).lo > rect.interval(d).hi) {
+      return Status::InvalidArgument("inverted query interval for " + index);
+    }
+  }
   uint64_t query_id =
       (static_cast<uint64_t>(static_cast<uint32_t>(id())) << 32) |
       (++query_seq_);

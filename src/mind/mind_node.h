@@ -125,6 +125,8 @@ class MindNode {
 
   /// Issues a multi-dimensional range query. Returns the query id; the
   /// callback fires exactly once (completion, timeout or cancellation).
+  /// A refused query (NotFound for an unknown index, InvalidArgument for a
+  /// wrong arity or an inverted interval, lo > hi) never calls back.
   ///
   /// The callback always runs in serial context (DESIGN.md §9): under the
   /// parallel engine on the orchestrating thread at the barrier of the

@@ -143,7 +143,7 @@ void Network::Send(NodeId from, NodeId to, MessagePtr msg) {
     // Loopback never crosses a shard; liveness is re-checked at delivery
     // against the sender's own flag and the immutable plan.
     DispatchKeyed(to, arrival, EventQueue::kBandDelivery, ukey,
-                  [this, from, to, msg, arrival]() {
+                  [this, from, to, msg = std::move(msg), arrival]() {
                     if (IsNodeUpAt(to, arrival)) {
                       hosts_[to].host->HandleMessage(from, msg);
                     }
@@ -157,7 +157,7 @@ void Network::Send(NodeId from, NodeId to, MessagePtr msg) {
     if (send_fail_counter_ != nullptr) send_fail_counter_->Inc();
     DispatchKeyed(from, now + options_.send_fail_detect,
                   EventQueue::kBandNotify, PackUkey(to, send_ix),
-                  [this, from, to, msg]() {
+                  [this, from, to, msg = std::move(msg)]() {
                     if (IsNodeUpAt(from, queue_for(from)->now())) {
                       hosts_[from].host->HandleSendFailure(to, msg);
                     }
@@ -198,7 +198,7 @@ void Network::Send(NodeId from, NodeId to, MessagePtr msg) {
   }
 
   DispatchKeyed(to, arrival, EventQueue::kBandDelivery, PackUkey(from, send_ix),
-                [this, from, to, msg, delay, send_ix]() {
+                [this, from, to, msg = std::move(msg), delay, send_ix]() {
                   if (hosts_[to].up) {
                     if (delay_observer_) delay_observer_(from, to, delay);
                     hosts_[to].host->HandleMessage(from, msg);

@@ -9,6 +9,14 @@
 
 namespace mind {
 
+namespace {
+
+// A tail longer than this leaves its scratch buffers to be freed, so a
+// thread keeps at most this many rows' worth between scans.
+constexpr size_t kScratchKeepRows = 4096;
+
+}  // namespace
+
 // mind-lint: allow(backend-purity): optional counter wiring per DESIGN.md §13
 SortedRunsBackend::SortedRunsBackend(size_t dims, bool compaction,
                                      size_t compact_min_delta,
@@ -68,28 +76,37 @@ void SortedRunsBackend::Compact() {
 void SortedRunsBackend::MergeInto(Run* run, const Run& tail) const {
   const size_t d = dims_;
   size_t i = run->size();
-  size_t j = tail.size();
-  run->keys.resize(i + j);
-  run->points.resize((i + j) * d);
-  run->meta.resize(i + j);
+  const size_t t = tail.size();
+  run->keys.resize(i + t);
+  run->points.resize((i + t) * d);
+  run->meta.resize(i + t);
+  uint64_t* keys = run->keys.data();
+  RowMeta* meta = run->meta.data();
   Value* pts = run->points.data();
-  // Fill from the back: each step places the larger of the two last
-  // unplaced entries. Once the tail is exhausted the rest of the run is
-  // already in place, so a short tail costs only the entries above it.
-  for (size_t w = i + j; j > 0;) {
-    --w;
-    if (i > 0 && run->keys[i - 1] > tail.keys[j - 1]) {
-      --i;
-      run->keys[w] = run->keys[i];
-      run->meta[w] = run->meta[i];
-      std::copy_n(pts + i * d, d, pts + w * d);
-    } else {
-      --j;
-      run->keys[w] = tail.keys[j];
-      run->meta[w] = tail.meta[j];
-      std::copy_n(tail.points.data() + j * d, d, pts + w * d);
-    }
+  // From the tail's largest key down: the run's entries above the key's
+  // upper bound move up by the tail entries still to place (j), and the
+  // tail entry takes the slot just below them. Each run entry moves at most
+  // once, so a short tail costs one search and the entries above it.
+  for (size_t j = t; j > 0; --j) {
+    const size_t at = scan::UpperBound(keys, i, tail.keys[j - 1]);
+    std::copy_backward(keys + at, keys + i, keys + i + j);
+    std::copy_backward(meta + at, meta + i, meta + i + j);
+    std::copy_backward(pts + at * d, pts + i * d, pts + (i + j) * d);
+    keys[at + j - 1] = tail.keys[j - 1];
+    meta[at + j - 1] = tail.meta[j - 1];
+    std::copy_n(tail.points.data() + (j - 1) * d, d, pts + (at + j - 1) * d);
+    i = at;
   }
+}
+
+struct SortedRunsBackend::TailScratch {
+  std::vector<std::pair<uint64_t, size_t>> order;
+  Run rows;
+};
+
+SortedRunsBackend::TailScratch& SortedRunsBackend::tail_scratch() {
+  thread_local TailScratch scratch;
+  return scratch;
 }
 
 void SortedRunsBackend::EnsureDeltaSorted() const {
@@ -98,14 +115,13 @@ void SortedRunsBackend::EnsureDeltaSorted() const {
   if (s == n) return;
   // Order the tail by key, position breaking ties so equal keys keep arrival
   // order, then gather it into key order and merge it into the prefix.
-  std::vector<std::pair<uint64_t, size_t>> order;
-  order.reserve(n - s);
+  TailScratch& scratch = tail_scratch();
+  auto& order = scratch.order;
+  Run& tail = scratch.rows;
+  order.clear();
   for (size_t i = s; i < n; ++i) order.emplace_back(delta_.keys[i], i);
   std::sort(order.begin(), order.end());
-  Run tail;
-  tail.keys.reserve(n - s);
-  tail.points.reserve((n - s) * dims_);
-  tail.meta.reserve(n - s);
+  tail.clear();
   for (const auto& [key, i] : order) {
     tail.keys.push_back(key);
     const Value* p = delta_.points.data() + i * dims_;
@@ -117,6 +133,7 @@ void SortedRunsBackend::EnsureDeltaSorted() const {
   delta_.meta.resize(s);
   MergeInto(&delta_, tail);
   delta_sorted_len_ = n;
+  if (order.size() > kScratchKeepRows) scratch = TailScratch{};
 }
 
 Status SortedRunsBackend::ValidateInvariants(const CutTree& cuts, int code_len,

@@ -7,7 +7,8 @@
 // rows have keys inside this range and points inside this box?".
 //
 // A large *base* run that is always in key order absorbs compactions; a small
-// *delta* run absorbs inserts. A range scan binary-searches both runs.
+// *delta* run absorbs inserts. A cover scan probes both runs once per range,
+// each probe resuming where the previous range ended.
 // Compaction merges the delta into the base when it exceeds a size ratio of
 // the base, and at daily version freeze (IndexVersions::AddVersion →
 // TupleStore::Compact).
@@ -24,22 +25,27 @@
 // only if the row carries values.
 //
 // The delta keeps the length of its sorted prefix. Appends in key order grow
-// the prefix; a scan after out-of-order appends sorts only the unsorted tail
-// and merges it into the prefix from the back, so one late insert between
-// two queries shifts the entries above it instead of re-sorting the run.
+// the prefix; a scan after out-of-order appends orders the unsorted tail
+// once, before its first range: it gathers the tail in key order into a
+// per-thread scratch buffer, then places it into the prefix from the back,
+// each tail row at its key's upper bound with the entries above moved up in
+// one block. One late insert between two queries costs one search and one
+// move of the entries above it, and a warm scratch allocates nothing.
 // Compact merges the delta's columns into the base's the same way. Equal
 // keys keep arrival order throughout.
 //
 // The scan contract:
 //
-//   * ScanRange(kr, box, fn) calls fn on each row whose key lies in
-//     [kr.lo, kr.hi] and whose point lies inside `box`, exactly once, and on
-//     no other row. It returns the number of rows whose key lies in the
-//     range, matched or not — "rows examined", a property of the stored keys
-//     and the cover, not of run boundaries. Emit order is the layout's:
-//     digests, histogram mass and query-processing latency are
-//     order-independent by construction; reply rows keep emit order, so a
-//     client's QueryResult (and the result digest) sees it.
+//   * ScanCover(ranges, box, fn) calls fn on each row whose key lies in one
+//     of the ascending, disjoint `ranges` and whose point lies inside `box`,
+//     exactly once, and on no other row. It returns the number of rows whose
+//     key lies in a range, matched or not — "rows examined", a property of
+//     the stored keys and the cover, not of run boundaries. Emit order is
+//     the layout's: range by range, the base run's rows before the delta
+//     run's, index order within each. Digests, histogram mass and
+//     query-processing latency are order-independent by construction; reply
+//     rows keep emit order, so a client's QueryResult (and the result
+//     digest) sees it.
 //   * ScanAllRows visits every row exactly once (digests, histograms).
 //   * Compact() is layout-only: results, counts and digests are identical
 //     whether or not it ever runs.
@@ -47,6 +53,7 @@
 #define MIND_STORAGE_SORTED_RUNS_BACKEND_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "space/cut_tree.h"
@@ -54,6 +61,7 @@
 #include "storage/scan_kernels.h"
 #include "storage/tuple.h"
 #include "util/status.h"
+#include "util/validate.h"
 
 namespace mind {
 
@@ -118,12 +126,14 @@ class SortedRunsBackend {
   size_t base_size() const { return base_.size(); }
   size_t delta_size() const { return delta_.size(); }
 
-  /// Calls fn(const RowView&) on exactly the rows whose key lies in
-  /// [kr.lo, kr.hi] and whose point lies inside `box` (scan::PointInBox),
-  /// each once. Returns the number of rows whose key lies in the range,
-  /// matched or not ("rows examined").
+  /// Calls fn(const RowView&) on exactly the rows whose key lies in one of
+  /// `ranges` and whose point lies inside `box` (scan::PointInBox), each
+  /// once. `ranges` ascend and are disjoint (a CoverRanges list); a lone
+  /// kFullKeyRange walks both runs as they sit. Returns the number of rows
+  /// whose key lies in a range, matched or not ("rows examined").
   template <typename Fn>
-  uint64_t ScanRange(const KeyRange& kr, const scan::Box& box, Fn&& fn) const;
+  uint64_t ScanCover(std::span<const KeyRange> ranges, const scan::Box& box,
+                     Fn&& fn) const;
 
   /// Calls fn(const RowView&) on every row exactly once.
   template <typename Fn>
@@ -159,10 +169,18 @@ class SortedRunsBackend {
     }
   };
 
+  // A tail's (key, position) order and its rows gathered in key order. One
+  // per thread, shared by every backend the thread runs: a warm sort
+  // allocates nothing, and no store keeps a buffer of its own. A tail longer
+  // than kScratchKeepRows frees it after its merge.
+  struct TailScratch;
+  static TailScratch& tail_scratch();
+
   void MaybeCompact();
   void EnsureDeltaSorted() const;
-  // Merges the key-sorted `tail` into the key-sorted `run`, back to front;
-  // on equal keys the run's entries stay first.
+  // Merges the key-sorted `tail` into the key-sorted `run`, back to front:
+  // each tail entry lands at its key's upper bound in the run and the run's
+  // entries above it move up, so on equal keys the run's entries stay first.
   void MergeInto(Run* run, const Run& tail) const;
   // Emits the entries of run[begin, end) whose points lie inside `box`.
   template <typename Fn>
@@ -202,9 +220,11 @@ class SortedRunsBackend {
 };
 
 template <typename Fn>
-uint64_t SortedRunsBackend::ScanRange(const KeyRange& kr,
+uint64_t SortedRunsBackend::ScanCover(std::span<const KeyRange> ranges,
                                       const scan::Box& box, Fn&& fn) const {
-  if (kr.lo == kFullKeyRange.lo && kr.hi == kFullKeyRange.hi) {
+  if (ranges.empty()) return 0;
+  if (ranges.size() == 1 && ranges[0].lo == kFullKeyRange.lo &&
+      ranges[0].hi == kFullKeyRange.hi) {
     // Every key qualifies: filter both runs as they sit — a scan that visits
     // everything gains nothing from restored key order.
     FilterRun(base_, 0, base_.size(), box, fn);
@@ -212,13 +232,27 @@ uint64_t SortedRunsBackend::ScanRange(const KeyRange& kr,
     return size();
   }
   EnsureDeltaSorted();
-  auto scan_run = [&](const Run& run) -> uint64_t {
-    const auto [b, e] =
-        scan::RangeBounds(run.keys.data(), run.size(), kr.lo, kr.hi);
-    FilterRun(run, b, e, box, fn);
-    return e - b;
-  };
-  return scan_run(base_) + scan_run(delta_);
+  // Every key before a run's previous range end lies at or below that
+  // range's hi, so below this range's lo: each probe resumes there.
+  uint64_t examined = 0;
+  size_t base_at = 0;
+  size_t delta_at = 0;
+  for (size_t r = 0; r < ranges.size(); ++r) {
+    const KeyRange& kr = ranges[r];
+    MIND_DCHECK(kr.lo <= kr.hi && (r == 0 || ranges[r - 1].hi < kr.lo));
+    const auto [bb, be] = scan::RangeBoundsFrom(base_.keys.data(),
+                                                base_.size(), base_at, kr.lo,
+                                                kr.hi);
+    FilterRun(base_, bb, be, box, fn);
+    const auto [db, de] = scan::RangeBoundsFrom(delta_.keys.data(),
+                                                delta_.size(), delta_at,
+                                                kr.lo, kr.hi);
+    FilterRun(delta_, db, de, box, fn);
+    examined += (be - bb) + (de - db);
+    base_at = be;
+    delta_at = de;
+  }
+  return examined;
 }
 
 }  // namespace mind

@@ -1,6 +1,7 @@
 #include "storage/tuple_store.h"
 
 #include <algorithm>
+#include <span>
 #include <string>
 
 #include "telemetry/metrics.h"
@@ -73,30 +74,29 @@ Tuple TupleStore::ToTuple(const RowView& r) const {
 template <typename Fn>
 void TupleStore::Scan(const Rect& rect, Fn&& fn) const {
   MIND_CHECK_EQ(static_cast<size_t>(rect.dims()), dims());
-  const int len = std::min(opts_.cover_len, code_len_);
-  const CoverRanges* cover =
-      cover_cache_->GetOrCompute(rect, cuts_, len, opts_.max_cover_codes);
   scan::Box& box = scan_box_;
   for (size_t d = 0; d < dims(); ++d) {
     const Interval& iv = rect.interval(static_cast<int>(d));
+    // An inverted interval holds no point; its width would wrap.
+    if (iv.lo > iv.hi) return;
     box[2 * d] = iv.lo;
     box[2 * d + 1] = iv.hi - iv.lo;
   }
-  auto visit = [&](const RowView& r) {
-    ++scan_rows_matched_;
-    fn(r);
-  };
+  const int len = std::min(opts_.cover_len, code_len_);
+  const CoverRanges* cover =
+      cover_cache_->GetOrCompute(rect, cuts_, len, opts_.max_cover_codes);
+  std::span<const KeyRange> ranges = cover->ranges;
   if (cover->fallback) {
     // Pathologically wide query: the full key range, which the runs walk as
     // they sit — a scan that visits everything gains nothing from key
     // pruning.
     if (cover_fallbacks_ != nullptr) cover_fallbacks_->Inc();
-    scan_rows_examined_ += runs_.ScanRange(kFullKeyRange, box, visit);
-    return;
+    ranges = {&kFullKeyRange, 1};
   }
-  for (const KeyRange& kr : cover->ranges) {
-    scan_rows_examined_ += runs_.ScanRange(kr, box, visit);
-  }
+  scan_rows_examined_ += runs_.ScanCover(ranges, box, [&](const RowView& r) {
+    ++scan_rows_matched_;
+    fn(r);
+  });
 }
 
 std::vector<Tuple> TupleStore::Query(const Rect& rect) const {

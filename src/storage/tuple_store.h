@@ -4,7 +4,8 @@
 // their data-space code (left-aligned in 64 bits) and held in two sorted runs,
 // LSM-style (SortedRunsBackend, DESIGN.md §13). A rectangle query narrows to
 // the merged key ranges of its covering codes (optionally through a shared
-// CoverCache) and asks the runs for each range together with the query box;
+// CoverCache) and hands the runs the whole cover, with the query box, for
+// one forward pass;
 // the runs filter on their inline point column and hand back only the
 // matching rows, which the store appends to reply columns (QueryColumns) or
 // turns into tuples (Query, QueryInto). The layout is
@@ -82,7 +83,8 @@ class TupleStore {
   uint64_t approx_bytes() const { return approx_bytes_; }
   bool compaction_enabled() const { return opts_.compaction; }
 
-  /// All tuples whose point lies inside `rect`.
+  /// All tuples whose point lies inside `rect` (none if an interval of
+  /// `rect` is inverted, lo > hi).
   std::vector<Tuple> Query(const Rect& rect) const;
 
   /// Appends the matches to `*out` without an intermediate vector.
@@ -139,8 +141,9 @@ class TupleStore {
 
   size_t dims() const { return static_cast<size_t>(cuts_->schema().dims()); }
   void InsertRow(uint64_t key, Tuple tuple);
-  // Invokes fn on the RowView of every stored row inside rect; the runs
-  // filter, so fn sees matches only.
+  // Invokes fn on the RowView of every stored row inside rect, none when an
+  // interval of rect is inverted (lo > hi); the runs filter, so fn sees
+  // matches only.
   template <typename Fn>
   void Scan(const Rect& rect, Fn&& fn) const;
   // Materializes a matched row.

@@ -634,6 +634,30 @@ TEST_F(QueryServiceTest, CostGateUsesObservedSelectivity) {
   net_->sim().RunFor(FromSeconds(60));
 }
 
+// The core refuses a rectangle with an inverted interval; the service
+// admits it and completes it as failed, with no tuples.
+TEST_F(QueryServiceTest, InvertedIntervalCompletesFailed) {
+  QueryServiceOptions qopts;
+  Start(qopts);
+  Load(8);
+  std::optional<Delivery> final;
+  auto sink = [&final](const Delivery& d) {
+    if (d.done) final = d;
+  };
+  const Rect whole = WholeDomain();
+  const Rect inverted({{0xc0100000u, 0xc0000000u}, whole.interval(1),
+                       whole.interval(2)});
+  auto r = service_->Submit(client_, "index1_fanout", inverted, sink);
+  ASSERT_TRUE(r.ok());
+  EXPECT_TRUE(QueryService::Admitted(r.value().admission));
+  net_->sim().RunFor(FromSeconds(60));
+  ASSERT_TRUE(final.has_value());
+  EXPECT_FALSE(final->complete);
+  EXPECT_TRUE(final->tuples.empty());
+  EXPECT_EQ(service_->completed_total(), 1u);
+  EXPECT_EQ(service_->inflight(), 0u);
+}
+
 TEST_F(QueryServiceTest, DeadlineCancelDeliversIncomplete) {
   QueryServiceOptions qopts;
   Start(qopts);

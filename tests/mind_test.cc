@@ -288,6 +288,16 @@ TEST_F(MindNetTest, QueryValidation) {
   EXPECT_TRUE(r1.status().IsNotFound());
   auto r2 = net_->node(0).Query("test_idx", Rect({{0, 1}}), [](auto&) {});
   EXPECT_TRUE(r2.status().IsInvalidArgument());
+  // An inverted interval (lo > hi) is refused, not answered: a store scan
+  // would read its box width hi - lo as a wrapped, near-full range.
+  bool called = false;
+  auto r3 = net_->node(0).Query("test_idx",
+                                Rect({{560, 555}, {0, 1000}, {0, 9999}}),
+                                [&called](auto&) { called = true; });
+  EXPECT_TRUE(r3.status().IsInvalidArgument());
+  net_->sim().RunFor(FromSeconds(10));
+  EXPECT_FALSE(called);
+  EXPECT_EQ(net_->node(0).pending_query_count(), 0u);
 }
 
 TEST_F(MindNetTest, ReplicationStoresCopies) {

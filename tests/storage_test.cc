@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <utility>
@@ -65,6 +66,27 @@ TEST(TupleStoreTest, InclusiveBoundaries) {
   EXPECT_EQ(store.Count(Rect({{10, 20}, {10, 20}})), 2u);
   EXPECT_EQ(store.Count(Rect({{10, 10}, {10, 10}})), 1u);
   EXPECT_EQ(store.Count(Rect({{11, 19}, {0, 9999}})), 0u);
+}
+
+// An interval with lo > hi holds no point. Its box width hi - lo would wrap
+// to nearly the whole domain, so the scan must refuse it, not filter on it.
+TEST(TupleStoreTest, InvertedIntervalMatchesNothing) {
+  Rng rng(33);
+  TupleStore store(EvenCuts(), 24);
+  for (int i = 0; i < 1000; ++i) {
+    store.Insert(MakeTuple(rng.Uniform(1001), rng.Uniform(1001), 0, i));
+  }
+  const Rect inverted({{560, 555}, {0, 1000}});
+  ASSERT_GT(store.Count(Rect({{555, 560}, {0, 1000}})), 0u);
+  const uint64_t examined = store.scan_rows_examined();
+  EXPECT_EQ(store.Count(inverted), 0u);
+  EXPECT_TRUE(store.Query(inverted).empty());
+  TupleColumns cols;
+  cols.dims = 2;
+  store.QueryColumns(inverted, &cols);
+  EXPECT_TRUE(cols.empty());
+  EXPECT_EQ(store.Count(Rect({{0, 1000}, {7, 6}})), 0u);
+  EXPECT_EQ(store.scan_rows_examined(), examined);
 }
 
 TEST(TupleStoreTest, QueryMatchesBruteForce) {
@@ -187,6 +209,35 @@ TEST(TupleStoreTest, CompactionIsLayoutOnly) {
   EXPECT_TRUE(auto_store.ValidateInvariants().ok());
   EXPECT_TRUE(off_store.ValidateInvariants().ok());
   EXPECT_TRUE(manual_store.ValidateInvariants().ok());
+}
+
+// A tail longer than the per-thread scratch keeps (4 096 rows) frees the
+// scratch after its merge; the next long tail must grow a fresh one and
+// still land every row where a brute-force count expects it.
+TEST(TupleStoreTest, TailsPastScratchKeepMatchBruteForce) {
+  Rng rng(43);
+  TupleStoreConfig cfg;
+  cfg.code_len = 24;
+  cfg.options.compaction = false;
+  TupleStore store(EvenCuts(), cfg);
+  std::vector<Tuple> all;
+  for (int round = 0; round < 2; ++round) {
+    for (int i = 0; i < 5000; ++i) {
+      all.push_back(MakeTuple(rng.Uniform(10000), rng.Uniform(10000), 0,
+                              all.size()));
+      store.Insert(all.back());
+    }
+    for (int iter = 0; iter < 10; ++iter) {
+      Value x1 = rng.Uniform(10000), x2 = rng.Uniform(10000);
+      Value y1 = rng.Uniform(10000), y2 = rng.Uniform(10000);
+      Rect q({{std::min(x1, x2), std::max(x1, x2)},
+              {std::min(y1, y2), std::max(y1, y2)}});
+      size_t expect = 0;
+      for (const Tuple& t : all) expect += q.Contains(t.point) ? 1 : 0;
+      EXPECT_EQ(store.Count(q), expect) << q.ToString();
+    }
+    EXPECT_TRUE(store.ValidateInvariants().ok());
+  }
 }
 
 TEST(TupleStoreTest, DeltaBaseBoundaryAndEmptyRunEdges) {
@@ -785,6 +836,334 @@ TEST(ScanKernelTest, FilterPointsEmitsMatchingIndicesInOrder) {
   scan::FilterPoints(points.data(), 3, 2, 4, box.data(),
                      [&hits](size_t i) { hits.push_back(i); });
   EXPECT_EQ(hits, (std::vector<size_t>{3}));
+}
+
+// The galloping bounds resume from any `from` their precondition allows
+// (every key before it below the probe) and must then agree with the std
+// bounds: from 0, from the answer itself, from one short of it, and across
+// the doubling steps over runs of duplicates.
+TEST(ScanKernelTest, GallopBoundsMatchStdOnAdversarialArrays) {
+  Rng rng(0x6a1);
+  std::vector<scan::KeyColumn> arrays;
+  arrays.push_back({});
+  arrays.push_back({42});
+  arrays.push_back({7, 7, 7, 7, 7});
+  scan::KeyColumn steps;  // duplicate runs of 1, 2, 4, ... 128 entries
+  for (uint64_t run = 0; run < 8; ++run) {
+    steps.insert(steps.end(), size_t{1} << run, 10 * (run + 1));
+  }
+  arrays.push_back(std::move(steps));
+  scan::KeyColumn random;
+  for (int i = 0; i < 700; ++i) random.push_back(rng.Uniform(300) * 3);
+  std::sort(random.begin(), random.end());
+  arrays.push_back(std::move(random));
+  for (const auto& keys : arrays) {
+    const size_t n = keys.size();
+    for (uint64_t probe = 0; probe < 950; probe += 1 + probe / 64) {
+      const auto lower = static_cast<size_t>(
+          std::lower_bound(keys.begin(), keys.end(), probe) - keys.begin());
+      const auto upper = static_cast<size_t>(
+          std::upper_bound(keys.begin(), keys.end(), probe) - keys.begin());
+      std::vector<size_t> froms = {0, lower / 2, lower, upper};
+      if (lower > 0) froms.push_back(lower - 1);
+      if (upper > 0) froms.push_back(upper - 1);
+      for (int r = 0; r < 4; ++r) froms.push_back(rng.Uniform(upper + 1));
+      for (const size_t from : froms) {
+        SCOPED_TRACE(::testing::Message()
+                     << "n=" << n << " probe=" << probe << " from=" << from);
+        if (from <= lower) {
+          EXPECT_EQ(scan::GallopLowerBound(keys.data(), n, from, probe),
+                    lower);
+        }
+        EXPECT_EQ(scan::GallopUpperBound(keys.data(), n, from, probe), upper);
+      }
+    }
+    // Ascending, disjoint ranges probed in order, each from the previous
+    // range's end, give RangeBounds' answer for every range.
+    for (int trial = 0; trial < 50; ++trial) {
+      size_t at = 0;
+      uint64_t lo = rng.Uniform(40);
+      while (lo < 1000) {
+        const uint64_t hi = lo + rng.Uniform(60);
+        const auto want = scan::RangeBounds(keys.data(), n, lo, hi);
+        const auto got = scan::RangeBoundsFrom(keys.data(), n, at, lo, hi);
+        EXPECT_EQ(got, want) << "[" << lo << "," << hi << "] from " << at;
+        at = got.second;
+        lo = hi + 1 + rng.Uniform(80);
+      }
+    }
+  }
+}
+
+// The fixed-width mask kernels (2, 3, 4 dims) and the generic loop emit
+// exactly the rows PointInBox accepts, in index order, for sweeps that start
+// and end inside, on and across 64-row mask blocks.
+TEST(ScanKernelTest, FilterPointsMatchesRowLoopAtEveryWidth) {
+  Rng rng(0xf17);
+  for (size_t dims = 1; dims <= 7; ++dims) {
+    constexpr size_t kRows = 200;
+    scan::PointColumn points(kRows * dims);
+    for (auto& v : points) v = rng.Uniform(16);
+    for (int trial = 0; trial < 40; ++trial) {
+      scan::Box box(2 * dims);
+      for (size_t d = 0; d < dims; ++d) {
+        const Value a = rng.Uniform(16), b = rng.Uniform(16);
+        box[2 * d] = std::min(a, b);
+        box[2 * d + 1] = std::max(a, b) - std::min(a, b);
+        if (rng.Bernoulli(0.3)) box[2 * d + 1] = UINT64_MAX;  // full domain
+      }
+      const size_t begins[] = {0, 1, 63, 64, 65, rng.Uniform(kRows)};
+      for (const size_t begin : begins) {
+        const size_t end = begin + rng.Uniform(kRows - begin + 1);
+        SCOPED_TRACE(::testing::Message() << "dims=" << dims << " rows ["
+                                          << begin << "," << end << ")");
+        std::vector<size_t> want;
+        for (size_t i = begin; i < end; ++i) {
+          if (scan::PointInBox(points.data() + i * dims, box.data(), dims)) {
+            want.push_back(i);
+          }
+        }
+        std::vector<size_t> got;
+        scan::FilterPoints(points.data(), dims, begin, end, box.data(),
+                           [&got](size_t i) { got.push_back(i); });
+        EXPECT_EQ(got, want);
+      }
+    }
+  }
+}
+
+// ------------------------------------------------------------ scan oracle
+//
+// A test-local copy of the per-range scan the store used before cover scans
+// became one forward pass: every range probes each whole run with
+// RangeBounds, filters row by row with PointInBox, and an unsorted delta tail
+// is sorted and merged into its prefix on the first probe that needs key
+// order. The store must emit the same rows in the same order, count the same
+// rows examined, and leave the same run layout after every step.
+
+struct OracleRow {
+  uint64_t key;
+  Tuple tuple;
+};
+
+class PerRangeScanOracle {
+ public:
+  PerRangeScanOracle(size_t dims, const TupleStoreOptions& opts)
+      : dims_(dims), opts_(opts) {}
+
+  void Append(uint64_t key, const Tuple& t) {
+    if (sorted_ == delta_.size() &&
+        (delta_.empty() || delta_.back().key <= key)) {
+      ++sorted_;
+    }
+    delta_.push_back({key, t});
+    if (opts_.compaction && delta_.size() >= opts_.compact_min_delta &&
+        delta_.size() * opts_.compact_ratio > base_.size()) {
+      Compact();
+    }
+  }
+
+  void Compact() {
+    if (delta_.empty()) return;
+    SortDelta();
+    base_ = Merge(base_, delta_);
+    delta_.clear();
+    sorted_ = 0;
+  }
+
+  // Appends the matches to *out in emit order; returns rows examined.
+  uint64_t Scan(const CoverRanges& cover, const Rect& rect,
+                std::vector<Tuple>* out) {
+    scan::Box box(2 * dims_);
+    for (size_t d = 0; d < dims_; ++d) {
+      const Interval& iv = rect.interval(static_cast<int>(d));
+      box[2 * d] = iv.lo;
+      box[2 * d + 1] = iv.hi - iv.lo;
+    }
+    auto filter = [&](const std::vector<OracleRow>& run, size_t b,
+                      size_t e) {
+      for (size_t i = b; i < e; ++i) {
+        if (scan::PointInBox(run[i].tuple.point.data(), box.data(), dims_)) {
+          out->push_back(run[i].tuple);
+        }
+      }
+    };
+    auto scan_range = [&](const KeyRange& kr) -> uint64_t {
+      if (kr.lo == 0 && kr.hi == UINT64_MAX) {
+        filter(base_, 0, base_.size());
+        filter(delta_, 0, delta_.size());
+        return base_.size() + delta_.size();
+      }
+      SortDelta();
+      uint64_t examined = 0;
+      for (const auto* run : {&base_, &delta_}) {
+        scan::KeyColumn keys;
+        for (const OracleRow& row : *run) keys.push_back(row.key);
+        const auto [b, e] =
+            scan::RangeBounds(keys.data(), keys.size(), kr.lo, kr.hi);
+        filter(*run, b, e);
+        examined += e - b;
+      }
+      return examined;
+    };
+    if (cover.fallback) return scan_range(KeyRange{0, UINT64_MAX});
+    uint64_t examined = 0;
+    for (const KeyRange& kr : cover.ranges) examined += scan_range(kr);
+    return examined;
+  }
+
+  // Every row, base run then delta run, as each sits.
+  std::vector<Tuple> Layout() const {
+    std::vector<Tuple> out;
+    for (const auto* run : {&base_, &delta_}) {
+      for (const OracleRow& row : *run) out.push_back(row.tuple);
+    }
+    return out;
+  }
+
+ private:
+  // Merges two key-sorted runs; on equal keys `a`'s rows come first.
+  static std::vector<OracleRow> Merge(const std::vector<OracleRow>& a,
+                                      const std::vector<OracleRow>& b) {
+    std::vector<OracleRow> out;
+    std::merge(a.begin(), a.end(), b.begin(), b.end(),
+               std::back_inserter(out),
+               [](const OracleRow& x, const OracleRow& y) {
+                 return x.key < y.key;
+               });
+    return out;
+  }
+
+  void SortDelta() {
+    if (sorted_ == delta_.size()) return;
+    std::vector<std::pair<uint64_t, size_t>> order;
+    for (size_t i = sorted_; i < delta_.size(); ++i) {
+      order.emplace_back(delta_[i].key, i);
+    }
+    std::sort(order.begin(), order.end());
+    std::vector<OracleRow> tail;
+    for (const auto& [key, i] : order) tail.push_back(delta_[i]);
+    delta_.resize(sorted_);
+    delta_ = Merge(delta_, tail);
+    sorted_ = delta_.size();
+  }
+
+  size_t dims_;
+  TupleStoreOptions opts_;
+  std::vector<OracleRow> base_;
+  std::vector<OracleRow> delta_;
+  size_t sorted_ = 0;
+};
+
+struct OracleConfig {
+  int dims;
+  int code_len;
+  bool compaction;
+  size_t max_cover_codes;
+  bool banded;  // points only in the middle of the domain
+};
+
+void RunScanOracle(const OracleConfig& oc, uint64_t seed) {
+  SCOPED_TRACE(::testing::Message()
+               << "dims=" << oc.dims << " code_len=" << oc.code_len
+               << " compaction=" << oc.compaction
+               << " max_cover_codes=" << oc.max_cover_codes
+               << " banded=" << oc.banded << " seed=" << seed);
+  Rng rng(seed);
+  const size_t dims = static_cast<size_t>(oc.dims);
+  auto cuts = std::make_shared<CutTree>(CutTree::Even(DimsSchema(oc.dims)));
+  TupleStoreConfig cfg;
+  cfg.code_len = oc.code_len;
+  cfg.options.compaction = oc.compaction;
+  cfg.options.compact_min_delta = 32;
+  cfg.options.cover_len = 12;
+  cfg.options.max_cover_codes = oc.max_cover_codes;
+  TupleStore store(cuts, cfg);
+  PerRangeScanOracle oracle(dims, cfg.options);
+  const int len = std::min(cfg.options.cover_len, cfg.code_len);
+  CoverScratch scratch;
+  std::vector<Tuple> all;
+
+  auto expect_layout = [&](const char* step) {
+    SCOPED_TRACE(step);
+    EXPECT_EQ(store.AllTuples(), oracle.Layout());
+  };
+  auto random_point = [&]() {
+    Point p(dims);
+    for (Value& v : p) {
+      v = oc.banded ? 300 + rng.Uniform(400) : rng.Uniform(1000);
+    }
+    return p;
+  };
+  auto random_rect = [&]() {
+    std::vector<Interval> ivs;
+    for (size_t d = 0; d < dims; ++d) {
+      const Value a = rng.Uniform(1000), b = rng.Uniform(1000);
+      ivs.push_back(rng.Bernoulli(0.25) ? Interval{0, 999}
+                                        : Interval{std::min(a, b),
+                                                   std::max(a, b)});
+    }
+    return Rect(ivs);
+  };
+  auto check_query = [&](const Rect& q) {
+    SCOPED_TRACE(q.ToString());
+    std::vector<Tuple> want;
+    const uint64_t want_examined = oracle.Scan(
+        ComputeCoverRanges(*cuts, q, len, oc.max_cover_codes, &scratch), q,
+        &want);
+    const uint64_t e0 = store.scan_rows_examined();
+    EXPECT_EQ(store.Query(q), want);
+    EXPECT_EQ(store.scan_rows_examined() - e0, want_examined);
+    expect_layout("after query");
+  };
+
+  // Tail lengths from one row, churn's shape, up to several hundred rows.
+  const size_t kBursts[] = {1, 1, 2, 3, 7, 8, 9, 16, 40, 300};
+  check_query(random_rect());  // both runs empty
+  uint64_t seq = 0;
+  while (seq < 900) {
+    const size_t burst = kBursts[rng.Uniform(std::size(kBursts))];
+    for (size_t k = 0; k < burst; ++k, ++seq) {
+      Tuple t;
+      t.point = !all.empty() && rng.Bernoulli(0.2)
+                    ? all[rng.Uniform(all.size())].point  // an equal key
+                    : random_point();
+      t.extra.assign(rng.Uniform(3), seq);
+      t.origin = static_cast<int>(rng.Uniform(4));
+      t.seq = seq;
+      store.Insert(t);
+      oracle.Append(CodeKey(cuts->CodeForPoint(t.point, oc.code_len)), t);
+      all.push_back(std::move(t));
+    }
+    expect_layout("after inserts");
+    for (uint64_t q = rng.Uniform(3); q > 0; --q) check_query(random_rect());
+    if (rng.Bernoulli(0.05)) {
+      store.Compact();
+      oracle.Compact();
+      expect_layout("after compact");
+      check_query(random_rect());  // base only, delta empty
+    }
+  }
+  check_query(Rect::FullSpace(cuts->schema()));
+  EXPECT_TRUE(store.ValidateInvariants().ok());
+}
+
+TEST(StoreScanOracleTest, OnePassMatchesPerRangeScan) {
+  uint64_t seed = 0x5ca7;
+  for (int dims = 1; dims <= 7; ++dims) {
+    for (int variant = 0; variant < 8; ++variant) {
+      OracleConfig oc;
+      oc.dims = dims;
+      // code_len 8 packs many points per key: duplicate keys everywhere.
+      oc.code_len = (variant & 1) != 0 ? 8 : 24;
+      // Banded points leave cover ranges past both ends of each run.
+      oc.banded = (variant & 2) != 0;
+      oc.compaction = (variant & 4) == 0;
+      // Two cover codes force the full-range fallback.
+      oc.max_cover_codes = variant == 3 || variant == 6 ? 2 : 4096;
+      RunScanOracle(oc, ++seed);
+    }
+  }
 }
 
 }  // namespace
